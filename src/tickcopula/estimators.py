@@ -20,6 +20,7 @@ expectation without flipping its sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,41 +104,29 @@ def corrected_correlation(p: PairedSeries, level: float = 0.95) -> CorrectedCorr
 # Kendall's tau
 
 
-def _count_inversions(a: np.ndarray) -> int:
-    """Pairs (i < j) with a[i] > a[j], by divide-and-conquer merge counting."""
-    n = a.size
-    if n < 2:
-        return 0
-    mid = n // 2
-    left = np.sort(a[:mid])
-    right_raw = a[mid:]
-    count = _count_inversions(a[:mid]) + _count_inversions(right_raw)
-    right = np.sort(right_raw)
-    # cross inversions: left elements strictly greater than each right element
-    pos = np.searchsorted(left, right, side="right")
-    count += int(left.size * right.size - pos.sum())
-    return count
+MAX_KENDALL_RETURNS = 10_000_000
 
 
-def _tie_pair_count(values: np.ndarray) -> int:
-    _, counts = np.unique(values, return_counts=True)
-    return int((counts * (counts - 1) // 2).sum())
+def _tied_pairs(changes: np.ndarray) -> int:
+    """Pairs within runs of equal values of a sorted ``a``, given ``np.diff(a) != 0``."""
+    runs = np.diff(np.flatnonzero(np.r_[True, changes, True]))
+    return int((runs * (runs - 1) // 2).sum())
 
 
 def _kendall_counts(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int]:
     """(concordant - discordant, untied pair count, tied pair count)."""
-    n = x.size
-    n0 = n * (n - 1) // 2
+    n0 = x.size * (x.size - 1) // 2
     order = np.lexsort((y, x))
-    ys = y[order]
-    discordant = _count_inversions(ys)
-    tx = _tie_pair_count(x)
-    ty = _tie_pair_count(y)
-    # complex packing detects pairs tied in both coordinates at once
-    txy = _tie_pair_count(x.astype(np.complex128) + 1j * y)
+    x_changes = np.diff(x[order]) != 0
+    tx = _tied_pairs(x_changes)
+    ty = _tied_pairs(np.diff(np.sort(y)) != 0)
+    txy = _tied_pairs(x_changes | (np.diff(y[order]) != 0))
     untied = n0 - tx - ty + txy
-    con_minus_dis = untied - 2 * discordant
-    return int(con_minus_dis), int(untied), int(n0 - untied)
+    if untied == 0:
+        return 0, 0, n0  # scipy returns NaN when one side is all ties
+    tau_b = float(stats.kendalltau(x, y).statistic)
+    # exact while the float error, about n^2 * 1e-16, stays far below 0.5
+    return round(tau_b * math.sqrt((n0 - tx) * (n0 - ty))), untied, n0 - untied
 
 
 @dataclass(frozen=True)
@@ -158,14 +147,24 @@ def kendall_tau(
 ) -> TauEstimate:
     """Kendall's tau of the paired returns.
 
-    ``basis="all-pairs"`` compares every pair of return observations with an
-    O(n log n) merge count. ``basis="same-config"`` compares only returns
-    whose ordering configuration labels match, over the labels listed in
-    ``configs`` (1 and 4 by default; pass ``(1, 2, 3, 4)`` for all).
+    ``basis="all-pairs"`` compares every pair of return observations.
+    ``basis="same-config"`` compares only returns whose ordering
+    configuration labels match, over the labels listed in ``configs`` (1 and
+    4 by default; pass ``(1, 2, 3, 4)`` for all).
+
+    Concordant minus discordant is rounded back from the tau-b of
+    ``scipy.stats.kendalltau`` (Knight's O(n log n) count). That is exact
+    only while n^2 * 1e-16 is far below 0.5, so more than
+    ``MAX_KENDALL_RETURNS`` (10^7) returns raise ``InvalidParameter``, as do
+    non-finite returns.
     """
     if basis not in ("all-pairs", "same-config"):
         raise InvalidParameter(f"unknown basis {basis!r}")
     rx, ry = p.returns()
+    if rx.size > MAX_KENDALL_RETURNS:
+        raise InvalidParameter(f"Kendall counts are exact only up to {MAX_KENDALL_RETURNS} returns")
+    if not (np.isfinite(rx).all() and np.isfinite(ry).all()):
+        raise InvalidParameter("Kendall tau needs finite returns")
     if basis == "all-pairs":
         if rx.size < 2:
             raise InsufficientData("need at least 2 returns")

@@ -121,6 +121,21 @@ class TestKendallAndSelection:
         assert rep["basis"] == "all-pairs"
         assert -1 <= rep["point"] <= 1
 
+    def test_kendall_rejects_nan_return(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        rows = ["t1,x,t2,y"] + [f"{t},{x},{t},{y}" for t, x, y in
+                                [(0, 0.0, 0.0), (1, 0.1, 0.2), (2, "nan", 0.3),
+                                 (3, 0.3, 0.1), (4, 0.2, 0.4), (5, 0.5, 0.3)]]
+        path.write_text("\n".join(rows) + "\n")
+        rc = run(["estimate", "--paired", path, "--method", "kendall"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidParameter"
+        assert "finite" in err["message"]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_select_copula_table(self, sim_prefix, tmp_path, capsys):
         paired_path = tmp_path / "paired.csv"
         run(["pair", f"{sim_prefix}_a.csv", f"{sim_prefix}_b.csv", "--out", paired_path])

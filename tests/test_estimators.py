@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tickcopula import (
     CopulaModel,
     DegeneratePairing,
@@ -15,6 +18,7 @@ from tickcopula import (
     pair_previous_tick,
     pair_ticks,
 )
+from tickcopula import estimators
 
 from conftest import poisson_ticks
 
@@ -27,6 +31,15 @@ def paired_from_returns(rx, ry, times=None):
     x = np.concatenate([[0.0], np.cumsum(rx)])
     y = np.concatenate([[0.0], np.cumsum(ry)])
     return PairedSeries(t1=t, x=x, t2=t, y=y, scheme="a0", n_raw1=n, n_raw2=n)
+
+
+def sign_counts(rx, ry):
+    """O(n^2) (concordant - discordant, untied, tied) from pairwise signs."""
+    sx = np.sign(rx[:, None] - rx[None, :])
+    sy = np.sign(ry[:, None] - ry[None, :])
+    iu = np.triu_indices(rx.size, k=1)
+    untied = (sx[iu] != 0) & (sy[iu] != 0)
+    return int((sx[iu] * sy[iu]).sum()), int(untied.sum()), int((~untied).sum())
 
 
 class TestCorrectedCorrelation:
@@ -144,16 +157,15 @@ class TestKendallTau:
                 # discrete values force ties in both coordinates
                 rx = rng.integers(-3, 4, n).astype(float)
                 ry = (0.5 * rx + rng.integers(-2, 3, n)).astype(float)
-            sx = np.sign(rx[:, None] - rx[None, :])
-            sy = np.sign(ry[:, None] - ry[None, :])
-            iu = np.triu_indices(n, k=1)
-            untied = ((sx[iu] != 0) & (sy[iu] != 0)).sum()
+            num, untied, tied = sign_counts(rx, ry)
             if untied == 0:
                 continue
             p = paired_from_returns(rx, ry)
             fast = kendall_tau(p)
+            assert fast.tau_hat == num / untied
             assert fast.tau_hat == pytest.approx(kendall_tau_brute(rx, ry), abs=1e-12)
             assert fast.n_pairs_compared == untied
+            assert fast.n_tied == tied
 
     def test_matches_scipy_on_untied_data(self, rng):
         rx = rng.standard_normal(500)
@@ -208,6 +220,46 @@ class TestKendallTau:
         p = paired_from_returns([1.0], [2.0])
         with pytest.raises(InsufficientData):
             kendall_tau(p)
+
+    @pytest.mark.parametrize("basis", ["all-pairs", "same-config"])
+    def test_non_finite_returns_rejected(self, basis):
+        p = paired_from_returns([0.1, np.nan, 0.3, 0.2, 0.5], [0.2, 0.1, np.nan, 0.4, 0.3])
+        with pytest.raises(InvalidParameter, match="finite"):
+            kendall_tau(p, basis=basis)
+
+    def test_exactness_limit(self, monkeypatch):
+        p = paired_from_returns(np.arange(6.0), np.arange(6.0))
+        monkeypatch.setattr(estimators, "MAX_KENDALL_RETURNS", 5)
+        with pytest.raises(InvalidParameter, match="up to 5 returns"):
+            kendall_tau(p)
+        monkeypatch.setattr(estimators, "MAX_KENDALL_RETURNS", 6)
+        assert kendall_tau(p).tau_hat == 1.0
+
+
+def _columns(n, continuous):
+    if continuous:
+        values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    else:
+        values = st.integers(-2, 2).map(float)
+    return st.lists(values, min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def return_pairs(draw):
+    n = draw(st.integers(2, 40))
+    rx = draw(_columns(n, draw(st.booleans())))
+    ry = draw(st.just(np.full(n, 0.5)) | _columns(n, draw(st.booleans())))
+    return (ry, rx) if draw(st.booleans()) else (rx, ry)
+
+
+@settings(deadline=None, max_examples=200)
+@given(return_pairs())
+def test_kendall_counts_match_sign_count(pair):
+    rx, ry = pair
+    n = rx.size
+    counts = estimators._kendall_counts(rx, ry)
+    assert counts == sign_counts(rx, ry)
+    assert counts[1] + counts[2] == n * (n - 1) // 2
 
 
 class TestDependenceChecks:
