@@ -34,7 +34,7 @@ from .copulas import param_of_tau
 from .errors import CalibrationFailure, ExtrapolationWarning, InvalidParameter
 from .estimators import corrected_correlation, kendall_tau
 from .pairing import PairedSeries, pair_ticks
-from .synthesis import SimSpec, simulate
+from .synthesis import RNG_NAME, SimSpec, simulate
 
 __all__ = [
     "CorrectionCurve",
@@ -260,7 +260,7 @@ def build_curve(
         "n_rep": n_rep,
         "seed": seed,
         "df": df,
-        "rng": "numpy-PCG64",
+        "rng": RNG_NAME,
     }
     return CorrectionCurve.from_samples(family, grid, estimates, meta)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -37,7 +38,7 @@ from .copulas import (
 )
 from .errors import InvalidParameter, TickCopulaError
 from .estimators import corrected_correlation, kendall_tau
-from .market_data import load_ticks, save_ticks
+from .market_data import _read_columns, load_ticks, save_ticks
 from .pairing import (
     PairedSeries,
     configuration_labels,
@@ -46,42 +47,40 @@ from .pairing import (
     pair_refresh_time,
     pair_ticks,
 )
-from .synthesis import SimSpec, simulate
+from .synthesis import RNG_NAME, SimSpec, simulate
 from .tables import coverage_study, gaussian_estimator_study, t_copula_margin_study
-
-_RNG_NAME = "numpy-PCG64"
 
 
 def _meta(args, **extra) -> dict:
-    meta = {"tool": "tickcopula", "version": __version__, "rng": _RNG_NAME}
+    meta = {"tool": "tickcopula", "version": __version__, "rng": RNG_NAME}
     if getattr(args, "seed", None) is not None:
         meta["seed"] = args.seed
     meta.update(extra)
     return meta
 
 
-def _write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2)
+def _write_text(path, text: str) -> None:
     if path in (None, "-"):
-        print(text)
+        sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
+def _write_json(path, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+
+
+def _meta_lines(meta: dict) -> str:
+    return "".join(f"# {k}={v}\n" for k, v in meta.items())
 
 
 def _write_csv(path, fieldnames, rows, meta: dict) -> None:
-    def emit(fh):
-        for k, v in meta.items():
-            fh.write(f"# {k}={v}\n")
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-    if path in (None, "-"):
-        emit(sys.stdout)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_text(path, _meta_lines(meta) + buf.getvalue())
 
 
 def parse_margin(text: str):
@@ -122,52 +121,30 @@ def write_paired_csv(path, paired: PairedSeries, meta: dict) -> None:
         scheme=paired.scheme, n_raw1=paired.n_raw1, n_raw2=paired.n_raw2,
         delta=("" if paired.delta is None else paired.delta),
     )
-    rows = []
-    for i in range(len(paired)):
-        rows.append(
-            {
-                "t1": f"{paired.t1[i]:.17g}",
-                "x": f"{paired.x[i]:.17g}",
-                "t2": f"{paired.t2[i]:.17g}",
-                "y": f"{paired.y[i]:.17g}",
-                "overlap": f"{overlaps[i - 1]:.17g}" if i >= 1 else "",
-                "config": int(configs[i - 1]) if i >= 1 else "",
-            }
-        )
-    _write_csv(path, ["t1", "x", "t2", "y", "overlap", "config"], rows, meta)
+    cols = [paired.t1.tolist(), paired.x.tolist(), paired.t2.tolist(), paired.y.tolist()]
+    first = "%.17g,%.17g,%.17g,%.17g,,\n" % tuple(c[0] for c in cols)
+    rest = map("%.17g,%.17g,%.17g,%.17g,%.17g,%d\n".__mod__,
+               zip(*(c[1:] for c in cols), overlaps.tolist(), configs.tolist()))
+    _write_text(path, _meta_lines(meta) + "t1,x,t2,y,overlap,config\n" + first + "".join(rest))
 
 
 def read_paired_csv(path) -> PairedSeries:
-    """Load a paired CSV written by :func:`write_paired_csv`."""
-    meta: dict[str, str] = {}
-    rows = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        header = None
-        for line in fh:
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            reader = csv.reader([line])
-            fields = next(reader)
-            if header is None:
-                header = [f.strip().lower() for f in fields]
-                continue
-            if fields and any(f.strip() for f in fields):
-                rows.append(fields)
-    if header is None or header[:4] != ["t1", "x", "t2", "y"]:
-        raise InvalidParameter(f"{path}: expected paired CSV with columns t1,x,t2,y")
-    data = np.array([[float(r[i]) for i in range(4)] for r in rows], dtype=float)
-    if data.size == 0:
+    """Load a paired CSV written by :func:`write_paired_csv`.
+
+    A malformed or non-finite value raises :class:`InvalidParameter` naming
+    the first offending data row.
+    """
+    meta, (t1, x, t2, y) = _read_columns(path, ("t1", "x", "t2", "y"), InvalidParameter)
+    if t1.size == 0:
         raise InvalidParameter(f"{path}: no data rows")
     scheme = meta.get("scheme", "a0")
-    n1 = int(meta["n_raw1"]) if "n_raw1" in meta else int(np.unique(data[:, 0]).size)
-    n2 = int(meta["n_raw2"]) if "n_raw2" in meta else int(np.unique(data[:, 2]).size)
-    delta = float(meta["delta"]) if meta.get("delta") else None
-    return PairedSeries(
-        t1=data[:, 0], x=data[:, 1], t2=data[:, 2], y=data[:, 3],
-        scheme=scheme, n_raw1=n1, n_raw2=n2, delta=delta,
-    )
+    try:
+        n1 = int(meta["n_raw1"]) if "n_raw1" in meta else int(np.unique(t1).size)
+        n2 = int(meta["n_raw2"]) if "n_raw2" in meta else int(np.unique(t2).size)
+        delta = float(meta["delta"]) if meta.get("delta") else None
+    except ValueError as exc:
+        raise InvalidParameter(f"{path}: bad metadata line: {exc}") from None
+    return PairedSeries(t1=t1, x=x, t2=t2, y=y, scheme=scheme, n_raw1=n1, n_raw2=n2, delta=delta)
 
 
 # ---------------------------------------------------------------------------

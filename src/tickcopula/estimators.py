@@ -78,6 +78,8 @@ def corrected_correlation(p: PairedSeries, level: float = 0.95) -> CorrectedCorr
     diag = diagnostics(p)
     rx, ry = p.returns()
     n = rx.size
+    if np.ptp(rx) == 0.0 or np.ptp(ry) == 0.0:
+        raise InvalidParameter("a return leg has zero variance; its correlation is undefined")
     rho_hat = float(np.corrcoef(rx, ry)[0, 1])
     w = diag.w
     theta_raw = w * rho_hat

@@ -2,12 +2,20 @@
 
 A tick file is a UTF-8 CSV with header ``time,price`` where ``time`` is
 seconds since session open (decimal, strictly increasing) and ``price`` is a
-positive decimal. Both LF and CRLF line endings are accepted.
+positive decimal. LF and CRLF line endings, a leading byte-order mark,
+``"``-quoted numeric fields and columns beyond the first two are accepted.
+Lines starting with ``#`` before the header carry ``key=value`` metadata.
+
+Data rows are numbered from 1 after the header; blank lines are skipped but
+keep their number, so an error names the line a reader would count to. The
+whole file is parsed in one :func:`numpy.loadtxt` call and checked with
+array masks; a parse failure is re-scanned line by line only to name the
+first offending row.
 """
 
 from __future__ import annotations
 
-import csv
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,48 +93,115 @@ class ReturnSeries:
         return self.returns.size
 
 
+_BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
+_ASCII_SPACES = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"  # str.isspace() minus "\n"
+
+
+def _read_columns(path, names, error, checks=None):
+    """Parse a CSV whose header starts with ``names`` into float columns.
+
+    Returns ``(meta, columns)``: the ``# key=value`` lines before the header
+    as a dict, and a C-contiguous ``(len(names), n_rows)`` array of the
+    leading columns. Every failure raises ``error`` naming ``path`` and, for
+    a data fault, the first offending 1-based data row. ``checks(columns)``
+    may return further ``(row_mask, message)`` pairs; a message is formatted
+    with ``row`` and ``fields`` (that row's values). Earlier checks win ties,
+    after the built-in non-finite check.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    meta: dict[str, str] = {}
+    pos, end = 0, -1
+    while True:  # the "# key=value" lines, then the header
+        pos, end = end + 1, text.find("\n", end + 1)
+        end = len(text) if end < 0 else end
+        if not text.startswith("#", pos):
+            break
+        key, _, value = text[pos + 1:end].strip().partition("=")
+        meta[key.strip()] = value.strip()
+    header = [c.strip().strip('"').strip().lower() for c in text[pos:end].split(",")]
+    if pos >= len(text) or header[: len(names)] != list(names):
+        raise error(f"{path}: expected a header starting {','.join(names)!r}, "
+                    f"got {text[pos:end]!r}")
+    data_text = text[end + 1:]
+    if not data_text.isascii() or any(c in data_text for c in _ASCII_SPACES):
+        data_text = _BLANK_LINE.sub("", data_text)  # loadtxt skips only empty lines
+    lines = data_text.split("\n")
+    k = len(names)
+    fault = None
+    try:
+        table = _loadtxt(lines, k)
+    except ValueError as exc:
+        # a value fault can still precede the first unparsable row
+        row, fault = _first_unparsable(lines, k, exc)
+        lines = lines[: row - 1]
+        table = _loadtxt(lines, k)
+    columns = np.ascontiguousarray(table.T)
+    masks = [(~np.isfinite(columns).all(axis=0), "row {row}: non-finite value")]
+    masks += checks(columns) if checks else []
+    firsts = [(int(np.argmax(m)), j) for j, (m, _) in enumerate(masks) if m.any()]
+    if firsts:
+        i, j = min(firsts)
+        row = int(np.flatnonzero([bool(line) for line in lines])[i]) + 1
+        fault = masks[j][1].format(row=row, fields=columns[:, i].tolist())
+    if fault:
+        raise error(f"{path}: {fault}")
+    return meta, columns
+
+
+def _loadtxt(lines, k):
+    if not any(lines):
+        return np.empty((0, k))
+    return np.loadtxt(lines, delimiter=",", usecols=range(k), ndmin=2, quotechar='"', comments=None)
+
+
+def _first_unparsable(lines, k, exc):
+    """``(row, message)`` for the first row :func:`numpy.loadtxt` cannot parse.
+
+    numpy's own row numbers are inconsistent between fault kinds, so the
+    lines are scanned again; this runs only after a parse failure. A failure
+    the scan cannot place is reported with numpy's message at row 1.
+    """
+    for row, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        fields = [f.strip().strip('"') for f in line.split(",")]
+        if len(fields) < k:
+            return row, f"row {row}: expected {k} fields"
+        try:
+            for f in fields[:k]:
+                float(f.replace("_", "?"))  # numpy rejects digit separators
+        except ValueError:
+            return row, f"row {row}: non-numeric field"
+    return 1, str(exc)
+
+
+def _tick_checks(columns):
+    times, prices = columns
+    with np.errstate(invalid="ignore"):  # inf - inf; such rows fail as non-finite
+        step = np.diff(times, prepend=-np.inf)
+    return [
+        (prices <= 0.0, "row {row}: non-positive price {fields[1]}"),
+        (step == 0.0, "duplicate time at row {row}"),
+        (step < 0.0, "non-monotone time at row {row}"),
+    ]
+
+
 def load_ticks(path, asset_id: str = "") -> TickSeries:
     """Read a ``time,price`` CSV into a :class:`TickSeries`.
 
     Prices are stored as natural logs. Rows must already be in strictly
-    increasing time order; a duplicate or backward timestamp raises
-    :class:`MalformedInput` naming the offending data row (1-based).
+    increasing time order; a duplicate or backward timestamp, a non-finite
+    value, a non-positive price, a short row or a non-numeric field raises
+    :class:`MalformedInput` naming the first offending data row (1-based).
     """
-    times: list[float] = []
-    prices: list[float] = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedInput(f"{path}: empty file") from None
-        cols = [c.strip().lower() for c in header]
-        if cols[:2] != ["time", "price"]:
-            raise MalformedInput(f"{path}: expected header 'time,price', got {header!r}")
-        for i, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise MalformedInput(f"{path}: row {i}: expected 2 fields")
-            try:
-                t = float(row[0])
-                p = float(row[1])
-            except ValueError:
-                raise MalformedInput(f"{path}: row {i}: non-numeric field") from None
-            if not (np.isfinite(t) and np.isfinite(p)):
-                raise MalformedInput(f"{path}: row {i}: non-finite value")
-            if p <= 0.0:
-                raise MalformedInput(f"{path}: row {i}: non-positive price {p}")
-            if times:
-                if t == times[-1]:
-                    raise MalformedInput(f"{path}: duplicate time at row {i}")
-                if t < times[-1]:
-                    raise MalformedInput(f"{path}: non-monotone time at row {i}")
-            times.append(t)
-            prices.append(p)
-    if len(times) < 2:
-        raise InsufficientData(f"{path}: need at least 2 ticks, found {len(times)}")
-    return TickSeries(np.asarray(times), np.log(prices), asset_id=asset_id)
+    _, (times, prices) = _read_columns(path, ("time", "price"), MalformedInput, _tick_checks)
+    if times.size < 2:
+        raise InsufficientData(f"{path}: need at least 2 ticks, found {times.size}")
+    return TickSeries(times, np.log(prices), asset_id=asset_id)
 
 
 def save_ticks(series: TickSeries, path) -> None:
@@ -135,11 +210,9 @@ def save_ticks(series: TickSeries, path) -> None:
     Round-trips bit-for-bit through :func:`load_ticks` up to the exp/log pair
     applied to the price column.
     """
+    rows = map("%.17g,%.17g\n".__mod__, zip(series.times.tolist(), np.exp(series.log_prices).tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "price"])
-        for t, lp in zip(series.times, series.log_prices):
-            writer.writerow([f"{t:.17g}", f"{np.exp(lp):.17g}"])
+        fh.write("time,price\n" + "".join(rows))
 
 
 def to_returns(series: TickSeries) -> ReturnSeries:

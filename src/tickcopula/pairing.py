@@ -193,9 +193,17 @@ def pair_previous_tick(a: TickSeries, b: TickSeries, delta: float) -> PairedSeri
         raise InvalidParameter(f"delta must be positive, got {delta}")
     _check_overlap(a, b)
     end = max(a.times[-1], b.times[-1])
-    grid = np.arange(delta, end * (1 + 1e-12), delta)
-    if grid.size == 0:
+    # the tail of np.arange(delta, stop, delta) from a point or two before the
+    # first common tick (earlier points pair nothing and are dropped below),
+    # so the grid grows with the session, not with the clock value
+    stop = end * (1 + 1e-12)
+    n = int(np.ceil((stop - delta) / delta))  # np.arange's length
+    if n <= 0:
         grid = np.array([end])
+    else:
+        start = max(a.times[0], b.times[0])
+        i0 = min(max(int((start - delta) // delta) - 1, 0), n - 1)
+        grid = delta + np.arange(i0, n) * delta
     i1 = np.searchsorted(a.times, grid, side="right") - 1
     i2 = np.searchsorted(b.times, grid, side="right") - 1
     ok = (i1 >= 0) & (i2 >= 0)

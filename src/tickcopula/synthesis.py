@@ -26,6 +26,7 @@ from .errors import InsufficientData, InvalidParameter
 from .market_data import TickSeries
 
 _LOG_P0 = float(np.log(100.0))  # arbitrary initial price level
+RNG_NAME = "numpy-PCG64"  # the bit generator behind np.random.default_rng, recorded in artifacts
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tickcopula.cli import main, parse_margin, read_paired_csv, write_paired_csv
-from tickcopula import InvalidParameter, pair_ticks
+from tickcopula.cli import _write_json, main, parse_margin, read_paired_csv, write_paired_csv
+from tickcopula import InvalidParameter, PairedSeries, configuration_labels, pair_ticks
 from tickcopula.market_data import load_ticks
 
 from conftest import poisson_ticks
@@ -231,3 +236,130 @@ class TestParseMargin:
         for bad in ("t", "t:1.5", "normal:1", "cauchy"):
             with pytest.raises(InvalidParameter):
                 parse_margin(bad)
+
+
+# a synchronous paired CSV with 11 non-degenerate returns
+GOOD_LINES = ["t1,x,t2,y"] + [
+    f"{t},{x},{t},{y}" for t, x, y in
+    [(0, 0.0, 0.0), (1, 0.1, 0.2), (2, 0.3, 0.3), (3, 0.3, 0.1), (4, 0.2, 0.4), (5, 0.5, 0.3),
+     (6, 0.4, 0.6), (7, 0.8, 0.5), (8, 0.6, 0.9), (9, 1.0, 0.7), (10, 0.9, 1.1), (11, 1.3, 1.0)]
+]
+
+
+def with_line(row, line):
+    lines = list(GOOD_LINES)
+    lines[row] = line
+    return lines
+
+
+class TestPairedInputErrors:
+    def run_estimate(self, tmp_path, capsys, lines, method="corrected-corr"):
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc = run(["estimate", "--paired", path, "--method", method])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidParameter"
+        return err["message"]
+
+    def test_non_numeric_field(self, tmp_path, capsys):
+        message = self.run_estimate(tmp_path, capsys, with_line(3, "2,abc,2,0.3"))
+        assert "row 3" in message and "non-numeric" in message
+
+    def test_short_row(self, tmp_path, capsys):
+        message = self.run_estimate(tmp_path, capsys, with_line(4, "3,0.3,3"), method="kendall")
+        assert "row 4" in message and "expected 4 fields" in message
+
+    def test_nan_rejected_for_corrected_correlation(self, tmp_path, capsys):
+        message = self.run_estimate(tmp_path, capsys, with_line(3, "2,nan,2,0.3"))
+        assert "row 3" in message and "non-finite" in message
+
+    def test_constant_leg_is_a_domain_error(self, tmp_path, capsys):
+        lines = [line.rsplit(",", 1)[0] + ",0.5" for line in GOOD_LINES[1:]]
+        message = self.run_estimate(tmp_path, capsys, GOOD_LINES[:1] + lines)
+        assert "zero variance" in message
+
+    def test_bad_metadata_value(self, tmp_path, capsys):
+        message = self.run_estimate(tmp_path, capsys, ["# n_raw1=many"] + GOOD_LINES)
+        assert "bad metadata" in message
+
+    def test_json_output_refuses_nan(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "x.json", {"point": float("nan")})
+
+
+def row_writer_oracle(paired, meta):
+    """The paired CSV written one row at a time with csv.DictWriter."""
+    buf = io.StringIO()
+    meta = dict(meta, scheme=paired.scheme, n_raw1=paired.n_raw1, n_raw2=paired.n_raw2,
+                delta="" if paired.delta is None else paired.delta)
+    for k, v in meta.items():
+        buf.write(f"# {k}={v}\n")
+    writer = csv.DictWriter(buf, fieldnames=["t1", "x", "t2", "y", "overlap", "config"],
+                            lineterminator="\n")
+    writer.writeheader()
+    overlaps = np.minimum(paired.t1[1:], paired.t2[1:]) - np.maximum(paired.t1[:-1], paired.t2[:-1])
+    configs = configuration_labels(paired)
+    for i in range(len(paired)):
+        writer.writerow({
+            "t1": f"{paired.t1[i]:.17g}", "x": f"{paired.x[i]:.17g}",
+            "t2": f"{paired.t2[i]:.17g}", "y": f"{paired.y[i]:.17g}",
+            "overlap": f"{overlaps[i - 1]:.17g}" if i else "",
+            "config": int(configs[i - 1]) if i else "",
+        })
+    return buf.getvalue()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def paired_series(draw):
+    n = draw(st.integers(1, 30))
+    times = st.lists(st.floats(-1e15, 1e15), min_size=n, max_size=n).map(sorted)
+    return PairedSeries(
+        t1=draw(times), x=draw(st.lists(finite, min_size=n, max_size=n)),
+        t2=draw(times), y=draw(st.lists(finite, min_size=n, max_size=n)),
+        scheme=draw(st.sampled_from(["a0", "refresh", "prev-tick"])),
+        n_raw1=draw(st.integers(1, 10**9)), n_raw2=draw(st.integers(1, 10**9)),
+        delta=draw(st.none() | st.floats(1e-9, 1e9)),
+    )
+
+
+class TestPairedCsvFormat:
+    @settings(max_examples=80, deadline=None)
+    @given(paired_series())
+    def test_round_trip_is_bit_exact(self, paired):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "p.csv"
+            write_paired_csv(path, paired, {"seed": 3})
+            back = read_paired_csv(path)
+        for name in ("t1", "x", "t2", "y"):
+            assert np.array_equal(getattr(back, name), getattr(paired, name))
+        assert (back.scheme, back.n_raw1, back.n_raw2, back.delta) == \
+            (paired.scheme, paired.n_raw1, paired.n_raw2, paired.delta)
+
+    @settings(max_examples=40, deadline=None)
+    @given(paired_series())
+    def test_bytes_match_row_writer(self, paired):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "p.csv"
+            write_paired_csv(path, paired, {"tool": "tickcopula", "seed": 3})
+            assert path.read_bytes() == row_writer_oracle(paired, {"tool": "tickcopula", "seed": 3}).encode()
+
+    def test_stdout_matches_file(self, tmp_path, rng, capsys):
+        paired = pair_ticks(poisson_ticks(rng, 1.0, 60), poisson_ticks(rng, 1.0, 60))
+        write_paired_csv("-", paired, {"seed": 1})
+        write_paired_csv(tmp_path / "p.csv", paired, {"seed": 1})
+        assert capsys.readouterr().out == (tmp_path / "p.csv").read_text()
+
+    def test_bom_crlf_and_quoted_fields(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b'\xef\xbb\xbf# scheme=refresh\r\n# delta=\r\nt1,x,t2,y\r\n'
+                         b'"0.5","1",0.5,"2"\r\n\r\n1.5,1.25,1.5,2.5\r\n')
+        back = read_paired_csv(path)
+        assert back.scheme == "refresh" and back.delta is None
+        assert back.x.tolist() == [1.0, 1.25] and back.n_raw1 == 2

@@ -295,3 +295,12 @@ class TestDependenceChecks:
     def test_requires_minimum_draws(self, std_normal_margins):
         with pytest.raises(InvalidParameter):
             dependence_checks(4, CopulaModel("gaussian", 0.5), std_normal_margins, 100)
+
+
+class TestCorrectedCorrelationDomain:
+    @pytest.mark.parametrize("constant_leg", ["x", "y"])
+    def test_zero_variance_leg_rejected(self, rng, constant_leg):
+        r = rng.standard_normal(30)
+        rx, ry = (np.zeros(30), r) if constant_leg == "x" else (r, np.zeros(30))
+        with pytest.raises(InvalidParameter, match="zero variance"):
+            corrected_correlation(paired_from_returns(rx, ry))
