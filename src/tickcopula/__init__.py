@@ -57,7 +57,7 @@ from .estimators import (
     kendall_tau,
     kendall_tau_brute,
 )
-from .market_data import ReturnSeries, TickSeries, load_ticks, save_ticks, to_returns
+from .market_data import TickSeries, load_ticks, save_ticks
 from .pairing import (
     PairDiagnostics,
     PairedSeries,

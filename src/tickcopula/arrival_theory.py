@@ -75,11 +75,6 @@ class TheoryReport:
     truncation_error_bound: float
 
 
-def beta1k_cdf(x, k) -> np.ndarray:
-    """Distribution function of Beta(1, k): ``1 - (1-x)**k``."""
-    return 1.0 - (1.0 - np.asarray(x, dtype=float)) ** k
-
-
 def pq_terms(pp: PoissonPair, n: int) -> tuple[float, float]:
     """n-th splitting probabilities of the overlap series.
 

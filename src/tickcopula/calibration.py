@@ -34,7 +34,7 @@ from .copulas import param_of_tau
 from .errors import CalibrationFailure, ExtrapolationWarning, InvalidParameter
 from .estimators import corrected_correlation, kendall_tau
 from .pairing import PairedSeries, pair_ticks
-from .synthesis import RNG_NAME, SimSpec, simulate
+from .synthesis import RNG_NAME, _run_cells
 
 __all__ = [
     "CorrectionCurve",
@@ -211,6 +211,10 @@ class IntervalEstimate:
         return self.lo <= tau <= self.hi
 
 
+def _uncorrected_tau(sim) -> float:
+    return kendall_tau(pair_ticks(sim.a, sim.b), basis="all-pairs").tau_hat
+
+
 def build_curve(
     family: str,
     arrival,
@@ -234,23 +238,9 @@ def build_curve(
     grid = np.asarray(sorted(grid), dtype=float)
     if n_rep < 50:
         raise InvalidParameter(f"n_rep must be at least 50, got {n_rep}")
-    estimates = np.empty((grid.size, n_rep), dtype=float)
-    for gi, tau in enumerate(grid):
-        model = param_of_tau(family, float(tau), df=df)
-        for rep in range(n_rep):
-            sim = simulate(
-                SimSpec(
-                    model=model,
-                    margins=margins,
-                    lambda1=arrival.lambda1,
-                    lambda2=arrival.lambda2,
-                    n1=n_ticks,
-                    n2=n_ticks,
-                    seed=[seed, gi, rep],
-                )
-            )
-            paired = pair_ticks(sim.a, sim.b)
-            estimates[gi, rep] = kendall_tau(paired, basis="all-pairs").tau_hat
+    cells = [(param_of_tau(family, float(tau), df=df), margins, n_ticks) for tau in grid]
+    estimates = _run_cells(cells, n_rep, [seed], _uncorrected_tau,
+                           lambda1=arrival.lambda1, lambda2=arrival.lambda2).reshape(grid.size, n_rep)
 
     meta = {
         "family": family,

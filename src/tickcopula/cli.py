@@ -3,14 +3,15 @@
 Every artifact is CSV (tick data, tables) or JSON (reports, curves). Numeric
 artifacts are bit-reproducible for a fixed ``--seed``; each one records the
 RNG algorithm and seed in its header so a run can be repeated exactly.
-Domain errors exit with status 1 and a machine-readable JSON error on
-stderr; usage errors exit with status 2.
+Domain errors and unreadable or unwritable files exit with status 1 and a
+machine-readable JSON error on stderr; usage errors exit with status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -89,7 +90,7 @@ def parse_margin(text: str):
     kind = kind.strip().lower()
     if kind in ("normal", "n", "gaussian"):
         if rest:
-            parts = [float(p) for p in rest.split(",")]
+            parts = _margin_numbers(text, rest)
             if len(parts) != 2 or parts[1] <= 0:
                 raise InvalidParameter(f"bad normal margin spec {text!r}")
             return stats.norm(parts[0], parts[1])
@@ -97,11 +98,23 @@ def parse_margin(text: str):
     if kind in ("t", "student_t", "student-t"):
         if not rest:
             raise InvalidParameter(f"t margin needs degrees of freedom: {text!r}")
-        df = float(rest)
-        if df <= 2:
+        parts = _margin_numbers(text, rest)
+        if len(parts) != 1:
+            raise InvalidParameter(f"bad t margin spec {text!r}")
+        if parts[0] <= 2:
             raise InvalidParameter("t margin needs df > 2 for a finite variance")
-        return stats.t(df)
+        return stats.t(parts[0])
     raise InvalidParameter(f"unknown margin spec {text!r}")
+
+
+def _margin_numbers(text: str, rest: str) -> list[float]:
+    try:
+        parts = [float(p) for p in rest.split(",")]
+    except ValueError:
+        raise InvalidParameter(f"non-numeric margin parameter in {text!r}") from None
+    if not np.isfinite(parts).all():
+        raise InvalidParameter(f"non-finite margin parameter in {text!r}")
+    return parts
 
 
 def _model_from_args(args) -> CopulaModel:
@@ -187,15 +200,8 @@ def _cmd_pair(args) -> int:
 
 def _cmd_theory(args) -> int:
     report = theory_report(PoissonPair(args.lambda1, args.lambda2), tol=args.tol)
-    payload = {
-        "expected_overlap": report.expected_overlap,
-        "expected_dt1": report.expected_dt1,
-        "expected_dt2": report.expected_dt2,
-        "gamma": report.gamma,
-        "truncation_n": report.truncation_n,
-        "truncation_error_bound": report.truncation_error_bound,
-        "meta": _meta(args, lambda1=args.lambda1, lambda2=args.lambda2, tol=args.tol),
-    }
+    payload = dataclasses.asdict(report)
+    payload["meta"] = _meta(args, lambda1=args.lambda1, lambda2=args.lambda2, tol=args.tol)
     _write_json(args.out, payload)
     return 0
 
@@ -451,7 +457,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TickCopulaError as exc:
+    except (TickCopulaError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error), file=sys.stderr)
         return 1

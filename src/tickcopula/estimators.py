@@ -294,25 +294,16 @@ def dependence_checks(
     dy = np.sqrt(u[:, 0]) * y1 - np.sqrt(u[:, 1]) * y2
     a = dx * dy
 
-    # contamination from the enveloping asset's extra increments
-    if config == 4:
-        extra_margin = m2
-        extra = (
-            np.sqrt(eps[:, 0]) * extra_margin.ppf(rng.random(n_mc))
-            + np.sqrt(eta[:, 0]) * extra_margin.ppf(rng.random(n_mc))
-            - np.sqrt(eps[:, 1]) * extra_margin.ppf(rng.random(n_mc))
-            - np.sqrt(eta[:, 1]) * extra_margin.ppf(rng.random(n_mc))
-        )
-        b = dx * extra
-    else:
-        extra_margin = m1
-        extra = (
-            np.sqrt(eps[:, 0]) * extra_margin.ppf(rng.random(n_mc))
-            + np.sqrt(eta[:, 0]) * extra_margin.ppf(rng.random(n_mc))
-            - np.sqrt(eps[:, 1]) * extra_margin.ppf(rng.random(n_mc))
-            - np.sqrt(eta[:, 1]) * extra_margin.ppf(rng.random(n_mc))
-        )
-        b = extra * dy
+    # contamination from the enveloping asset's extra increments, times the
+    # other asset's return: asset 2 envelops in config 4, asset 1 in config 1
+    extra_margin, other = (m2, dx) if config == 4 else (m1, dy)
+    extra = (
+        np.sqrt(eps[:, 0]) * extra_margin.ppf(rng.random(n_mc))
+        + np.sqrt(eta[:, 0]) * extra_margin.ppf(rng.random(n_mc))
+        - np.sqrt(eps[:, 1]) * extra_margin.ppf(rng.random(n_mc))
+        - np.sqrt(eta[:, 1]) * extra_margin.ppf(rng.random(n_mc))
+    )
+    b = other * extra
 
     sign_a = np.sign(a)
     sign_b = np.sign(b)

@@ -1,4 +1,4 @@
-"""Tick-data containers, CSV ingestion and log-return computation.
+"""Tick-data container and CSV ingestion.
 
 A tick file is a UTF-8 CSV with header ``time,price`` where ``time`` is
 seconds since session open (decimal, strictly increasing) and ``price`` is a
@@ -66,31 +66,6 @@ class TickSeries:
     def head(self, n: int) -> "TickSeries":
         """First ``n`` ticks as a new series (handy for nested-sample studies)."""
         return TickSeries(self.times[:n], self.log_prices[:n], self.asset_id)
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Log-returns over the consecutive interarrivals of a tick series."""
-
-    interval_starts: np.ndarray
-    interval_ends: np.ndarray
-    returns: np.ndarray
-    asset_id: str = ""
-
-    def __post_init__(self):
-        s = np.asarray(self.interval_starts, dtype=float)
-        e = np.asarray(self.interval_ends, dtype=float)
-        r = np.asarray(self.returns, dtype=float)
-        if not (s.shape == e.shape == r.shape):
-            raise MalformedInput("interval and return arrays must have equal length")
-        if not (e > s).all():
-            raise MalformedInput("interval_ends must exceed interval_starts")
-        object.__setattr__(self, "interval_starts", s)
-        object.__setattr__(self, "interval_ends", e)
-        object.__setattr__(self, "returns", r)
-
-    def __len__(self) -> int:
-        return self.returns.size
 
 
 _BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
@@ -214,14 +189,3 @@ def save_ticks(series: TickSeries, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("time,price\n" + "".join(rows))
 
-
-def to_returns(series: TickSeries) -> ReturnSeries:
-    """Log-returns over consecutive interarrivals of ``series``."""
-    if len(series) < 2:
-        raise InsufficientData("need at least 2 ticks to form returns")
-    return ReturnSeries(
-        interval_starts=series.times[:-1],
-        interval_ends=series.times[1:],
-        returns=np.diff(series.log_prices),
-        asset_id=series.asset_id,
-    )

@@ -138,3 +138,28 @@ def simulate(spec: SimSpec) -> SimResult:
         b=TickSeries(times[idx_b], log_y[idx_b], asset_id="asset2"),
         truth=truth,
     )
+
+
+def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2) -> np.ndarray:
+    """The simulate -> estimate replicate loop behind every Monte Carlo study.
+
+    ``cells`` is a list of ``(model, margins, n)``, each simulated with
+    ``n`` ticks per asset at rates ``lambda1``/``lambda2``. Replicate ``r``
+    of cell ``c`` uses seed ``[*seed_prefix, c, r]``, so each value depends
+    only on the prefix and its own indices. ``estimate(sim)`` returns a float
+    or k floats; the result has shape ``(len(cells), n_rep, k)``. Fewer than
+    two replicates leave no spread to summarize and raise
+    :class:`InvalidParameter`.
+    """
+    if n_rep < 2:
+        raise InvalidParameter(f"n_rep must be at least 2, got {n_rep}")
+    values = np.array(
+        [
+            estimate(simulate(SimSpec(model=model, margins=margins, lambda1=lambda1, lambda2=lambda2,
+                                      n1=n, n2=n, seed=[*seed_prefix, c, r])))
+            for c, (model, margins, n) in enumerate(cells)
+            for r in range(n_rep)
+        ],
+        dtype=float,
+    )
+    return values.reshape(len(cells), n_rep, -1) if cells else values.reshape(0, n_rep, 0)

@@ -22,7 +22,7 @@ from .copulas import CopulaModel, param_of_tau
 from .errors import InsufficientData
 from .estimators import corrected_correlation, kendall_tau
 from .pairing import pair_previous_tick, pair_refresh_time, pair_ticks
-from .synthesis import SimSpec, simulate
+from .synthesis import _run_cells, simulate  # noqa: F401 (perfbench tests the tables.simulate binding)
 
 STANDARD_NORMAL = (stats.norm(0.0, 1.0), stats.norm(0.0, 1.0))
 
@@ -30,11 +30,8 @@ STANDARD_NORMAL = (stats.norm(0.0, 1.0), stats.norm(0.0, 1.0))
 PREV_TICK_DELTA_FACTOR = 2.0
 
 
-def _one_replicate(model, margins, n, lam, seed):
-    """Simulate once and return the three competing correlation estimates."""
-    sim = simulate(
-        SimSpec(model=model, margins=margins, lambda1=lam, lambda2=lam, n1=n, n2=n, seed=seed)
-    )
+def _one_replicate(sim, lam):
+    """The three competing correlation estimates on one simulated sample."""
     paired = pair_ticks(sim.a, sim.b)
     cc = corrected_correlation(paired)
     refreshed = pair_refresh_time(sim.a, sim.b)
@@ -62,16 +59,13 @@ def gaussian_estimator_study(
     One row per (rho, n) cell; the row carries both the moment summaries
     and the mean squared errors against the true rho.
     """
+    ests = _run_cells(
+        [(CopulaModel("gaussian", rho), STANDARD_NORMAL, n) for rho, n in cells],
+        n_rep, [seed], lambda sim: _one_replicate(sim, lam), lambda1=lam, lambda2=lam,
+    )
     rows = []
-    for ci, (rho, n) in enumerate(cells):
-        model = CopulaModel("gaussian", rho)
-        ests = np.array(
-            [
-                _one_replicate(model, STANDARD_NORMAL, n, lam, seed=[seed, ci, r])
-                for r in range(n_rep)
-            ]
-        )
-        prev, refresh, corrected = ests.T
+    for (rho, n), cell in zip(cells, ests):
+        prev, refresh, corrected = cell.T
         prev = prev[np.isfinite(prev)]
         row = {"rho": rho, "n": n, "n_rep": n_rep}
         for name, arr in (("prev_tick", prev), ("refresh", refresh), ("corrected", corrected)):
@@ -80,6 +74,11 @@ def gaussian_estimator_study(
             row[f"{name}_mse"] = float(np.mean((arr - rho) ** 2))
         rows.append(row)
     return rows
+
+
+def _uncorrected_and_corrected(sim):
+    cc = corrected_correlation(pair_ticks(sim.a, sim.b))
+    return cc.rho_hat, cc.theta_hat
 
 
 def t_copula_margin_study(
@@ -97,21 +96,11 @@ def t_copula_margin_study(
         ("t(4), N(0,3)", (stats.t(4), stats.norm(0, 3))),
     ]
     model = CopulaModel("student_t", rho, df=df)
+    ests = _run_cells([(model, margins, n) for _, margins in margin_rows], n_rep, [seed],
+                      _uncorrected_and_corrected, lambda1=lam, lambda2=lam)
     rows = []
-    for mi, (label, margins) in enumerate(margin_rows):
-        unc = np.empty(n_rep)
-        cor = np.empty(n_rep)
-        for r in range(n_rep):
-            sim = simulate(
-                SimSpec(
-                    model=model, margins=margins, lambda1=lam, lambda2=lam,
-                    n1=n, n2=n, seed=[seed, mi, r],
-                )
-            )
-            paired = pair_ticks(sim.a, sim.b)
-            cc = corrected_correlation(paired)
-            unc[r] = cc.rho_hat
-            cor[r] = cc.theta_hat
+    for (label, _), cell in zip(margin_rows, ests):
+        unc, cor = cell.T
         rows.append(
             {
                 "margins": label,
@@ -122,6 +111,30 @@ def t_copula_margin_study(
             }
         )
     return rows
+
+
+_METHODS = ("quad", "quantile", "elliptical")
+
+
+def _interval_bounds(sim, curve, level):
+    """``[lo, hi]`` of each interval method on one sample; NaN where it failed."""
+    paired = pair_ticks(sim.a, sim.b)
+    tau_obs = kendall_tau(paired, basis="all-pairs").tau_hat
+    refreshed = pair_refresh_time(sim.a, sim.b)
+    methods = (
+        lambda: interval_quad(curve, tau_obs, level),
+        lambda: interval_quantile(curve, tau_obs, level),
+        lambda: interval_misspecified(refreshed, level),
+    )
+    bounds = []
+    for method in methods:
+        try:
+            iv = method()
+        except CalibrationFailure:
+            bounds += [np.nan, np.nan]
+        else:
+            bounds += [iv.lo, iv.hi]
+    return bounds
 
 
 def coverage_study(
@@ -135,13 +148,15 @@ def coverage_study(
     level: float = 0.95,
     seed: int = 3,
 ) -> list[dict]:
-    """Coverage probability and mean length of the three interval methods.
+    """Coverage probability, mean length and failures of the three interval methods.
 
     One calibration curve per family (built once), then ``n_rep`` fresh
     simulations per (family, tau) row. A replicate counts as covered when
-    the method's interval contains the true tau; inversion failures count
-    as misses. The misspecified-elliptical method runs on the refresh-time
-    synchronized series, the object a naive Gaussian analysis would use.
+    the method's interval contains the true tau. An inversion failure
+    (:class:`CalibrationFailure`) counts as a miss, adds no length, and is
+    counted in the row's ``n_fail_<method>``. The misspecified-elliptical
+    method runs on the refresh-time synchronized series, the object a naive
+    Gaussian analysis would use.
     """
     if curve_grid is None:
         curve_grid = np.linspace(0.02, 0.75, 12)
@@ -157,37 +172,23 @@ def coverage_study(
             n_ticks=n_ticks,
             seed=[seed, fi],
         )
-        for ti, tau_true in enumerate(taus):
-            model = param_of_tau(family, tau_true)
-            hits = np.zeros(3, dtype=int)
-            lengths = np.zeros(3, dtype=float)
-            counts = np.zeros(3, dtype=int)
-            for r in range(n_rep):
-                sim = simulate(
-                    SimSpec(
-                        model=model, margins=STANDARD_NORMAL, lambda1=lam, lambda2=lam,
-                        n1=n_ticks, n2=n_ticks, seed=[seed, 17 + fi, ti, r],
-                    )
-                )
-                paired = pair_ticks(sim.a, sim.b)
-                tau_obs = kendall_tau(paired, basis="all-pairs").tau_hat
-                refreshed = pair_refresh_time(sim.a, sim.b)
-                methods = (
-                    lambda: interval_quad(curve, tau_obs, level),
-                    lambda: interval_quantile(curve, tau_obs, level),
-                    lambda: interval_misspecified(refreshed, level),
-                )
-                for k, method in enumerate(methods):
-                    try:
-                        iv = method()
-                    except CalibrationFailure:
-                        continue  # counts as a miss, contributes no length
-                    hits[k] += iv.contains(tau_true)
-                    lengths[k] += iv.length
-                    counts[k] += 1
+        bounds = _run_cells(
+            [(param_of_tau(family, tau), STANDARD_NORMAL, n_ticks) for tau in taus],
+            n_rep, [seed, 17 + fi], lambda sim: _interval_bounds(sim, curve, level),
+            lambda1=lam, lambda2=lam,
+        ).reshape(len(taus), n_rep, len(_METHODS), 2)
+        for tau_true, cell in zip(taus, bounds):
+            lo, hi = cell[..., 0], cell[..., 1]
+            hits = ((lo <= tau_true) & (tau_true <= hi)).sum(axis=0)
+            lengths = hi - lo
+            failed = np.isnan(lengths)
             row = {"family": family, "tau": tau_true, "n_rep": n_rep}
-            for k, name in enumerate(("quad", "quantile", "elliptical")):
+            for k, name in enumerate(_METHODS):
+                ok = lengths[~failed[:, k], k]
                 row[f"cp_{name}"] = float(hits[k] / n_rep)
-                row[f"len_{name}"] = float(lengths[k] / counts[k]) if counts[k] else np.nan
+                # cumsum adds left to right like a running total; np.sum's
+                # pairwise order can move the last bit of the mean length
+                row[f"len_{name}"] = float(np.cumsum(ok)[-1] / ok.size) if ok.size else np.nan
+            row.update((f"n_fail_{name}", int(n)) for name, n in zip(_METHODS, failed.sum(axis=0)))
             rows.append(row)
     return rows

@@ -9,7 +9,6 @@ from tickcopula import (
     pq_terms,
     theory_report,
 )
-from tickcopula.arrival_theory import beta1k_cdf
 
 from conftest import poisson_ticks
 
@@ -53,11 +52,6 @@ class TestPqTerms:
     def test_invalid_n(self):
         with pytest.raises(InvalidParameter):
             pq_terms(PoissonPair(1.0, 1.0), 0)
-
-    def test_beta_cdf_form(self):
-        xs = np.linspace(0.01, 0.99, 11)
-        for k in (1, 3, 10):
-            assert np.allclose(beta1k_cdf(xs, k), stats.beta(1, k).cdf(xs), atol=1e-12)
 
 
 class TestTheoryReport:

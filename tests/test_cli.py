@@ -221,6 +221,33 @@ class TestReproduceCommand:
         assert exc.value.code == 2
 
 
+class TestErrorContract:
+    """Exit 1 and one JSON error on stderr, never a traceback."""
+
+    def json_error(self, capsys, argv):
+        rc = run(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == "" and "Traceback" not in captured.err
+        return json.loads(captured.err)
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        err = self.json_error(capsys, ["estimate", "--paired", tmp_path / "missing.csv"])
+        assert err["error"] == "FileNotFoundError" and "missing.csv" in err["message"]
+
+    @pytest.mark.parametrize("margin", ["normal:abc", "t:abc"])
+    def test_non_numeric_margin(self, tmp_path, capsys, margin):
+        err = self.json_error(capsys, ["simulate", "--family", "gaussian", "--param", "0.3", "--n1", "50",
+                                       "--n2", "50", "--margin1", margin, "--out", tmp_path / "x"])
+        assert err["error"] == "InvalidParameter" and margin in err["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("table, n_rep", [("table1", 1), ("table2", 0), ("table3", 1)])
+    def test_too_few_replicates(self, tmp_path, capsys, table, n_rep):
+        err = self.json_error(capsys, ["reproduce", table, "--n-rep", n_rep, "--out", tmp_path / "t.csv"])
+        assert err["error"] == "InvalidParameter" and "n_rep" in err["message"]
+
+
 class TestParseMargin:
     def test_normal_default_and_parametrized(self):
         m = parse_margin("normal")
@@ -233,7 +260,7 @@ class TestParseMargin:
         assert m.ppf(0.5) == pytest.approx(0.0)
 
     def test_rejects_bad_specs(self):
-        for bad in ("t", "t:1.5", "normal:1", "cauchy"):
+        for bad in ("t", "t:1.5", "normal:1", "cauchy", "t:5,6", "t:nan", "normal:0,inf"):
             with pytest.raises(InvalidParameter):
                 parse_margin(bad)
 

@@ -13,7 +13,6 @@ from tickcopula import (
     TickSeries,
     load_ticks,
     save_ticks,
-    to_returns,
 )
 
 
@@ -27,7 +26,6 @@ class TestLoadTicks:
         p = write_csv(tmp_path / "ticks.csv", ["1.0,100.0", "2.0,100.0"])
         s = load_ticks(p)
         assert np.allclose(s.log_prices, math.log(100.0))
-        assert np.allclose(to_returns(s).returns, 0.0)
 
     def test_duplicate_time_rejected_with_row_index(self, tmp_path):
         p = write_csv(tmp_path / "dup.csv", ["1.0,100.0", "1.0,101.0"])
@@ -102,28 +100,6 @@ class TestTickSeries:
     def test_head(self):
         s = TickSeries([1.0, 2.0, 3.0], [0.0, 0.1, 0.2])
         assert len(s.head(2)) == 2
-
-
-class TestToReturns:
-    def test_direct_differencing(self):
-        s = TickSeries([0.5, 1.5, 2.0], [1.0, 2.0, 3.0])
-        r = to_returns(s)
-        assert np.allclose(r.returns, [1.0, 1.0])
-        assert np.allclose(r.interval_starts, [0.5, 1.5])
-        assert np.allclose(r.interval_ends, [1.5, 2.0])
-
-    def test_two_point_series(self):
-        r = to_returns(TickSeries([0.0, 1.0], [5.0, 7.0]))
-        assert len(r) == 1
-        assert r.returns[0] == 2.0
-
-    def test_round_trip_cumsum(self, rng):
-        times = np.cumsum(rng.exponential(1.0, 500))
-        lp = np.cumsum(rng.standard_normal(500))
-        s = TickSeries(times, lp)
-        r = to_returns(s)
-        rebuilt = lp[0] + np.concatenate([[0.0], np.cumsum(r.returns)])
-        assert np.allclose(rebuilt, lp, atol=1e-12)
 
 
 # Fault kinds a tick row can carry, with the message fragment load_ticks names.

@@ -1,0 +1,135 @@
+"""The replicate engine behind every Monte Carlo loop, and the seeded outputs it must keep.
+
+The SHA-256 digests pin each study's output bit for bit, so they pin its
+seed tree too: a replicate that drew from another seed, or a summary folded
+in another order, changes a digest.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from tickcopula import (
+    CalibrationFailure,
+    CopulaModel,
+    InvalidParameter,
+    PoissonPair,
+    SimSpec,
+    build_curve,
+    interval_misspecified,
+    interval_quad,
+    interval_quantile,
+    kendall_tau,
+    pair_refresh_time,
+    pair_ticks,
+    param_of_tau,
+    simulate,
+)
+from tickcopula.synthesis import _run_cells
+from tickcopula.tables import (
+    STANDARD_NORMAL,
+    coverage_study,
+    gaussian_estimator_study,
+    t_copula_margin_study,
+)
+
+COVERAGE_KEYS = ("family", "tau", "n_rep", "cp_quad", "len_quad", "cp_quantile",
+                 "len_quantile", "cp_elliptical", "len_elliptical")
+
+
+def sha256(payload) -> str:
+    if isinstance(payload, bytes):
+        return hashlib.sha256(payload).hexdigest()
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+class TestFrozenOutputs:
+    def test_build_curve(self):
+        curve = build_curve("clayton", PoissonPair(1, 1), STANDARD_NORMAL,
+                            grid=np.linspace(0.02, 0.75, 5), n_rep=50, seed=7)
+        assert sha256(curve.estimates.tobytes()) == (
+            "bc88fcd4fdd65984c1b6e9ffb1cad794b84cf72168967c9d15acb135c015f35d"
+        )
+
+    def test_gaussian_estimator_study(self):
+        assert sha256(gaussian_estimator_study(n_rep=3)) == (
+            "f66a33db3a3144a1b3dda8f9d9e158bb395207551634fe9a4aea63171ecb1607"
+        )
+
+    def test_t_copula_margin_study(self):
+        assert sha256(t_copula_margin_study(n_rep=3)) == (
+            "2b2b133917d26c902519b7d22604830fab8e711034d5ffc96f8511af9213c617"
+        )
+
+    def test_coverage_study(self):
+        rows = coverage_study(families=("clayton",), taus=(0.3,), n_rep=3, curve_n_rep=50)
+        assert sha256([{k: row[k] for k in COVERAGE_KEYS} for row in rows]) == (
+            "aac0c9c428c9ef78ba193c89d16bc88bcc48e87a1c2b0b4855470a55df686b92"
+        )
+
+
+class TestRunCells:
+    CELLS = [(CopulaModel("gaussian", 0.5), STANDARD_NORMAL, 30),
+             (CopulaModel("clayton", 2.0), (stats.t(5), stats.norm(0, 2)), 40)]
+
+    def test_replicate_seeds_and_shape(self):
+        def estimate(sim):
+            return sim.a.log_prices[-1], sim.b.times[-1]
+
+        out = _run_cells(self.CELLS, 3, [9, 4], estimate, lambda1=1.0, lambda2=2.0)
+        assert out.shape == (2, 3, 2)
+        for c, (model, margins, n) in enumerate(self.CELLS):
+            for r in range(3):
+                sim = simulate(SimSpec(model=model, margins=margins, lambda1=1.0, lambda2=2.0,
+                                       n1=n, n2=n, seed=[9, 4, c, r]))
+                assert out[c, r].tolist() == list(estimate(sim))
+
+    def test_scalar_estimate_and_no_cells(self):
+        out = _run_cells(self.CELLS, 2, [0], lambda sim: len(sim.a), lambda1=1.0, lambda2=1.0)
+        assert out.shape == (2, 2, 1) and (out[0] == 30).all() and (out[1] == 40).all()
+        assert _run_cells([], 2, [0], len, lambda1=1.0, lambda2=1.0).shape == (0, 2, 0)
+
+    @pytest.mark.parametrize("n_rep", [1, 0, -1])
+    def test_fewer_than_two_replicates_rejected(self, n_rep):
+        with pytest.raises(InvalidParameter, match="n_rep"):
+            _run_cells(self.CELLS, n_rep, [0], len, lambda1=1.0, lambda2=1.0)
+        with pytest.raises(InvalidParameter, match="n_rep"):
+            gaussian_estimator_study(n_rep=n_rep)
+        with pytest.raises(InvalidParameter, match="n_rep"):
+            t_copula_margin_study(n_rep=n_rep)
+
+
+def test_coverage_rows_count_calibration_failures():
+    """Each failure is a miss that adds no length, and is counted per method."""
+    tau, n_rep, n_ticks, seed = 0.74, 20, 120, 1
+    [row] = coverage_study(families=("clayton",), taus=(tau,), n_rep=n_rep, n_ticks=n_ticks,
+                           curve_n_rep=50, seed=seed)
+    curve = build_curve("clayton", PoissonPair(1.0, 1.0), STANDARD_NORMAL,
+                        grid=np.linspace(0.02, 0.75, 12), n_rep=50, n_ticks=n_ticks, seed=[seed, 0])
+    methods = {
+        "quad": lambda sim, t: interval_quad(curve, t),
+        "quantile": lambda sim, t: interval_quantile(curve, t),
+        "elliptical": lambda sim, t: interval_misspecified(pair_refresh_time(sim.a, sim.b)),
+    }
+    hits, fails, lengths = dict.fromkeys(methods, 0), dict.fromkeys(methods, 0), dict.fromkeys(methods, 0.0)
+    for r in range(n_rep):
+        sim = simulate(SimSpec(model=param_of_tau("clayton", tau), margins=STANDARD_NORMAL,
+                               lambda1=1.0, lambda2=1.0, n1=n_ticks, n2=n_ticks, seed=[seed, 17, 0, r]))
+        tau_obs = kendall_tau(pair_ticks(sim.a, sim.b), basis="all-pairs").tau_hat
+        for name, method in methods.items():
+            try:
+                iv = method(sim, tau_obs)
+            except CalibrationFailure:
+                fails[name] += 1
+                continue
+            hits[name] += iv.contains(tau)
+            lengths[name] += iv.length
+    assert fails["quantile"] > 0  # the case under test
+    for name in methods:
+        assert row[f"n_fail_{name}"] == fails[name]
+        assert row[f"cp_{name}"] == hits[name] / n_rep
+        assert row[f"len_{name}"] == lengths[name] / (n_rep - fails[name])
+    assert list(row)[-3:] == ["n_fail_quad", "n_fail_quantile", "n_fail_elliptical"]
