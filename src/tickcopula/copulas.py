@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import optimize, special, stats
@@ -59,10 +59,6 @@ class CopulaModel:
                 raise InvalidParameter("student_t needs integer df >= 3")
             object.__setattr__(self, "df", int(self.df))
         object.__setattr__(self, "param", p)
-
-    @property
-    def n_params(self) -> int:
-        return 1
 
 
 def tau_of(model: CopulaModel) -> float:
@@ -190,57 +186,72 @@ def _student_t_cdf(u, v, rho: float, df: int) -> np.ndarray:
 # densities
 
 
-def log_pdf(model: CopulaModel, u, v) -> np.ndarray:
-    """Log copula density, vectorized over points strictly inside (0,1)^2."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if (u <= 0).any() or (u >= 1).any() or (v <= 0).any() or (v >= 1).any():
-        raise InvalidParameter("density requires arguments strictly inside (0, 1)")
-    if model.family == "gaussian":
-        rho = model.param
-        x = stats.norm.ppf(u)
-        y = stats.norm.ppf(v)
+def _features(family: str, df: int | None, u: np.ndarray, v: np.ndarray) -> tuple:
+    """The parameter-free per-point terms of the family's log density.
+
+    Fitting evaluates the density at many parameters on one dataset, so the
+    quantile transforms and logarithms are computed here once.
+    """
+    if family == "gaussian":
+        x, y = stats.norm.ppf(u), stats.norm.ppf(v)
+        return x * x + y * y, x * y
+    if family == "student_t":
+        x, y = stats.t.ppf(u, df), stats.t.ppf(v, df)
+        # minus the two marginal t log densities, up to the constant
+        t_margins = (df + 1.0) / 2.0 * (np.log1p(x * x / df) + np.log1p(y * y / df))
+        return x * x + y * y, x * y, t_margins
+    if family == "clayton":
+        return np.log(u), np.log(v)
+    # gumbel
+    lu, lv = -np.log(u), -np.log(v)
+    return lu + lv, np.log(lu), np.log(lv)
+
+
+def _log_density(family: str, param: float, df: int | None, features: tuple) -> np.ndarray:
+    """Log copula density at ``param`` from the terms of :func:`_features`."""
+    if family in ("gaussian", "student_t"):
+        rho = param
         om = 1.0 - rho * rho
-        return -0.5 * math.log(om) - (rho * rho * (x * x + y * y) - 2.0 * rho * x * y) / (2.0 * om)
-    if model.family == "student_t":
-        rho, df = model.param, model.df
-        x = stats.t.ppf(u, df)
-        y = stats.t.ppf(v, df)
-        om = 1.0 - rho * rho
-        q = (x * x - 2.0 * rho * x * y + y * y) / om
+        sq_sum, xy = features[:2]
+        if family == "gaussian":
+            return -0.5 * math.log(om) - (rho * rho * sq_sum - 2.0 * rho * xy) / (2.0 * om)
+        q = (sq_sum - 2.0 * rho * xy) / (om * df)
         const = (
             special.gammaln((df + 2.0) / 2.0)
             + special.gammaln(df / 2.0)
             - 2.0 * special.gammaln((df + 1.0) / 2.0)
             - 0.5 * math.log(om)
         )
-        return (
-            const
-            - (df + 2.0) / 2.0 * np.log1p(q / df)
-            + (df + 1.0) / 2.0 * (np.log1p(x * x / df) + np.log1p(y * y / df))
-        )
-    if model.family == "clayton":
-        th = model.param
-        log_u = np.log(u)
-        log_v = np.log(v)
+        t_margins = features[2]
+        return const - (df + 2.0) / 2.0 * np.log1p(q) + t_margins
+    th = param
+    if family == "clayton":
+        log_u, log_v = features
         # log(u^-th + v^-th - 1) in log space; safe for large th
         big = np.logaddexp(-th * log_u, -th * log_v)
         log_s = big + np.log1p(-np.exp(-big))
         return math.log1p(th) - (th + 1.0) * (log_u + log_v) - (2.0 + 1.0 / th) * log_s
-    # gumbel
-    th = model.param
-    lu = -np.log(u)
-    lv = -np.log(v)
-    log_w = np.logaddexp(th * np.log(lu), th * np.log(lv))
+    # gumbel, with lu = -log(u), lv = -log(v)
+    lu_plus_lv, log_lu, log_lv = features
+    log_w = np.logaddexp(th * log_lu, th * log_lv)
     a = np.exp(log_w / th)
     return (
         -a
-        + lu
-        + lv
-        + (th - 1.0) * (np.log(lu) + np.log(lv))
+        + lu_plus_lv
+        + (th - 1.0) * (log_lu + log_lv)
         + (1.0 / th - 2.0) * log_w
         + np.log(a + th - 1.0)
     )
+
+
+def log_pdf(model: CopulaModel, u, v) -> np.ndarray:
+    """Log copula density, vectorized over points strictly inside (0,1)^2."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if (u <= 0).any() or (u >= 1).any() or (v <= 0).any() or (v >= 1).any():
+        raise InvalidParameter("density requires arguments strictly inside (0, 1)")
+    features = _features(model.family, model.df, u, v)
+    return _log_density(model.family, model.param, model.df, features)
 
 
 def pdf(model: CopulaModel, u, v) -> np.ndarray:
@@ -351,103 +362,22 @@ def _tau_bracket(family: str) -> tuple[float, float]:
     return (_TAU_EPS, 1.0 - 1e-3)
 
 
-def _neg_loglik_factory(uv: np.ndarray, family: str, df: int | None) -> Callable[[float], float]:
-    """Negative pseudo-log-likelihood as a function of tau.
-
-    The marginal quantile transforms do not depend on the parameter, so they
-    are computed once per dataset; each evaluation is then plain vector math.
-    """
-    u, v = uv[:, 0], uv[:, 1]
-    n = u.size
-    if family in ("gaussian", "student_t"):
-        if family == "gaussian":
-            x = stats.norm.ppf(u)
-            y = stats.norm.ppf(v)
-        else:
-            x = stats.t.ppf(u, df)
-            y = stats.t.ppf(v, df)
-        sxx = float(x @ x)
-        syy = float(y @ y)
-        sxy = float(x @ y)
-        if family == "gaussian":
-
-            def neg(tau: float) -> float:
-                rho = math.sin(math.pi * tau / 2.0)
-                om = 1.0 - rho * rho
-                ll = -0.5 * n * math.log(om) - (rho * rho * (sxx + syy) - 2.0 * rho * sxy) / (
-                    2.0 * om
-                )
-                return -ll
-
-        else:
-            base = float(
-                n
-                * (
-                    special.gammaln((df + 2.0) / 2.0)
-                    + special.gammaln(df / 2.0)
-                    - 2.0 * special.gammaln((df + 1.0) / 2.0)
-                )
-                + (df + 1.0) / 2.0 * np.sum(np.log1p(x * x / df) + np.log1p(y * y / df))
-            )
-            xx_yy = x * x + y * y
-            xy = x * y
-
-            def neg(tau: float) -> float:
-                rho = math.sin(math.pi * tau / 2.0)
-                om = 1.0 - rho * rho
-                q = (xx_yy - 2.0 * rho * xy) / om
-                ll = base - 0.5 * n * math.log(om) - (df + 2.0) / 2.0 * float(
-                    np.sum(np.log1p(q / df))
-                )
-                return -ll
-
-    elif family == "clayton":
-        log_u = np.log(u)
-        log_v = np.log(v)
-        sum_logs = float(log_u.sum() + log_v.sum())
-
-        def neg(tau: float) -> float:
-            th = 2.0 * tau / (1.0 - tau)
-            big = np.logaddexp(-th * log_u, -th * log_v)
-            log_s = big + np.log1p(-np.exp(-big))
-            ll = (
-                n * math.log1p(th)
-                - (th + 1.0) * sum_logs
-                - (2.0 + 1.0 / th) * float(log_s.sum())
-            )
-            return -ll
-
-    else:  # gumbel
-        llu = np.log(-np.log(u))
-        llv = np.log(-np.log(v))
-        lu_plus_lv = float(np.sum(-np.log(u) - np.log(v)))
-        sum_llogs = float(llu.sum() + llv.sum())
-
-        def neg(tau: float) -> float:
-            th = 1.0 / (1.0 - tau)
-            log_w = np.logaddexp(th * llu, th * llv)
-            a = np.exp(log_w / th)
-            ll = (
-                float(np.sum(-a + np.log(a + th - 1.0)))
-                + lu_plus_lv
-                + (th - 1.0) * sum_llogs
-                + (1.0 / th - 2.0) * float(log_w.sum())
-            )
-            return -ll
-
-    def guarded(tau: float) -> float:
-        val = neg(tau)
-        return val if np.isfinite(val) else np.inf
-
-    return guarded
-
-
 def _fit_family_tau(
     uv: np.ndarray, family: str, df: int | None
 ) -> tuple[float, float, bool]:
-    """Maximize the copula log-likelihood over tau; returns (tau, loglik, boundary)."""
+    """Maximize the copula log-likelihood over tau; returns (tau, loglik, boundary).
+
+    The parameter-free terms are computed once per dataset; each evaluation
+    then sums the family's log density at the parameter of ``tau``.
+    """
     lo, hi = _tau_bracket(family)
-    neg_loglik = _neg_loglik_factory(uv, family, df)
+    features = _features(family, df, uv[:, 0], uv[:, 1])
+
+    def neg_loglik(tau: float) -> float:
+        param = param_of_tau(family, tau, df).param
+        val = -float(np.sum(_log_density(family, param, df, features)))
+        return val if np.isfinite(val) else np.inf
+
     res = optimize.minimize_scalar(
         neg_loglik, bounds=(lo, hi), method="bounded", options={"xatol": 1e-6}
     )
@@ -468,11 +398,12 @@ def fit_aic(
     """Fit each family by pseudo-likelihood and rank by AIC (ascending).
 
     ``uv`` holds pseudo-observations in (0,1)^2, at least 30 of them. The
-    Student-t degrees of freedom are profiled over ``t_df_grid`` unless
-    ``t_df`` pins them, in which case the family counts one parameter
-    instead of two. Families whose optimum sits on the bracket boundary are
-    flagged rather than dropped; a family whose likelihood cannot be
-    evaluated raises :class:`FitFailure` unless another family succeeds.
+    Student-t degrees of freedom (integers >= 3) are profiled over
+    ``t_df_grid`` unless ``t_df`` pins them, in which case the family counts
+    one parameter instead of two. Families whose optimum sits on the bracket
+    boundary are flagged rather than dropped; a family whose likelihood
+    cannot be evaluated raises :class:`FitFailure` unless another family
+    succeeds.
     """
     uv = np.asarray(uv, dtype=float)
     if uv.ndim != 2 or uv.shape[1] != 2:
@@ -481,32 +412,32 @@ def fit_aic(
         raise InsufficientData(f"need at least 30 pseudo-observations, got {uv.shape[0]}")
     if (uv <= 0).any() or (uv >= 1).any():
         raise InvalidParameter("pseudo-observations must lie strictly inside (0, 1)")
+    t_dfs = [int(t_df)] if t_df is not None else [int(d) for d in t_df_grid]
+    if not t_dfs or min(t_dfs) < 3:
+        raise InvalidParameter(f"student_t df must be integers >= 3, got {t_dfs}")
 
     fits: list[CopulaFit] = []
     failures: list[FitFailure] = []
     for family in families:
         if family not in FAMILIES:
             raise InvalidParameter(f"unknown family {family!r}")
+        dfs = t_dfs if family == "student_t" else [None]
+        k = 2 if family == "student_t" and t_df is None else 1
         try:
-            if family == "student_t":
-                dfs = [int(t_df)] if t_df is not None else [int(d) for d in t_df_grid]
-                best = None
-                for d in dfs:
-                    tau, ll, bnd = _fit_family_tau(uv, family, d)
-                    if best is None or ll > best[1]:
-                        best = (tau, ll, bnd, d)
-                tau, ll, bnd, d = best
-                k = 1 if t_df is not None else 2
-                model = param_of_tau(family, tau, df=d)
-            else:
-                tau, ll, bnd = _fit_family_tau(uv, family, None)
-                k = 1
-                model = param_of_tau(family, tau)
-            fits.append(
-                CopulaFit(model=model, loglik=ll, aic=2.0 * k - 2.0 * ll, n_params=k, boundary=bnd)
-            )
+            runs = [(*_fit_family_tau(uv, family, df), df) for df in dfs]
         except FitFailure as exc:
             failures.append(exc)
+            continue
+        tau, ll, bnd, df = max(runs, key=lambda run: run[1])  # the first maximum on ties
+        fits.append(
+            CopulaFit(
+                model=param_of_tau(family, tau, df=df),
+                loglik=ll,
+                aic=2.0 * k - 2.0 * ll,
+                n_params=k,
+                boundary=bnd,
+            )
+        )
     if not fits:
         raise FitFailure("all", "; ".join(str(f) for f in failures))
     fits.sort(key=lambda f: f.aic)

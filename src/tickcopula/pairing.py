@@ -193,26 +193,35 @@ def pair_previous_tick(a: TickSeries, b: TickSeries, delta: float) -> PairedSeri
         raise InvalidParameter(f"delta must be positive, got {delta}")
     _check_overlap(a, b)
     end = max(a.times[-1], b.times[-1])
-    # the tail of np.arange(delta, stop, delta) from a point or two before the
-    # first common tick (earlier points pair nothing and are dropped below),
-    # so the grid grows with the session, not with the clock value
-    stop = end * (1 + 1e-12)
-    n = int(np.ceil((stop - delta) / delta))  # np.arange's length
-    if n <= 0:
-        grid = np.array([end])
-    else:
-        start = max(a.times[0], b.times[0])
-        i0 = min(max(int((start - delta) // delta) - 1, 0), n - 1)
-        grid = delta + np.arange(i0, n) * delta
-    i1 = np.searchsorted(a.times, grid, side="right") - 1
-    i2 = np.searchsorted(b.times, grid, side="right") - 1
+    times = np.concatenate([a.times, b.times])
+    order = np.argsort(times, kind="stable")  # a merge of two sorted runs
+    t = times[order]
+    # grid point k is delta + k * delta, as in np.arange(delta, stop, delta);
+    # indices stay floats, since they pass 2**63 for a tiny delta
+    with np.errstate(over="ignore"):
+        n = np.ceil((end * (1 + 1e-12) - delta) / delta)  # np.arange's length
+        if n <= 0:  # delta exceeds the session: one grid point, at its end
+            k, n = np.zeros(t.size), 1
+        elif not np.isfinite(n):
+            raise InvalidParameter(f"delta {delta} is too small for a session ending at {end}")
+        else:
+            # index of the first grid point at or after each tick
+            k = np.maximum(np.ceil((t - delta) / delta), 0.0)
+            # undo the division's rounding, one step either way
+            k += delta + k * delta < t
+            k -= (k >= 1) & (delta + (k - 1) * delta >= t)
+    # the sampled pair changes only at the first grid point after a tick, so
+    # only those points are evaluated: the work grows with the ticks, not with
+    # session / delta. Such a point closes the run of ticks sharing its k and
+    # samples every tick up to there, n_a of them from asset a, the rest from b
+    closes = np.append(k[1:] != k[:-1], True) & (k < n)
+    n_a = np.cumsum(order < len(a))[closes]
+    i1 = n_a - 1
+    i2 = np.flatnonzero(closes) - n_a
     ok = (i1 >= 0) & (i2 >= 0)
     i1, i2 = i1[ok], i2[ok]
     if i1.size == 0:
         raise NoOverlap("no grid point has an eligible tick in both assets")
-    keep = np.ones(i1.size, dtype=bool)
-    keep[1:] = (np.diff(i1) != 0) | (np.diff(i2) != 0)
-    i1, i2 = i1[keep], i2[keep]
     return PairedSeries(
         t1=a.times[i1],
         x=a.log_prices[i1],

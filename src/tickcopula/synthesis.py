@@ -140,6 +140,11 @@ def simulate(spec: SimSpec) -> SimResult:
     )
 
 
+def _check_n_rep(n_rep: int) -> None:
+    if n_rep < 2:
+        raise InvalidParameter(f"n_rep must be at least 2, got {n_rep}")
+
+
 def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2) -> np.ndarray:
     """The simulate -> estimate replicate loop behind every Monte Carlo study.
 
@@ -151,8 +156,7 @@ def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2) -> np.n
     two replicates leave no spread to summarize and raise
     :class:`InvalidParameter`.
     """
-    if n_rep < 2:
-        raise InvalidParameter(f"n_rep must be at least 2, got {n_rep}")
+    _check_n_rep(n_rep)
     values = np.array(
         [
             estimate(simulate(SimSpec(model=model, margins=margins, lambda1=lambda1, lambda2=lambda2,

@@ -22,7 +22,7 @@ from .copulas import CopulaModel, param_of_tau
 from .errors import InsufficientData
 from .estimators import corrected_correlation, kendall_tau
 from .pairing import pair_previous_tick, pair_refresh_time, pair_ticks
-from .synthesis import _run_cells, simulate  # noqa: F401 (perfbench tests the tables.simulate binding)
+from .synthesis import _check_n_rep, _run_cells, simulate  # noqa: F401 (perfbench tests the tables.simulate binding)
 
 STANDARD_NORMAL = (stats.norm(0.0, 1.0), stats.norm(0.0, 1.0))
 
@@ -158,6 +158,7 @@ def coverage_study(
     method runs on the refresh-time synchronized series, the object a naive
     Gaussian analysis would use.
     """
+    _check_n_rep(n_rep)  # before the curves, the costly part
     if curve_grid is None:
         curve_grid = np.linspace(0.02, 0.75, 12)
     arrival = PoissonPair(lam, lam)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,24 @@ class TestPairCommand:
                   "--scheme", "prev-tick", "--out", tmp_path / "p.csv"])
         assert rc == 1
         assert "delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["1e-300", "1e-9"])
+    def test_prev_tick_tiny_delta_memory_tracks_ticks(self, tmp_path, delta):
+        # a grid over the session would need ~5e10 (1e-9) or ~5e301 points
+        prefix = tmp_path / "small"
+        assert run(["simulate", "--family", "gaussian", "--param", "0.6", "--n1", "50",
+                    "--n2", "50", "--seed", "4", "--out", prefix]) == 0
+        tracemalloc.start()
+        try:
+            rc = run(["pair", f"{prefix}_a.csv", f"{prefix}_b.csv", "--scheme", "prev-tick",
+                      "--delta", delta, "--out", tmp_path / "p.csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 1e6
+        # every tick gets a grid point of its own
+        assert len(read_paired_csv(tmp_path / "p.csv")) > 90
 
     def test_refresh_scheme_stamps_collapse(self, sim_prefix, tmp_path):
         path = tmp_path / "r.csv"
@@ -242,10 +261,18 @@ class TestErrorContract:
         assert err["error"] == "InvalidParameter" and margin in err["message"]
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("table, n_rep", [("table1", 1), ("table2", 0), ("table3", 1)])
+    @pytest.mark.parametrize("table, n_rep", [("table1", 1), ("table2", 0), ("table3", 1), ("coverage", 1)])
     def test_too_few_replicates(self, tmp_path, capsys, table, n_rep):
         err = self.json_error(capsys, ["reproduce", table, "--n-rep", n_rep, "--out", tmp_path / "t.csv"])
         assert err["error"] == "InvalidParameter" and "n_rep" in err["message"]
+
+    @pytest.mark.parametrize("t_df", [0, 2, -5])
+    def test_bad_student_t_df(self, sim_prefix, tmp_path, capsys, t_df):
+        paired = tmp_path / "paired.csv"
+        assert run(["pair", f"{sim_prefix}_a.csv", f"{sim_prefix}_b.csv", "--out", paired]) == 0
+        capsys.readouterr()
+        err = self.json_error(capsys, ["select-copula", "--paired", paired, "--t-df", t_df])
+        assert err["error"] == "InvalidParameter" and "df" in err["message"]
 
 
 class TestParseMargin:

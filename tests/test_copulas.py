@@ -158,6 +158,42 @@ class TestDensity:
         with pytest.raises(InvalidParameter):
             log_pdf(CopulaModel("clayton", 1.0), 0.0, 0.5)
 
+    _GRID = np.meshgrid(np.linspace(0.003, 0.997, 23), np.linspace(0.004, 0.995, 19))
+
+    @pytest.mark.parametrize("rho", [-0.85, -0.3, 0.0, 0.45, 0.95])
+    def test_gaussian_against_scipy_joint_over_margins(self, rho):
+        u, v = self._GRID
+        x, y = stats.norm.ppf(u), stats.norm.ppf(v)
+        joint = stats.multivariate_normal(cov=[[1.0, rho], [rho, 1.0]]).logpdf(np.dstack([x, y]))
+        ref = joint - stats.norm.logpdf(x) - stats.norm.logpdf(y)
+        assert np.allclose(log_pdf(CopulaModel("gaussian", rho), u, v), ref, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("rho, df", [(-0.6, 3), (0.0, 5), (0.5, 4), (0.9, 30)])
+    def test_student_t_against_scipy_joint_over_margins(self, rho, df):
+        u, v = self._GRID
+        x, y = stats.t.ppf(u, df), stats.t.ppf(v, df)
+        joint = stats.multivariate_t(shape=[[1.0, rho], [rho, 1.0]], df=df).logpdf(np.dstack([x, y]))
+        ref = joint - stats.t.logpdf(x, df) - stats.t.logpdf(y, df)
+        assert np.allclose(log_pdf(CopulaModel("student_t", rho, df=df), u, v), ref, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 2.0, 7.5])
+    def test_clayton_closed_form(self, theta):
+        u, v = self._GRID
+        # c(u, v) = (1 + th) (uv)^(-1-th) (u^-th + v^-th - 1)^(-2-1/th)
+        c = (1 + theta) * (u * v) ** (-1 - theta) * (u**-theta + v**-theta - 1) ** (-2 - 1 / theta)
+        assert np.allclose(log_pdf(CopulaModel("clayton", theta), u, v), np.log(c), rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("theta", [1.0, 1.3, 2.0, 5.0])
+    def test_gumbel_closed_form(self, theta):
+        u, v = self._GRID
+        # with s = -log u, t = -log v, w = s^th + t^th and C = exp(-w^(1/th)):
+        # c(u, v) = C (uv)^-1 (st)^(th-1) w^(1/th-2) (w^(1/th) + th - 1)
+        s, t = -np.log(u), -np.log(v)
+        w = s**theta + t**theta
+        c = (np.exp(-w ** (1 / theta)) / (u * v) * (s * t) ** (theta - 1)
+             * w ** (1 / theta - 2) * (w ** (1 / theta) + theta - 1))
+        assert np.allclose(log_pdf(CopulaModel("gumbel", theta), u, v), np.log(c), rtol=1e-10, atol=1e-10)
+
 
 class TestSampling:
     def test_deterministic_for_fixed_seed(self):
@@ -292,10 +328,60 @@ class TestFitAic:
         # the optimized objective must agree with the reference density
         uv = self._sim_uv(CopulaModel("gumbel", 2.0), 400, 6)
         uv = pseudo_observations(uv[:, 0], uv[:, 1])
-        fits = fit_aic(uv, families=("gumbel", "clayton", "gaussian"))
+        fits = fit_aic(uv, families=("gumbel", "clayton", "gaussian", "student_t"), t_df_grid=(3, 7, 15))
+        assert len(fits) == 4
         for f in fits:
             ref = float(np.sum(log_pdf(f.model, uv[:, 0], uv[:, 1])))
             assert f.loglik == pytest.approx(ref, rel=1e-9, abs=1e-6)
+
+    @pytest.mark.parametrize("kw", [{"t_df": 2}, {"t_df": 0}, {"t_df_grid": (2, 5)}])
+    def test_bad_student_t_df_rejected_before_fitting(self, monkeypatch, kw):
+        uv = pseudo_observations(*self._sim_uv(CopulaModel("gaussian", 0.3), 100, 8).T)
+
+        def no_quantiles(*args, **kwargs):
+            raise AssertionError("a quantile transform ran before the df check")
+
+        monkeypatch.setattr(stats.norm, "ppf", no_quantiles)
+        monkeypatch.setattr(stats.t, "ppf", no_quantiles)
+        with pytest.raises(InvalidParameter, match="df"):
+            fit_aic(uv, **kw)
+
+    # (family, df, param, loglik) of each fit in AIC order, as computed from
+    # closed-form sufficient statistics; summing log_pdf point by point adds
+    # the same terms in another order, which moves only the last bits
+    PINNED = [
+        (CopulaModel("student_t", 0.5, df=5), 600, 31, {"t_df_grid": (3, 5, 8, 12, 20)}, [
+            ("student_t", 3, 0.5319813483343565, 125.22681469159988),
+            ("gumbel", None, 1.5802192233286303, 114.39194105488824),
+            ("gaussian", None, 0.5477134143932298, 104.45690321768097),
+            ("clayton", None, 0.8438225815348643, 83.30407066116095),
+        ]),
+        (CopulaModel("clayton", 1.5), 500, 32, {"t_df_grid": (4, 8, 16)}, [
+            ("clayton", None, 1.4479126263489677, 150.57271574164042),
+            ("student_t", 4, 0.5971129753198497, 115.0516342653234),
+            ("gaussian", None, 0.5972919291330283, 107.50171763323515),
+            ("gumbel", None, 1.5462065788553043, 75.8564205359327),
+        ]),
+        (CopulaModel("gumbel", 1.8), 500, 33, {"t_df": 6}, [
+            ("gumbel", None, 1.838543241882841, 147.9619318130836),
+            ("student_t", 6, 0.6672808258459605, 147.92957735221353),
+            ("gaussian", None, 0.6610604345478011, 140.37343505532525),
+            ("clayton", None, 1.072916141368073, 99.05364526356834),
+        ]),
+        (CopulaModel("gaussian", -0.4), 400, 34, {"families": ("gaussian", "student_t")}, [
+            ("gaussian", None, -0.4696316715567598, 47.980319191594084),
+            ("student_t", 21, -0.4695071088291318, 48.456282818974785),
+        ]),
+    ]
+
+    @pytest.mark.parametrize("model, n, seed, kw, expected", PINNED)
+    def test_pinned_fits(self, model, n, seed, kw, expected):
+        uv = pseudo_observations(*self._sim_uv(model, n, seed).T)
+        fits = fit_aic(uv, **kw)
+        assert [(f.model.family, f.model.df) for f in fits] == [e[:2] for e in expected]
+        for f, (_, _, param, loglik) in zip(fits, expected):
+            assert f.model.param == pytest.approx(param, abs=1e-9)
+            assert f.loglik == pytest.approx(loglik, rel=1e-12)
 
 
 class TestPluginCopula:

@@ -129,6 +129,8 @@ class TestPreviousTick:
         b = make_series([1, 2, 3])
         with pytest.raises(InvalidParameter):
             pair_previous_tick(a, b, delta=0.0)
+        with pytest.raises(InvalidParameter, match="too small"):  # session / delta overflows
+            pair_previous_tick(a, b, delta=5e-324)
 
     def test_repetition_flagged_degenerate_by_diagnostics(self):
         a = make_series([1.0, 6.0, 20.0])
@@ -234,12 +236,19 @@ class TestPreviousTickGridAnchor:
     def test_matches_full_grid_on_random_offsets(self):
         rng = np.random.default_rng(2024)
         for _ in range(300):
-            delta = float(10 ** rng.uniform(-1.5, 1.0))
-            offset = float(rng.choice([0.0, rng.uniform(0, 3e4), 34200.0]))
+            delta = float(10 ** rng.uniform(-3.5, 1.0))
+            # the oracle builds the whole grid: at most ~1e6 points here
+            offset = float(rng.choice([0.0, rng.uniform(0, 3e4), 34200.0])) if delta > 0.05 else 0.0
             a = poisson_ticks(rng, rng.uniform(0.2, 3.0), int(rng.integers(2, 60)))
             b = poisson_ticks(rng, rng.uniform(0.2, 3.0), int(rng.integers(2, 60)))
             a = make_series(a.times + offset + rng.uniform(0, 5), a.log_prices)
             b = make_series(b.times + offset, b.log_prices)
+            if rng.random() < 0.3:
+                # ticks on (or an ulp off) grid points, and equal across assets
+                t1, t2 = (np.unique(np.round(s.times / delta) * delta) for s in (a, b))
+                if t1.size < 2 or t2.size < 2:
+                    continue
+                a, b = make_series(t1), make_series(t2)
             try:
                 pt = pair_previous_tick(a, b, delta)
             except NoOverlap:
