@@ -275,12 +275,19 @@ def _invert_fit(curve: CorrectionCurve, value: float) -> float:
     return float(np.clip(root, lo, hi))
 
 
+def _check_observation(tau_uncorrected: float) -> None:
+    if not np.isfinite(tau_uncorrected):
+        raise InvalidParameter(f"observed tau must be finite, got {tau_uncorrected}")
+
+
 def correct_tau(curve: CorrectionCurve, tau_uncorrected: float) -> float:
     """Invert the fitted curve at an observed uncorrected tau.
 
     Outside the fitted output range the nearest boundary solution is
-    returned and an :class:`ExtrapolationWarning` is emitted.
+    returned and an :class:`ExtrapolationWarning` is emitted. A non-finite
+    observation raises :class:`InvalidParameter`.
     """
+    _check_observation(tau_uncorrected)
     f_lo, f_hi = curve.fitted_range
     if not f_lo <= tau_uncorrected <= f_hi:
         warnings.warn(
@@ -306,6 +313,7 @@ def interval_quad(
     """
     if not 0.0 < level < 1.0:
         raise InvalidParameter(f"level must lie in (0, 1), got {level}")
+    _check_observation(tau_uncorrected)
     z = float(stats.norm.ppf(0.5 * (1.0 + level)))
     s = curve.inverse_resid_scale
     span_lo, span_hi = curve.span
@@ -362,6 +370,7 @@ def interval_quantile(
     """
     if not 0.0 < level < 1.0:
         raise InvalidParameter(f"level must lie in (0, 1), got {level}")
+    _check_observation(tau_uncorrected)
     band_lo, band_hi = curve.band(level)
     if tau_uncorrected < band_lo[0] or tau_uncorrected > band_hi[-1]:
         raise CalibrationFailure(

@@ -90,7 +90,7 @@ def parse_margin(text: str):
     kind = kind.strip().lower()
     if kind in ("normal", "n", "gaussian"):
         if rest:
-            parts = _margin_numbers(text, rest)
+            parts = _parse_numbers(rest, f"margin {text!r}")
             if len(parts) != 2 or parts[1] <= 0:
                 raise InvalidParameter(f"bad normal margin spec {text!r}")
             return stats.norm(parts[0], parts[1])
@@ -98,7 +98,7 @@ def parse_margin(text: str):
     if kind in ("t", "student_t", "student-t"):
         if not rest:
             raise InvalidParameter(f"t margin needs degrees of freedom: {text!r}")
-        parts = _margin_numbers(text, rest)
+        parts = _parse_numbers(rest, f"margin {text!r}")
         if len(parts) != 1:
             raise InvalidParameter(f"bad t margin spec {text!r}")
         if parts[0] <= 2:
@@ -107,13 +107,14 @@ def parse_margin(text: str):
     raise InvalidParameter(f"unknown margin spec {text!r}")
 
 
-def _margin_numbers(text: str, rest: str) -> list[float]:
+def _parse_numbers(values: str, where: str) -> list[float]:
+    """Comma-separated finite floats; ``where`` names the input in errors."""
     try:
-        parts = [float(p) for p in rest.split(",")]
+        parts = [float(p) for p in values.split(",")]
     except ValueError:
-        raise InvalidParameter(f"non-numeric margin parameter in {text!r}") from None
+        raise InvalidParameter(f"non-numeric value in {where}") from None
     if not np.isfinite(parts).all():
-        raise InvalidParameter(f"non-finite margin parameter in {text!r}")
+        raise InvalidParameter(f"non-finite value in {where}")
     return parts
 
 
@@ -271,11 +272,11 @@ def _cmd_plugin_eval(args) -> int:
     plugin = plugin_copula(paired, args.param, args.family, df=args.df)
     rx, ry = paired.returns()
     if args.r1:
-        grid1 = np.array([float(v) for v in args.r1.split(",")])
+        grid1 = np.array(_parse_numbers(args.r1, f"--r1 {args.r1!r}"))
     else:
         grid1 = np.quantile(rx, np.linspace(0.1, 0.9, 9))
     if args.r2:
-        grid2 = np.array([float(v) for v in args.r2.split(",")])
+        grid2 = np.array(_parse_numbers(args.r2, f"--r2 {args.r2!r}"))
     else:
         grid2 = np.quantile(ry, np.linspace(0.1, 0.9, 9))
     rows = []

@@ -480,11 +480,7 @@ class PluginCopula:
 
     def evaluate(self, r1, r2) -> np.ndarray:
         """Joint CDF estimate C(F1(r1), F2(r2)) at return-space points."""
-        u = self.margin1.ecdf(np.where(np.isneginf(r1), -np.inf, r1))
-        v = self.margin2.ecdf(np.where(np.isneginf(r2), -np.inf, r2))
-        u = np.where(np.isneginf(r1), 0.0, u)
-        v = np.where(np.isneginf(r2), 0.0, v)
-        return cdf(self.model, u, v)
+        return cdf(self.model, self.margin1.ecdf(r1), self.margin2.ecdf(r2))
 
 
 def plugin_copula(paired, param: float, family: str, df: int | None = None) -> PluginCopula:

@@ -168,34 +168,22 @@ def kendall_tau(
     if not (np.isfinite(rx).all() and np.isfinite(ry).all()):
         raise InvalidParameter("Kendall tau needs finite returns")
     if basis == "all-pairs":
-        if rx.size < 2:
-            raise InsufficientData("need at least 2 returns")
-        cmd, untied, tied = _kendall_counts(rx, ry)
-        if untied == 0:
-            raise InsufficientData("all return pairs are tied")
-        return TauEstimate(
-            tau_hat=cmd / untied,
-            basis=basis,
-            n_used=rx.size,
-            n_pairs_compared=untied,
-            n_tied=tied,
-        )
-    labels = diagnostics(p).configs
-    cmd_total = 0
-    untied_total = 0
-    tied_total = 0
-    n_used = 0
-    for c in configs:
-        mask = labels == c
-        if mask.sum() < 2:
+        groups = [np.ones(rx.size, dtype=bool)]
+    else:
+        labels = diagnostics(p).configs
+        groups = [labels == c for c in configs]
+    cmd_total = untied_total = tied_total = n_used = 0
+    for mask in groups:
+        n = int(mask.sum())
+        if n < 2:
             continue
-        n_used += int(mask.sum())
+        n_used += n
         cmd, untied, tied = _kendall_counts(rx[mask], ry[mask])
         cmd_total += cmd
         untied_total += untied
         tied_total += tied
-    if n_used < 2 or untied_total == 0:
-        raise InsufficientData("fewer than 2 comparable returns share a configuration")
+    if untied_total == 0:
+        raise InsufficientData("no two returns are comparable: too few, or every pair tied")
     return TauEstimate(
         tau_hat=cmd_total / untied_total,
         basis=basis,

@@ -8,9 +8,9 @@ Three schemes are provided:
     by refresh-time sampling, so no interpolation or uprooting takes place;
     each pair is made of one actual tick of each asset.
 ``pair_refresh_time``
-    Classic refresh-time synchronization: same price pairs as
-    ``pair_ticks`` but both members are stamped at the refresh time, as if
-    observed simultaneously.
+    Classic refresh-time synchronization: the ``pair_ticks`` pairs
+    restamped, both members at the refresh time (the later of the two
+    ticks), as if observed simultaneously.
 ``pair_previous_tick``
     Fixed grid of width ``delta``; each grid point samples the last tick of
     each asset at or before it. Pairs that repeat both ticks are collapsed;
@@ -24,7 +24,7 @@ fraction of raw ticks lost to the synchronization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,6 +160,12 @@ def pair_ticks(a: TickSeries, b: TickSeries) -> PairedSeries:
     )
 
 
+def _refresh_stamped(p: PairedSeries) -> PairedSeries:
+    """The tick-retaining pairs ``p`` with both members stamped at the refresh time."""
+    v = np.maximum(p.t1, p.t2)
+    return replace(p, t1=v, t2=v.copy(), scheme=SCHEME_REFRESH)
+
+
 def pair_refresh_time(a: TickSeries, b: TickSeries) -> PairedSeries:
     """Refresh-time synchronization: both assets stamped at the refresh time.
 
@@ -167,18 +173,7 @@ def pair_refresh_time(a: TickSeries, b: TickSeries) -> PairedSeries:
     refresh times themselves, which is what a correlation estimator sees when
     it treats the sample as genuinely synchronous.
     """
-    _check_overlap(a, b)
-    i1, i2 = _paired_indices(a.times, b.times)
-    v = np.maximum(a.times[i1], b.times[i2])
-    return PairedSeries(
-        t1=v,
-        x=a.log_prices[i1],
-        t2=v.copy(),
-        y=b.log_prices[i2],
-        scheme=SCHEME_REFRESH,
-        n_raw1=len(a),
-        n_raw2=len(b),
-    )
+    return _refresh_stamped(pair_ticks(a, b))
 
 
 def pair_previous_tick(a: TickSeries, b: TickSeries, delta: float) -> PairedSeries:

@@ -21,7 +21,7 @@ from .calibration import (
 from .copulas import CopulaModel, param_of_tau
 from .errors import InsufficientData
 from .estimators import corrected_correlation, kendall_tau
-from .pairing import pair_previous_tick, pair_refresh_time, pair_ticks
+from .pairing import _refresh_stamped, pair_previous_tick, pair_ticks
 from .synthesis import _check_n_rep, _run_cells, simulate  # noqa: F401 (perfbench tests the tables.simulate binding)
 
 STANDARD_NORMAL = (stats.norm(0.0, 1.0), stats.norm(0.0, 1.0))
@@ -31,19 +31,19 @@ PREV_TICK_DELTA_FACTOR = 2.0
 
 
 def _one_replicate(sim, lam):
-    """The three competing correlation estimates on one simulated sample."""
-    paired = pair_ticks(sim.a, sim.b)
-    cc = corrected_correlation(paired)
-    refreshed = pair_refresh_time(sim.a, sim.b)
-    rx, ry = refreshed.returns()
-    refresh_est = float(np.corrcoef(rx, ry)[0, 1])
+    """The three competing correlation estimates on one simulated sample.
+
+    Refresh-time pairs hold the tick-retaining price pairs, so the refresh
+    estimate is the uncorrected correlation ``cc.rho_hat``.
+    """
+    cc = corrected_correlation(pair_ticks(sim.a, sim.b))
     try:
         prev = pair_previous_tick(sim.a, sim.b, PREV_TICK_DELTA_FACTOR / lam)
         px, py = prev.returns()
         prev_est = float(np.corrcoef(px, py)[0, 1])
     except InsufficientData:
         prev_est = np.nan
-    return prev_est, refresh_est, cc.theta_hat
+    return prev_est, cc.rho_hat, cc.theta_hat
 
 
 def gaussian_estimator_study(
@@ -120,11 +120,10 @@ def _interval_bounds(sim, curve, level):
     """``[lo, hi]`` of each interval method on one sample; NaN where it failed."""
     paired = pair_ticks(sim.a, sim.b)
     tau_obs = kendall_tau(paired, basis="all-pairs").tau_hat
-    refreshed = pair_refresh_time(sim.a, sim.b)
     methods = (
         lambda: interval_quad(curve, tau_obs, level),
         lambda: interval_quantile(curve, tau_obs, level),
-        lambda: interval_misspecified(refreshed, level),
+        lambda: interval_misspecified(_refresh_stamped(paired), level),
     )
     bounds = []
     for method in methods:

@@ -106,6 +106,13 @@ class TestCorrectTau:
             assert correct_tau(curve, float(obs)) == pytest.approx(tau_true, abs=1e-9)
 
 
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("invert", [correct_tau, interval_quad, interval_quantile])
+def test_non_finite_observation_rejected(invert, tau):
+    with pytest.raises(InvalidParameter, match="finite"):
+        invert(make_curve((0.0, 1.0, 0.0)), tau)
+
+
 class TestIntervalQuad:
     def test_contains_point_and_band_width(self):
         curve = make_curve((0.0, 0.7, -0.1), resid_scale=0.02)

@@ -32,6 +32,15 @@ def sim_prefix(tmp_path):
     return prefix
 
 
+@pytest.fixture(scope="module")
+def curve_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("curve") / "curve.json"
+    rc = run(["calibrate", "--family", "clayton", "--k", "6", "--n-rep", "50", "--n-ticks", "150",
+              "--grid-lo", "0.05", "--grid-hi", "0.6", "--seed", "4", "--out", path])
+    assert rc == 0
+    return path
+
+
 class TestSimulateCommand:
     def test_writes_ticks_and_truth(self, sim_prefix):
         a = load_ticks(f"{sim_prefix}_a.csv")
@@ -273,6 +282,23 @@ class TestErrorContract:
         capsys.readouterr()
         err = self.json_error(capsys, ["select-copula", "--paired", paired, "--t-df", t_df])
         assert err["error"] == "InvalidParameter" and "df" in err["message"]
+
+    @pytest.mark.parametrize("method", ["quad", "quantile"])
+    @pytest.mark.parametrize("tau_hat", ["nan", "inf", "-inf"])
+    def test_non_finite_tau_hat(self, curve_path, capsys, method, tau_hat):
+        err = self.json_error(capsys, ["intervals", "--method", method, "--curve", curve_path,
+                                       f"--tau-hat={tau_hat}"])
+        assert err["error"] == "InvalidParameter" and "finite" in err["message"]
+
+    @pytest.mark.parametrize("option", ["--r1", "--r2"])
+    @pytest.mark.parametrize("grid", ["abc", "1,,2", "nan"])
+    def test_bad_plugin_eval_grid(self, sim_prefix, tmp_path, capsys, option, grid):
+        paired = tmp_path / "paired.csv"
+        assert run(["pair", f"{sim_prefix}_a.csv", f"{sim_prefix}_b.csv", "--out", paired]) == 0
+        capsys.readouterr()
+        err = self.json_error(capsys, ["plugin-eval", "--paired", paired, "--family", "gaussian",
+                                       "--param", "0.6", f"{option}={grid}"])
+        assert err["error"] == "InvalidParameter" and option in err["message"]
 
 
 class TestParseMargin:

@@ -221,6 +221,27 @@ class TestKendallTau:
         with pytest.raises(InsufficientData):
             kendall_tau(p)
 
+    @pytest.mark.parametrize("basis, configs, rx", [
+        ("all-pairs", (1, 4), [1.0]),
+        ("all-pairs", (1, 4), [1.0, 1.0, 1.0]),
+        ("same-config", (), [0.1, 0.3, 0.2]),
+        ("same-config", (1, 4), [1.0, 1.0, 1.0]),
+    ])
+    def test_nothing_comparable(self, basis, configs, rx):
+        # synchronous pairs all carry configuration label 1
+        p = paired_from_returns(rx, np.arange(len(rx), dtype=float))
+        with pytest.raises(InsufficientData, match="comparable"):
+            kendall_tau(p, basis=basis, configs=configs)
+
+    def test_single_return_configuration_is_not_used(self):
+        # configuration labels 3, 3, 3, 1: label 1 holds one return
+        t1 = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        t2 = np.array([0.5, 1.5, 2.5, 3.5, 3.9])
+        p = PairedSeries(t1=t1, x=[0.0, 0.1, 0.3, 0.2, 0.6], t2=t2, y=[0.0, 0.2, 0.1, 0.4, 0.5],
+                         scheme="a0", n_raw1=5, n_raw2=5)
+        est = kendall_tau(p, basis="same-config", configs=(1, 3))
+        assert est.n_used == 3 and est.n_pairs_compared + est.n_tied == 3
+
     @pytest.mark.parametrize("basis", ["all-pairs", "same-config"])
     def test_non_finite_returns_rejected(self, basis):
         p = paired_from_returns([0.1, np.nan, 0.3, 0.2, 0.5], [0.2, 0.1, np.nan, 0.4, 0.3])

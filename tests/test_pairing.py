@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tickcopula import (
     DegeneratePairing,
@@ -272,3 +274,55 @@ class TestPreviousTickGridAnchor:
             tracemalloc.stop()
         assert len(pt) > 500
         assert peak < 5e6
+
+
+@st.composite
+def tick_streams(draw):
+    """Two tick series and a grid width; on an integer grid, cross-asset ties are common."""
+    on_grid = draw(st.booleans())
+    series = []
+    for asset in ("a", "b"):
+        n = draw(st.integers(2, 40))
+        gaps = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n)))
+        start = draw(st.floats(0.0, 10.0))
+        if on_grid:
+            gaps, start = np.ceil(gaps), float(np.floor(start))
+        series.append(make_series(start + np.cumsum(gaps), asset_id=asset))
+    return series[0], series[1], draw(st.floats(0.1, 20.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tick_streams())
+def test_pairing_invariants(streams):
+    a, b, delta = streams
+    if a.times[0] > b.times[-1] or b.times[0] > a.times[-1]:
+        for pair in (pair_ticks, pair_refresh_time):
+            with pytest.raises(NoOverlap):
+                pair(a, b)
+        return
+    a0 = pair_ticks(a, b)
+    oracle = refresh_pairs_oracle(a.times, b.times)
+    assert np.array_equal(a0.t1, a.times[[i for i, _ in oracle]])
+    assert np.array_equal(a0.t2, b.times[[j for _, j in oracle]])
+    refresh = pair_refresh_time(a, b)
+    assert np.array_equal(refresh.x, a0.x) and np.array_equal(refresh.y, a0.y)
+    stamps = np.maximum(a0.t1, a0.t2)
+    assert np.array_equal(refresh.t1, stamps) and np.array_equal(refresh.t2, stamps)
+    try:
+        prev = pair_previous_tick(a, b, delta)
+    except NoOverlap:  # no grid point saw a tick of both assets
+        prev = None
+    if len(a0) >= 2:
+        d = diagnostics(a0)
+        assert (d.overlaps > 0).all()
+        assert d.w >= 1.0
+        assert diagnostics(refresh).w == 1.0
+    for p in (a0, refresh, prev):
+        if p is None or len(p) < 2:
+            continue
+        try:
+            d = diagnostics(p)
+        except DegeneratePairing:
+            assert p is prev  # only previous-tick pairs may repeat a tick
+            continue
+        assert 0.0 <= d.loss1 <= 1.0 and 0.0 <= d.loss2 <= 1.0
