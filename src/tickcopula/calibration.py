@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -32,9 +32,9 @@ from scipy import stats
 
 from .copulas import param_of_tau
 from .errors import CalibrationFailure, ExtrapolationWarning, InvalidParameter
-from .estimators import corrected_correlation, kendall_tau
-from .pairing import PairedSeries, pair_ticks
-from .synthesis import RNG_NAME, _run_cells
+from .estimators import _kendall_rows, corrected_correlation, kendall_tau
+from .pairing import PairedSeries, _tick_pairs, pair_ticks
+from .synthesis import RNG_NAME, _run_cells, _simulate_counts, simulate
 
 __all__ = [
     "CorrectionCurve",
@@ -77,8 +77,8 @@ class CorrectionCurve:
         e = np.asarray(self.estimates, dtype=float)
         if g.ndim != 1 or g.size < 5:
             raise InvalidParameter("calibration grid needs at least 5 tau values")
-        if e.shape != (g.size, e.shape[1]) or e.shape[1] < 50:
-            raise InvalidParameter("need at least 50 replicates per grid point")
+        if e.ndim != 2 or e.shape[0] != g.size or e.shape[1] < 50:
+            raise InvalidParameter("estimates need at least 50 replicates for each grid point")
         if not (np.diff(g) > 0).all():
             raise InvalidParameter("grid_taus must be strictly increasing")
         object.__setattr__(self, "grid_taus", g)
@@ -166,16 +166,20 @@ class CorrectionCurve:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorrectionCurve":
-        return cls(
-            family=d["family"],
-            grid_taus=np.asarray(d["grid_taus"], dtype=float),
-            estimates=np.asarray(d["estimates"], dtype=float),
-            quad_coeffs=tuple(d["quad_coeffs"]),
-            resid_scale=float(d["resid_scale"]),
-            inverse_coeffs=tuple(d["inverse_coeffs"]),
-            inverse_resid_scale=float(d["inverse_resid_scale"]),
-            meta=dict(d.get("meta", {})),
-        )
+        """The curve ``to_dict`` wrote; a missing or mistyped field raises :class:`InvalidParameter`."""
+        try:
+            return cls(
+                family=d["family"],
+                grid_taus=np.asarray(d["grid_taus"], dtype=float),
+                estimates=np.asarray(d["estimates"], dtype=float),
+                quad_coeffs=tuple(d["quad_coeffs"]),
+                resid_scale=float(d["resid_scale"]),
+                inverse_coeffs=tuple(d["inverse_coeffs"]),
+                inverse_resid_scale=float(d["inverse_resid_scale"]),
+                meta=dict(d.get("meta", {})),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidParameter(f"malformed curve: {type(exc).__name__}: {exc}") from None
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -184,7 +188,11 @@ class CorrectionCurve:
     @classmethod
     def from_json(cls, path) -> "CorrectionCurve":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                d = json.load(fh)
+            except ValueError as exc:  # undecodable bytes or invalid JSON
+                raise InvalidParameter(f"{path}: not a curve JSON file: {exc}") from None
+        return cls.from_dict(d)
 
 
 @dataclass(frozen=True)
@@ -215,6 +223,37 @@ def _uncorrected_tau(sim) -> float:
     return kendall_tau(pair_ticks(sim.a, sim.b), basis="all-pairs").tau_hat
 
 
+def _uncorrected_taus(spec, seeds) -> np.ndarray:
+    """``_uncorrected_tau`` of each seed's sample, the block simulated, paired and counted at once.
+
+    A row that a replicate's own checks might reject (a non-finite or tied
+    tick time or price, an infinite return, no comparable return pair) is
+    replayed alone through ``_uncorrected_tau``. Rows replay in seed order,
+    so the first failing replicate raises its own error, as in a loop over
+    the seeds.
+    """
+    ev = _simulate_counts(spec, seeds)
+    k = len(seeds)
+    from_a = ~ev.to_b
+    row, i1, i2 = _tick_pairs(ev.times, from_a)
+    n_pairs = np.bincount(row, minlength=k)
+    col = np.arange(row.size) - (np.cumsum(n_pairs) - n_pairs)[row]
+    x = np.full((k, n_pairs.max()), np.nan)
+    y = np.full_like(x, np.nan)
+    x[row, col] = ev.log_x[from_a].reshape(k, -1)[row, i1]
+    y[row, col] = ev.log_y[ev.to_b].reshape(k, -1)[row, i2]
+    rx, ry = np.diff(x, axis=1), np.diff(y, axis=1)
+    ok = (np.isfinite(ev.times) & np.isfinite(ev.log_x) & np.isfinite(ev.log_y)).all(axis=1)
+    ok &= (np.diff(ev.times, axis=1) > 0).all(axis=1) & ~(np.isinf(rx) | np.isinf(ry)).any(axis=1)
+    taus = np.full(k, np.nan)
+    cmd, untied = _kendall_rows(rx[ok], ry[ok], n_pairs[ok] - 1)
+    ok[ok] = untied > 0
+    taus[ok] = cmd[untied > 0] / untied[untied > 0]
+    for r in np.flatnonzero(~ok):
+        taus[r] = _uncorrected_tau(simulate(replace(spec, seed=seeds[r])))
+    return taus
+
+
 def build_curve(
     family: str,
     arrival,
@@ -239,7 +278,7 @@ def build_curve(
     if n_rep < 50:
         raise InvalidParameter(f"n_rep must be at least 50, got {n_rep}")
     cells = [(param_of_tau(family, float(tau), df=df), margins, n_ticks) for tau in grid]
-    estimates = _run_cells(cells, n_rep, [seed], _uncorrected_tau,
+    estimates = _run_cells(cells, n_rep, [seed], _uncorrected_taus,
                            lambda1=arrival.lambda1, lambda2=arrival.lambda2).reshape(grid.size, n_rep)
 
     meta = {

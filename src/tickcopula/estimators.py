@@ -131,6 +131,46 @@ def _kendall_counts(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int]:
     return round(tau_b * math.sqrt((n0 - tx) * (n0 - ty))), untied, n0 - untied
 
 
+# Rows of up to this many returns are counted by direct comparison, longer
+# ones by scipy. Per row in blocks of 10 on a 2-core host: 0.16 against
+# 0.66 ms at 200 returns, 0.70 against 0.74 ms at 400. The comparison
+# matrices of one chunk of rows stay within _DENSE_BYTES bytes each, small
+# enough that calibration's peak resident memory does not grow.
+_DENSE_MAX_RETURNS = 400
+_DENSE_BYTES = 1 << 17
+
+
+def _kendall_rows(rx: np.ndarray, ry: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(concordant - discordant, untied pair count) of each row of returns.
+
+    Row ``r`` holds ``n[r]`` finite returns, padded with NaN to the common
+    width; a NaN compares false either way, so the padding counts for
+    nothing. Over all ordered pairs of a row, ``gx & gy`` (both returns
+    greater) counts each concordant pair once and ``gx & ly`` each
+    discordant pair once.
+    """
+    cmd = np.zeros(n.size, dtype=np.int64)
+    untied = np.zeros(n.size, dtype=np.int64)
+    dense = np.flatnonzero((n >= 2) & (n <= _DENSE_MAX_RETURNS))  # shorter rows have no pair
+    if dense.size:
+        width = int(n[dense].max())
+        step = max(1, _DENSE_BYTES // (width * width))
+        for lo in range(0, dense.size, step):
+            rows = dense[lo: lo + step]
+            x, y = rx[rows, :width], ry[rows, :width]
+            gx = x[:, None, :] > x[:, :, None]
+            both = y[:, None, :] > y[:, :, None]
+            both &= gx
+            conc = np.count_nonzero(both, axis=(1, 2))
+            np.less(y[:, None, :], y[:, :, None], out=both)
+            both &= gx
+            disc = np.count_nonzero(both, axis=(1, 2))
+            cmd[rows], untied[rows] = conc - disc, conc + disc
+    for r in np.flatnonzero(n > _DENSE_MAX_RETURNS):
+        cmd[r], untied[r], _ = _kendall_counts(rx[r, : n[r]], ry[r, : n[r]])
+    return cmd, untied
+
+
 @dataclass(frozen=True)
 class TauEstimate:
     """Sample Kendall tau over paired returns."""

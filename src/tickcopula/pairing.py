@@ -63,6 +63,8 @@ class PairedSeries:
             raise InvalidParameter("paired arrays must be 1-d and equally long")
         if t1.size == 0:
             raise InsufficientData("empty pairing")
+        if not all(np.isfinite(v).all() for v in (t1, x, t2, y)):
+            raise InvalidParameter("paired series contains non-finite values")
         # prev-tick may legitimately repeat a tick; backward jumps are never valid
         if (np.diff(t1) < 0).any() or (np.diff(t2) < 0).any():
             raise InvalidParameter("paired timestamps must be nondecreasing")
@@ -111,28 +113,47 @@ def _check_overlap(a: TickSeries, b: TickSeries) -> None:
         )
 
 
-def _paired_indices(t1: np.ndarray, t2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs of the tick-retaining scheme.
+def _tick_pairs(t: np.ndarray, from_a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tick-retaining pairs of each row of merged tick streams.
 
-    Walks both series once. Each round the later of the two pending ticks
-    closes a pair; the other asset contributes its last tick not after that
-    time. Equal timestamps are paired together.
+    A row of ``t`` holds both assets' tick times in nondecreasing order, and
+    ``from_a`` marks asset 1's ticks. Returns ``(row, i1, i2)``: per pair, in
+    row order, its row and the indices of its two ticks within their own
+    asset. The pairs are those of the refresh-time walk: the later of the two
+    pending ticks closes a pair, the other asset contributes its last tick
+    not after it, and equal timestamps pair together.
+
+    The walk runs on *runs*: maximal stretches of one asset's ticks, where
+    an equal-time tick of each asset is one *joint* event and a run of its
+    own. A refresh falls on the first event of a run. From run r the next is
+    r+2 when run r+1 is single-asset and run r is joint or one tick long (it
+    left one asset without a pending tick), else r+1. So every run after an
+    r+1 step is a refresh, and from there refreshes alternate through the
+    following stretch of r+2 steps. A joint sentinel before each row starts
+    its walk; the pair it closes is dropped.
     """
-    n1, n2 = t1.size, t2.size
-    out1: list[int] = []
-    out2: list[int] = []
-    i = j = 0
-    while i < n1 and j < n2:
-        v = max(t1[i], t2[j])
-        while i + 1 < n1 and t1[i + 1] <= v:
-            i += 1
-        while j + 1 < n2 and t2[j + 1] <= v:
-            j += 1
-        out1.append(i)
-        out2.append(j)
-        i += 1
-        j += 1
-    return np.asarray(out1, dtype=np.intp), np.asarray(out2, dtype=np.intp)
+    k, m = t.shape
+    label = np.full((k, m + 1), 2, dtype=np.int8)  # 1: asset 1, 2: asset 2, 0: joint
+    label[:, 1:][from_a] = 1
+    label[:, 0] = 0  # the sentinels
+    tied = t[:, 1:] == t[:, :-1]
+    label[:, 2:][tied] = 0  # a tick tied with the one before it joins it ...
+    keep = np.ones((k, m + 1), dtype=bool)
+    keep[:, 1:-1] = ~tied  # ... which is then dropped
+    event = np.flatnonzero(keep)  # kept events, as flat indices into the (k, m + 1) layout
+    label = label[keep]
+    starts = np.flatnonzero(np.r_[True, (label[1:] != label[:-1]) | (label[1:] == 0)])
+    run_joint = label[starts] == 0
+    run_len = np.diff(np.r_[starts, label.size])
+    skip = np.r_[~run_joint[1:] & (run_joint[:-1] | (run_len[:-1] == 1)), False]
+    run = np.arange(starts.size)
+    anchor = np.maximum.accumulate(np.where(np.r_[True, ~skip[:-1]], run, 0))
+    row, col = np.divmod(event[starts], m + 1)
+    refresh = ((run - anchor) % 2 == 0) & (col > 0)
+    row, col = row[refresh], col[refresh]
+    # ticks of asset 1 among the row's first ``col`` ticks; the rest are asset 2's
+    n_a = np.cumsum(from_a, axis=1)[row, col - 1]
+    return row, n_a - 1, col - n_a - 1
 
 
 def pair_ticks(a: TickSeries, b: TickSeries) -> PairedSeries:
@@ -148,7 +169,9 @@ def pair_ticks(a: TickSeries, b: TickSeries) -> PairedSeries:
         If the series' time supports are disjoint.
     """
     _check_overlap(a, b)
-    i1, i2 = _paired_indices(a.times, b.times)
+    times = np.concatenate([a.times, b.times])
+    order = np.argsort(times, kind="stable")  # a merge of two sorted runs
+    _, i1, i2 = _tick_pairs(times[order][None], (order < len(a))[None])
     return PairedSeries(
         t1=a.times[i1],
         x=a.log_prices[i1],

@@ -16,7 +16,7 @@ lambda2), which is the standard marking of a merged Poisson stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -89,6 +89,67 @@ class SimResult:
     truth: GroundTruth
 
 
+@dataclass(frozen=True)
+class _Events:
+    """Simulated event streams, one replicate per row.
+
+    ``times`` are the merged event times of both assets, increasing along a
+    row; ``to_b`` marks the events that are asset 2's ticks; ``log_x`` and
+    ``log_y`` are the two log-price lattices at every event.
+    """
+
+    times: np.ndarray
+    to_b: np.ndarray
+    log_x: np.ndarray
+    log_y: np.ndarray
+
+
+def _events(spec: SimSpec, times: np.ndarray, to_b: np.ndarray, uv: np.ndarray) -> _Events:
+    """Price the ``(k, n)`` event rows: one ``ppf`` per margin, one cumulative sum per lattice."""
+    gaps = np.diff(times, axis=1, prepend=0.0)
+    m1, m2 = spec.margins
+    # margins see 1-d draws, as their ppf contract promises
+    innov_x = np.asarray(m1.ppf(uv[..., 0].ravel()), dtype=float).reshape(times.shape)
+    innov_y = np.asarray(m2.ppf(uv[..., 1].ravel()), dtype=float).reshape(times.shape)
+    scale = np.sqrt(gaps)
+    log_x = _LOG_P0 + np.cumsum(scale * innov_x, axis=1)
+    log_y = _LOG_P0 + np.cumsum(scale * innov_y, axis=1)
+    return _Events(times, to_b, log_x, log_y)
+
+
+def _simulate_counts(spec: SimSpec, seeds) -> _Events:
+    """Count-mode events of ``spec`` for a block of replicates, one per seed.
+
+    Replicate ``r`` draws its gaps, split and copula sample from its own
+    ``default_rng(seeds[r])``, so a row does not depend on the others in its
+    block; the pricing then runs once over the stacked rows.
+    """
+    n = spec.n1 + spec.n2
+    lam_total = spec.lambda1 + spec.lambda2
+    gaps0 = np.empty((len(seeds), n))
+    to_b = np.zeros((len(seeds), n), dtype=bool)
+    uv = np.empty((len(seeds), n, 2))
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        gaps0[row] = rng.exponential(1.0 / lam_total, n)
+        to_b[row, rng.permutation(n)[: spec.n2]] = True
+        uv[row] = sample_uniform(spec.model, n, rng)
+    return _events(spec, np.cumsum(gaps0, axis=1), to_b, uv)
+
+
+def _simulate_horizon(spec: SimSpec) -> _Events:
+    """Horizon-mode events of ``spec``: a Poisson number of them, marked independently."""
+    rng = np.random.default_rng(spec.seed)
+    lam_total = spec.lambda1 + spec.lambda2
+    n_events = int(rng.poisson(lam_total * spec.horizon))
+    if n_events < 4:
+        raise InsufficientData(f"horizon {spec.horizon} produced only {n_events} events")
+    times = np.sort(rng.uniform(0.0, spec.horizon, n_events))
+    to_b = rng.random(n_events) < spec.lambda2 / lam_total
+    uv = sample_uniform(spec.model, n_events, rng)
+    return _events(spec, times[None], to_b[None], uv[None])
+
+
 def simulate(spec: SimSpec) -> SimResult:
     """Generate one nonsynchronous two-asset sample.
 
@@ -96,33 +157,8 @@ def simulate(spec: SimSpec) -> SimResult:
     :class:`InsufficientData` when the random split leaves either asset with
     fewer than two ticks (only possible for tiny sizes).
     """
-    rng = np.random.default_rng(spec.seed)
-    lam_total = spec.lambda1 + spec.lambda2
-    if spec.horizon is not None:
-        n_events = int(rng.poisson(lam_total * spec.horizon))
-        if n_events < 4:
-            raise InsufficientData(
-                f"horizon {spec.horizon} produced only {n_events} events"
-            )
-        times = np.sort(rng.uniform(0.0, spec.horizon, n_events))
-        to_b = rng.random(n_events) < spec.lambda2 / lam_total
-    else:
-        n_events = spec.n1 + spec.n2
-        gaps0 = rng.exponential(1.0 / lam_total, n_events)
-        times = np.cumsum(gaps0)
-        choice = rng.permutation(n_events)
-        to_b = np.zeros(n_events, dtype=bool)
-        to_b[choice[: spec.n2]] = True
-
-    gaps = np.diff(times, prepend=0.0)
-    uv = sample_uniform(spec.model, n_events, rng)
-    m1, m2 = spec.margins
-    innov_x = np.asarray(m1.ppf(uv[:, 0]), dtype=float)
-    innov_y = np.asarray(m2.ppf(uv[:, 1]), dtype=float)
-    scale = np.sqrt(gaps)
-    log_x = _LOG_P0 + np.cumsum(scale * innov_x)
-    log_y = _LOG_P0 + np.cumsum(scale * innov_y)
-
+    ev = _simulate_horizon(spec) if spec.horizon is not None else _simulate_counts(spec, [spec.seed])
+    times, to_b, log_x, log_y = ev.times[0], ev.to_b[0], ev.log_x[0], ev.log_y[0]
     idx_a = np.flatnonzero(~to_b)
     idx_b = np.flatnonzero(to_b)
     if idx_a.size < 2 or idx_b.size < 2:
@@ -145,25 +181,34 @@ def _check_n_rep(n_rep: int) -> None:
         raise InvalidParameter(f"n_rep must be at least 2, got {n_rep}")
 
 
+_BLOCK = 10  # replicates per pass; blocks of 20 measured slower, with a higher memory peak
+
+
 def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2) -> np.ndarray:
     """The simulate -> estimate replicate loop behind every Monte Carlo study.
 
     ``cells`` is a list of ``(model, margins, n)``, each simulated with
     ``n`` ticks per asset at rates ``lambda1``/``lambda2``. Replicate ``r``
     of cell ``c`` uses seed ``[*seed_prefix, c, r]``, so each value depends
-    only on the prefix and its own indices. ``estimate(sim)`` returns a float
-    or k floats; the result has shape ``(len(cells), n_rep, k)``. Fewer than
-    two replicates leave no spread to summarize and raise
-    :class:`InvalidParameter`.
+    only on the prefix and its own indices. ``estimate(spec, seeds)`` gets
+    the cell's seedless :class:`SimSpec` and a block of up to ``_BLOCK``
+    consecutive replicate seeds, and returns one float or k floats per seed;
+    :func:`_per_sample` adapts an estimator of one :class:`SimResult`. The
+    result has shape ``(len(cells), n_rep, k)``. Fewer than two replicates
+    leave no spread to summarize and raise :class:`InvalidParameter`.
     """
     _check_n_rep(n_rep)
-    values = np.array(
-        [
-            estimate(simulate(SimSpec(model=model, margins=margins, lambda1=lambda1, lambda2=lambda2,
-                                      n1=n, n2=n, seed=[*seed_prefix, c, r])))
-            for c, (model, margins, n) in enumerate(cells)
-            for r in range(n_rep)
-        ],
-        dtype=float,
-    )
-    return values.reshape(len(cells), n_rep, -1) if cells else values.reshape(0, n_rep, 0)
+    blocks = []
+    for c, (model, margins, n) in enumerate(cells):
+        spec = SimSpec(model=model, margins=margins, lambda1=lambda1, lambda2=lambda2, n1=n, n2=n)
+        for first in range(0, n_rep, _BLOCK):
+            seeds = [[*seed_prefix, c, r] for r in range(first, min(first + _BLOCK, n_rep))]
+            blocks.append(np.asarray(estimate(spec, seeds), dtype=float).reshape(len(seeds), -1))
+    if not blocks:
+        return np.zeros((0, n_rep, 0))
+    return np.concatenate(blocks).reshape(len(cells), n_rep, -1)
+
+
+def _per_sample(estimate):
+    """A block estimator that simulates each seed alone and applies ``estimate(sim)``."""
+    return lambda spec, seeds: [estimate(simulate(replace(spec, seed=seed))) for seed in seeds]

@@ -22,7 +22,7 @@ from .copulas import CopulaModel, param_of_tau
 from .errors import InsufficientData
 from .estimators import corrected_correlation, kendall_tau
 from .pairing import _refresh_stamped, pair_previous_tick, pair_ticks
-from .synthesis import _check_n_rep, _run_cells, simulate  # noqa: F401 (perfbench tests the tables.simulate binding)
+from .synthesis import _check_n_rep, _per_sample, _run_cells, simulate  # noqa: F401 (perfbench tests the tables.simulate binding)
 
 STANDARD_NORMAL = (stats.norm(0.0, 1.0), stats.norm(0.0, 1.0))
 
@@ -61,7 +61,7 @@ def gaussian_estimator_study(
     """
     ests = _run_cells(
         [(CopulaModel("gaussian", rho), STANDARD_NORMAL, n) for rho, n in cells],
-        n_rep, [seed], lambda sim: _one_replicate(sim, lam), lambda1=lam, lambda2=lam,
+        n_rep, [seed], _per_sample(lambda sim: _one_replicate(sim, lam)), lambda1=lam, lambda2=lam,
     )
     rows = []
     for (rho, n), cell in zip(cells, ests):
@@ -97,7 +97,7 @@ def t_copula_margin_study(
     ]
     model = CopulaModel("student_t", rho, df=df)
     ests = _run_cells([(model, margins, n) for _, margins in margin_rows], n_rep, [seed],
-                      _uncorrected_and_corrected, lambda1=lam, lambda2=lam)
+                      _per_sample(_uncorrected_and_corrected), lambda1=lam, lambda2=lam)
     rows = []
     for (label, _), cell in zip(margin_rows, ests):
         unc, cor = cell.T
@@ -174,7 +174,7 @@ def coverage_study(
         )
         bounds = _run_cells(
             [(param_of_tau(family, tau), STANDARD_NORMAL, n_ticks) for tau in taus],
-            n_rep, [seed, 17 + fi], lambda sim: _interval_bounds(sim, curve, level),
+            n_rep, [seed, 17 + fi], _per_sample(lambda sim: _interval_bounds(sim, curve, level)),
             lambda1=lam, lambda2=lam,
         ).reshape(len(taus), n_rep, len(_METHODS), 2)
         for tau_true, cell in zip(taus, bounds):

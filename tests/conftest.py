@@ -17,7 +17,7 @@ def make_series(times, log_prices=None, asset_id="test"):
 def refresh_pairs_oracle(t1, t2):
     """Independent refresh-time pairing: explicit refresh loop via searchsorted.
 
-    Structurally different from the production index walk: it materializes
+    Structurally different from the production run-based pairing: it materializes
     each refresh time as the max of the two next arrivals and looks up the
     previous ticks from scratch.
     """

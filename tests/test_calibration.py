@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,6 +11,8 @@ from tickcopula import (
     ExtrapolationWarning,
     InvalidParameter,
     PoissonPair,
+    SimSpec,
+    TickCopulaError,
     TickSeries,
     build_curve,
     correct_tau,
@@ -19,7 +24,9 @@ from tickcopula import (
     pair_ticks,
     param_of_tau,
     sample_uniform,
+    simulate,
 )
+from tickcopula.calibration import _uncorrected_tau, _uncorrected_taus
 
 STD_MARGINS = (stats.norm(), stats.norm())
 
@@ -283,3 +290,46 @@ class TestBuildCurve:
         assert abs(a) < 0.02
         assert abs(b - 1.0) < 0.05
         assert abs(c) < 0.05
+
+
+class _InfiniteTail:
+    """Normal quantiles, but infinite above 0.99: a price, paired or not, turns non-finite."""
+
+    def ppf(self, u):
+        return np.where(u > 0.99, np.inf, stats.norm.ppf(u))
+
+
+class _HugeTails:
+    """Innovations of +-1.2e308 in the tails: prices stay finite, a return between them may not."""
+
+    def ppf(self, u):
+        return np.where(np.abs(u - 0.5) > 0.45, np.sign(u - 0.5) * 1.2e308, 0.0)
+
+
+@pytest.mark.parametrize("margins, n, family, prefixes, expected", [
+    (STD_MARGINS, 2, "clayton", range(12), {("InsufficientData", 0), ("NoOverlap", 0)}),
+    # at prefixes 145 and 176 the first infinite price is an unpaired tick
+    ((_InfiniteTail(), stats.norm()), 30, "clayton", [*range(12), 145, 176],
+     {("MalformedInput", 3), ("MalformedInput", 0), ("MalformedInput", 2)}),
+    ((stats.norm(), _HugeTails()), 30, "gumbel", range(12), {("InvalidParameter", 1)}),
+], ids=["tiny", "infinite-price", "infinite-return"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_block_taus_fail_as_a_loop_over_seeds(margins, n, family, prefixes, expected):
+    """The block estimator returns, or raises, what the per-seed loop does, at the same replicate."""
+    spec = SimSpec(model=param_of_tau(family, 0.4), margins=margins, lambda1=1.0, lambda2=3.0, n1=n, n2=n + 1)
+    seen = set()
+    for prefix in prefixes:
+        seeds = [[prefix, r] for r in range(10)]
+        taus = []
+        try:
+            for seed in seeds:
+                taus.append(_uncorrected_tau(simulate(replace(spec, seed=seed))))
+        except TickCopulaError as exc:
+            seen.add((type(exc).__name__, len(taus)))
+            for first in (seeds, seeds[: len(taus) + 1]):
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    _uncorrected_taus(spec, first)
+            seeds = seeds[: len(taus)]
+        if seeds:
+            assert _uncorrected_taus(spec, seeds).tolist() == taus
+    assert expected <= seen

@@ -290,6 +290,25 @@ class TestErrorContract:
                                        f"--tau-hat={tau_hat}"])
         assert err["error"] == "InvalidParameter" and "finite" in err["message"]
 
+    def test_calibrate_too_few_ticks(self, tmp_path, capsys):
+        err = self.json_error(capsys, ["calibrate", "--family", "clayton", "--n-ticks", "2", "--out",
+                                       tmp_path / "curve.json"])
+        assert err["error"] == "InsufficientData" and "comparable" in err["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("damage, words", [
+        (lambda text: text.replace('"resid_scale"', '"resid"'), "resid_scale"),
+        (lambda text: text[:-10], "not a curve JSON"),
+        (lambda text: json.dumps({**json.loads(text), "estimates": [0.1] * 300}), "estimates"),
+        (lambda text: b"\xff\xfe" + text.encode(), "not a curve JSON"),
+    ], ids=["missing-key", "invalid-json", "1d-estimates", "not-utf8"])
+    def test_malformed_curve(self, curve_path, tmp_path, capsys, damage, words):
+        bad = tmp_path / "bad.json"
+        text = damage(curve_path.read_text())
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+        err = self.json_error(capsys, ["intervals", "--method", "quad", "--curve", bad, "--tau-hat", "0.3"])
+        assert err["error"] == "InvalidParameter" and words in err["message"]
+
     @pytest.mark.parametrize("option", ["--r1", "--r2"])
     @pytest.mark.parametrize("grid", ["abc", "1,,2", "nan"])
     def test_bad_plugin_eval_grid(self, sim_prefix, tmp_path, capsys, option, grid):

@@ -244,8 +244,11 @@ class TestKendallTau:
 
     @pytest.mark.parametrize("basis", ["all-pairs", "same-config"])
     def test_non_finite_returns_rejected(self, basis):
-        p = paired_from_returns([0.1, np.nan, 0.3, 0.2, 0.5], [0.2, 0.1, np.nan, 0.4, 0.3])
-        with pytest.raises(InvalidParameter, match="finite"):
+        # finite prices, but the return from 1.5e308 to -1.5e308 overflows
+        t = np.arange(6.0)
+        p = PairedSeries(t1=t, x=[0.0, 1.5e308, -1.5e308, 0.2, 0.1, 0.5], t2=t,
+                         y=[0.0, 0.2, 0.1, 0.4, 0.3, 0.6], scheme="a0", n_raw1=6, n_raw2=6)
+        with np.errstate(over="ignore"), pytest.raises(InvalidParameter, match="finite"):
             kendall_tau(p, basis=basis)
 
     def test_exactness_limit(self, monkeypatch):
@@ -325,3 +328,31 @@ class TestCorrectedCorrelationDomain:
         rx, ry = (np.zeros(30), r) if constant_leg == "x" else (r, np.zeros(30))
         with pytest.raises(InvalidParameter, match="zero variance"):
             corrected_correlation(paired_from_returns(rx, ry))
+
+
+@st.composite
+def return_rows(draw):
+    """NaN-padded rows of unequal length on both sides of the direct-count limit, often tied."""
+    limit = estimators._DENSE_MAX_RETURNS
+    lengths = draw(st.lists(st.sampled_from([2, 3, 17, 60, limit - 1, limit, limit + 1, limit + 30]),
+                            min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rx = np.full((len(lengths), max(lengths)), np.nan)
+    ry = np.full_like(rx, np.nan)
+    for r, n in enumerate(lengths):
+        for rows in (rx, ry):
+            spread = draw(st.sampled_from([1, 3, 10, 0]))  # 0: continuous values
+            rows[r, :n] = rng.integers(-spread, spread + 1, n) if spread else rng.standard_normal(n)
+    return rx, ry, np.array(lengths)
+
+
+@settings(deadline=None, max_examples=60)
+@given(return_rows())
+def test_block_kendall_counts_match_scipy_and_brute_force(rows):
+    rx, ry, lengths = rows
+    cmd, untied = estimators._kendall_rows(rx, ry, lengths)
+    for r, n in enumerate(lengths):
+        x, y = rx[r, :n], ry[r, :n]
+        assert (cmd[r], untied[r]) == estimators._kendall_counts(x, y)[:2]
+        if untied[r]:
+            assert cmd[r] / untied[r] == kendall_tau_brute(x, y)

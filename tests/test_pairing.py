@@ -9,6 +9,7 @@ from tickcopula import (
     DegeneratePairing,
     InvalidParameter,
     NoOverlap,
+    PairedSeries,
     configuration_labels,
     diagnostics,
     overlap_intervals,
@@ -16,6 +17,7 @@ from tickcopula import (
     pair_refresh_time,
     pair_ticks,
 )
+from tickcopula.pairing import _tick_pairs
 
 from conftest import make_series, poisson_ticks, refresh_pairs_oracle
 
@@ -78,6 +80,15 @@ class TestPairTicks:
             assert (np.diff(p.t1) > 0).all()
             assert (np.diff(p.t2) > 0).all()
             assert len(p) <= min(len(a), len(b))
+
+
+@pytest.mark.parametrize("field", ["t1", "x", "t2", "y"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_paired_series_rejects_non_finite_values(field, value):
+    columns = {name: np.arange(4.0) for name in ("t1", "x", "t2", "y")}
+    columns[field][-1] = value
+    with pytest.raises(InvalidParameter, match="non-finite"):
+        PairedSeries(**columns, scheme="a0", n_raw1=4, n_raw2=4)
 
 
 class TestRefreshTime:
@@ -326,3 +337,36 @@ def test_pairing_invariants(streams):
             assert p is prev  # only previous-tick pairs may repeat a tick
             continue
         assert 0.0 <= d.loss1 <= 1.0 and 0.0 <= d.loss2 <= 1.0
+
+
+@st.composite
+def merged_rows(draw):
+    """Rows of two assets' merged tick streams, the same tick counts in every row.
+
+    On an integer grid cross-asset ties are common; a tied pair is merged in
+    either order, as a simulated stream may hold it.
+    """
+    n1, n2 = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    from_a = np.r_[np.ones(n1, dtype=bool), np.zeros(n2, dtype=bool)]
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            grid = np.arange(2 * (n1 + n2) + 1, dtype=float)
+            ta, tb = (np.sort(rng.choice(grid, n, replace=False)) for n in (n1, n2))
+        else:
+            ta, tb = np.sort(rng.random(n1) * 100), np.sort(rng.random(n2) * 100)
+        order = np.lexsort((from_a if draw(st.booleans()) else ~from_a, np.r_[ta, tb]))
+        rows.append((np.r_[ta, tb][order], from_a[order], ta, tb))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(merged_rows())
+def test_block_pairing_matches_oracle_row_by_row(rows):
+    t, from_a, ta, tb = zip(*rows)
+    row, i1, i2 = _tick_pairs(np.array(t), np.array(from_a))
+    assert np.array_equal(row, np.sort(row))
+    for r in range(len(rows)):
+        pairs = list(zip(i1[row == r].tolist(), i2[row == r].tolist()))
+        assert pairs == [(int(i), int(j)) for i, j in refresh_pairs_oracle(ta[r], tb[r])]

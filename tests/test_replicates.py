@@ -28,7 +28,7 @@ from tickcopula import (
     param_of_tau,
     simulate,
 )
-from tickcopula.synthesis import _run_cells
+from tickcopula.synthesis import _BLOCK, _per_sample, _run_cells
 from tickcopula.tables import (
     STANDARD_NORMAL,
     coverage_study,
@@ -79,7 +79,7 @@ class TestRunCells:
         def estimate(sim):
             return sim.a.log_prices[-1], sim.b.times[-1]
 
-        out = _run_cells(self.CELLS, 3, [9, 4], estimate, lambda1=1.0, lambda2=2.0)
+        out = _run_cells(self.CELLS, 3, [9, 4], _per_sample(estimate), lambda1=1.0, lambda2=2.0)
         assert out.shape == (2, 3, 2)
         for c, (model, margins, n) in enumerate(self.CELLS):
             for r in range(3):
@@ -88,9 +88,22 @@ class TestRunCells:
                 assert out[c, r].tolist() == list(estimate(sim))
 
     def test_scalar_estimate_and_no_cells(self):
-        out = _run_cells(self.CELLS, 2, [0], lambda sim: len(sim.a), lambda1=1.0, lambda2=1.0)
+        out = _run_cells(self.CELLS, 2, [0], _per_sample(lambda sim: len(sim.a)), lambda1=1.0, lambda2=1.0)
         assert out.shape == (2, 2, 1) and (out[0] == 30).all() and (out[1] == 40).all()
         assert _run_cells([], 2, [0], len, lambda1=1.0, lambda2=1.0).shape == (0, 2, 0)
+
+    def test_blocks_keep_the_seed_tree(self):
+        n_rep = 2 * _BLOCK + 3
+        sizes = []
+
+        def estimate(spec, seeds):
+            sizes.append(len(seeds))
+            return [[spec.n1, spec.lambda2, *seed] for seed in seeds]
+
+        out = _run_cells(self.CELLS, n_rep, [9, 4], estimate, lambda1=1.0, lambda2=2.0)
+        assert sizes == [_BLOCK, _BLOCK, 3] * 2
+        for c, (_, _, n) in enumerate(self.CELLS):
+            assert out[c].tolist() == [[n, 2.0, 9, 4, c, r] for r in range(n_rep)]
 
     @pytest.mark.parametrize("n_rep", [1, 0, -1])
     def test_fewer_than_two_replicates_rejected(self, n_rep):

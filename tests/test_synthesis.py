@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,6 +10,7 @@ from tickcopula import (
     SimSpec,
     simulate,
 )
+from tickcopula.synthesis import _simulate_counts
 
 
 def gaussian_spec(rho=0.5, n=1000, seed=0, **kw):
@@ -137,3 +140,20 @@ class TestSimulate:
         r = simulate(spec)
         share_b = len(r.b) / (len(r.a) + len(r.b))
         assert share_b == pytest.approx(0.75, abs=0.03)
+
+
+@pytest.mark.parametrize("model", [CopulaModel("gaussian", -0.4), CopulaModel("student_t", 0.6, df=4),
+                                   CopulaModel("clayton", 2.0), CopulaModel("gumbel", 1.7)],
+                         ids=lambda m: m.family)
+@pytest.mark.parametrize("margins", [(stats.norm(), stats.norm(0, 2)), (stats.t(4), stats.t(7))],
+                         ids=["normal", "t"])
+def test_block_rows_equal_simulate_per_seed(model, margins):
+    spec = SimSpec(model=model, margins=margins, lambda1=0.7, lambda2=2.5, n1=40, n2=65)
+    seeds = [[3, r] for r in range(7)]
+    ev = _simulate_counts(spec, seeds)
+    for r, seed in enumerate(seeds):
+        sim = simulate(replace(spec, seed=seed))
+        a, b = ~ev.to_b[r], ev.to_b[r]
+        assert np.array_equal(ev.times[r][a], sim.a.times) and np.array_equal(ev.times[r][b], sim.b.times)
+        assert np.array_equal(ev.log_x[r][a], sim.a.log_prices)
+        assert np.array_equal(ev.log_y[r][b], sim.b.log_prices)
