@@ -33,7 +33,6 @@ from .copulas import (
     pdf,
     plugin_copula,
     pseudo_observations,
-    sample,
     sample_uniform,
     tau_of,
 )
@@ -55,7 +54,6 @@ from .estimators import (
     corrected_correlation,
     dependence_checks,
     kendall_tau,
-    kendall_tau_brute,
 )
 from .market_data import TickSeries, load_ticks, save_ticks
 from .pairing import (

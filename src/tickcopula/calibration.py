@@ -376,25 +376,21 @@ def interval_quad(
 
 
 def _invert_band(grid: np.ndarray, band: np.ndarray, value: float, side: str) -> float:
-    """Largest/smallest grid tau whose band value straddles ``value``."""
-    if side == "upper":  # largest tau with band(tau) <= value
-        idx = np.searchsorted(band, value, side="right")
-        if idx == 0:
-            return float(grid[0])
-        if idx >= band.size:
-            return float(grid[-1])
-        b0, b1 = band[idx - 1], band[idx]
-        t0, t1 = grid[idx - 1], grid[idx]
-        return float(t0 + (value - b0) / (b1 - b0) * (t1 - t0)) if b1 > b0 else float(t1)
-    # lower: smallest tau with band(tau) >= value
-    idx = np.searchsorted(band, value, side="left")
+    """The tau where the nondecreasing ``band`` crosses ``value``, interpolated on the grid.
+
+    ``side="right"`` gives the largest tau with band(tau) <= value,
+    ``side="left"`` the smallest with band(tau) >= value; they differ only
+    where ``value`` equals a band value. Either way ``b0 < b1``, so the
+    interpolation is defined.
+    """
+    idx = np.searchsorted(band, value, side=side)
     if idx == 0:
         return float(grid[0])
     if idx >= band.size:
         return float(grid[-1])
     b0, b1 = band[idx - 1], band[idx]
     t0, t1 = grid[idx - 1], grid[idx]
-    return float(t0 + (value - b0) / (b1 - b0) * (t1 - t0)) if b1 > b0 else float(t0)
+    return float(t0 + (value - b0) / (b1 - b0) * (t1 - t0))
 
 
 def interval_quantile(
@@ -417,12 +413,12 @@ def interval_quantile(
         )
     grid = curve.grid_taus
     # coverage at tau requires band_lo(tau) <= obs <= band_hi(tau)
-    lo = _invert_band(grid, band_hi, tau_uncorrected, side="lower")
-    hi = _invert_band(grid, band_lo, tau_uncorrected, side="upper")
+    lo = _invert_band(grid, band_hi, tau_uncorrected, side="left")
+    hi = _invert_band(grid, band_lo, tau_uncorrected, side="right")
     if lo > hi:
         raise CalibrationFailure("empty quantile inversion")
     means = np.maximum.accumulate(curve.estimates.mean(axis=1))
-    point = _invert_band(grid, means, tau_uncorrected, side="upper")
+    point = _invert_band(grid, means, tau_uncorrected, side="right")
     return IntervalEstimate(
         point=float(np.clip(point, lo, hi)),
         lo=float(lo),

@@ -185,8 +185,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pair(args) -> int:
-    a = load_ticks(args.ticks_a, asset_id="asset1")
-    b = load_ticks(args.ticks_b, asset_id="asset2")
+    a = load_ticks(args.ticks_a)
+    b = load_ticks(args.ticks_b)
     if args.scheme == "a0":
         paired = pair_ticks(a, b)
     elif args.scheme == "refresh":
@@ -457,6 +457,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's seed coercion would raise a bare ValueError
+            raise InvalidParameter(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (TickCopulaError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}

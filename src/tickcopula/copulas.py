@@ -301,34 +301,6 @@ def sample_uniform(model: CopulaModel, n: int, rng: np.random.Generator) -> np.n
     return np.exp(-((e / frailty[:, None]) ** (1.0 / th)))
 
 
-def sample(
-    model: CopulaModel,
-    n: int,
-    *,
-    margins: Sequence | None = None,
-    seed=None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """n bivariate draws from the copula with optional margins applied.
-
-    ``margins`` is a pair of objects exposing ``ppf`` (e.g. frozen scipy
-    distributions) or plain quantile callables; ``None`` returns the
-    uniform pair. Output is deterministic for a fixed ``seed``.
-    """
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    uv = sample_uniform(model, n, rng)
-    if margins is None:
-        return uv
-    if len(margins) != 2:
-        raise InvalidParameter("margins must be a pair")
-    cols = []
-    for m, col in zip(margins, uv.T):
-        q = m.ppf if hasattr(m, "ppf") else m
-        cols.append(np.asarray(q(col), dtype=float))
-    return np.column_stack(cols)
-
-
 # ---------------------------------------------------------------------------
 # pseudo-observations and fitting
 
@@ -459,9 +431,6 @@ class EmpiricalMargin:
         if s.size < 1 or not np.isfinite(s).all():
             raise InvalidParameter("margin sample must be non-empty and finite")
         object.__setattr__(self, "sorted_sample", s)
-
-    def __len__(self) -> int:
-        return self.sorted_sample.size
 
     def ecdf(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)

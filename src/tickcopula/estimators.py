@@ -8,8 +8,8 @@ pivot ``sqrt(n) * (f(theta_hat) - f(theta))`` with
 
 ``kendall_tau`` is the concordance estimator over paired returns, either
 across all return pairs or restricted to pairs of returns sharing the same
-ordering configuration. Tied pairs are excluded from both the numerator and
-the denominator and reported separately.
+nested ordering configuration (1 or 4). Tied pairs are excluded from both
+the numerator and the denominator and reported separately.
 
 ``dependence_checks`` Monte-Carlo-verifies the sign identities behind the
 underestimation of concordance on nonsynchronous pairs: conditioning the
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import stats
@@ -47,10 +46,6 @@ class CorrectedCorrelation:
     n: int
     ci: tuple[float, float, float]
     diag: PairDiagnostics
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return self.ci[0], self.ci[1]
 
 
 def corrected_correlation(p: PairedSeries, level: float = 0.95) -> CorrectedCorrelation:
@@ -115,8 +110,8 @@ def _tied_pairs(changes: np.ndarray) -> int:
     return int((runs * (runs - 1) // 2).sum())
 
 
-def _kendall_counts(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int]:
-    """(concordant - discordant, untied pair count, tied pair count)."""
+def _kendall_counts(x: np.ndarray, y: np.ndarray) -> tuple[int, int]:
+    """(concordant - discordant, untied pair count), from scipy's tau-b."""
     n0 = x.size * (x.size - 1) // 2
     order = np.lexsort((y, x))
     x_changes = np.diff(x[order]) != 0
@@ -125,10 +120,10 @@ def _kendall_counts(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int]:
     txy = _tied_pairs(x_changes | (np.diff(y[order]) != 0))
     untied = n0 - tx - ty + txy
     if untied == 0:
-        return 0, 0, n0  # scipy returns NaN when one side is all ties
+        return 0, 0  # scipy returns NaN when one side is all ties
     tau_b = float(stats.kendalltau(x, y).statistic)
     # exact while the float error, about n^2 * 1e-16, stays far below 0.5
-    return round(tau_b * math.sqrt((n0 - tx) * (n0 - ty))), untied, n0 - untied
+    return round(tau_b * math.sqrt((n0 - tx) * (n0 - ty))), untied
 
 
 # Rows of up to this many returns are counted by direct comparison, longer
@@ -167,7 +162,7 @@ def _kendall_rows(rx: np.ndarray, ry: np.ndarray, n: np.ndarray) -> tuple[np.nda
             disc = np.count_nonzero(both, axis=(1, 2))
             cmd[rows], untied[rows] = conc - disc, conc + disc
     for r in np.flatnonzero(n > _DENSE_MAX_RETURNS):
-        cmd[r], untied[r], _ = _kendall_counts(rx[r, : n[r]], ry[r, : n[r]])
+        cmd[r], untied[r] = _kendall_counts(rx[r, : n[r]], ry[r, : n[r]])
     return cmd, untied
 
 
@@ -182,23 +177,19 @@ class TauEstimate:
     n_tied: int
 
 
-def kendall_tau(
-    p: PairedSeries,
-    basis: str = "all-pairs",
-    configs: Sequence[int] = (1, 4),
-) -> TauEstimate:
+def kendall_tau(p: PairedSeries, basis: str = "all-pairs") -> TauEstimate:
     """Kendall's tau of the paired returns.
 
     ``basis="all-pairs"`` compares every pair of return observations.
-    ``basis="same-config"`` compares only returns whose ordering
-    configuration labels match, over the labels listed in ``configs`` (1 and
-    4 by default; pass ``(1, 2, 3, 4)`` for all).
+    ``basis="same-config"`` compares only returns that share an ordering
+    configuration label, within each of the nested configurations 1 and 4.
 
-    Concordant minus discordant is rounded back from the tau-b of
-    ``scipy.stats.kendalltau`` (Knight's O(n log n) count). That is exact
-    only while n^2 * 1e-16 is far below 0.5, so more than
-    ``MAX_KENDALL_RETURNS`` (10^7) returns raise ``InvalidParameter``, as do
-    non-finite returns.
+    Each group is counted by :func:`_kendall_rows`. Beyond
+    ``_DENSE_MAX_RETURNS`` returns, concordant minus discordant is rounded
+    back from the tau-b of ``scipy.stats.kendalltau`` (Knight's O(n log n)
+    count). That is exact only while n^2 * 1e-16 is far below 0.5, so more
+    than ``MAX_KENDALL_RETURNS`` (10^7) returns raise ``InvalidParameter``,
+    as do non-finite returns.
     """
     if basis not in ("all-pairs", "same-config"):
         raise InvalidParameter(f"unknown basis {basis!r}")
@@ -211,39 +202,23 @@ def kendall_tau(
         groups = [np.ones(rx.size, dtype=bool)]
     else:
         labels = diagnostics(p).configs
-        groups = [labels == c for c in configs]
-    cmd_total = untied_total = tied_total = n_used = 0
-    for mask in groups:
-        n = int(mask.sum())
-        if n < 2:
-            continue
-        n_used += n
-        cmd, untied, tied = _kendall_counts(rx[mask], ry[mask])
-        cmd_total += cmd
-        untied_total += untied
-        tied_total += tied
-    if untied_total == 0:
+        groups = [labels == 1, labels == 4]
+    n = np.array([np.count_nonzero(mask) for mask in groups])
+    x = np.full((n.size, n.max()), np.nan)
+    y = np.full_like(x, np.nan)
+    for r, mask in enumerate(groups):
+        x[r, : n[r]], y[r, : n[r]] = rx[mask], ry[mask]
+    cmd, untied = _kendall_rows(x, y, n)
+    n_compared = int(untied.sum())
+    if n_compared == 0:
         raise InsufficientData("no two returns are comparable: too few, or every pair tied")
     return TauEstimate(
-        tau_hat=cmd_total / untied_total,
+        tau_hat=int(cmd.sum()) / n_compared,
         basis=basis,
-        n_used=n_used,
-        n_pairs_compared=untied_total,
-        n_tied=tied_total,
+        n_used=int(n[n >= 2].sum()),
+        n_pairs_compared=n_compared,
+        n_tied=int((n * (n - 1) // 2).sum()) - n_compared,
     )
-
-
-def kendall_tau_brute(rx, ry) -> float:
-    """O(n^2) sign-sum definition; the oracle for the fast path."""
-    rx = np.asarray(rx, dtype=float)
-    ry = np.asarray(ry, dtype=float)
-    sx = np.sign(rx[:, None] - rx[None, :])
-    sy = np.sign(ry[:, None] - ry[None, :])
-    prod = sx * sy
-    iu = np.triu_indices(rx.size, k=1)
-    vals = prod[iu]
-    untied = (sx[iu] != 0) & (sy[iu] != 0)
-    return float(vals[untied].sum() / untied.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +265,24 @@ def dependence_checks(
     margins,
     n_mc: int,
     seed=None,
-    *,
-    rate_common: float = 1.0,
-    rate_extra: float = 1.0,
 ) -> DependenceCheckReport:
     """Simulate two same-configuration pairs and test the sign identities.
 
-    The geometry: two non-overlapping common intervals of exponential
-    lengths u1, u2 (rate ``rate_common``), padded on each side by
-    exponential lengths eps_i, eta_i (rate ``rate_extra``) during which only
-    the enveloping asset trades. ``config`` 4 nests asset 1's interarrival
-    inside asset 2's; ``config`` 1 is the mirror image. Margins must be a
-    pair of symmetric zero-mean distributions (ppf/rvs capable objects).
+    The geometry: two non-overlapping common intervals of standard
+    exponential lengths u1, u2, padded on each side by standard exponential
+    lengths eps_i, eta_i during which only the enveloping asset trades.
+    ``config`` 4 nests asset 1's interarrival inside asset 2's; ``config`` 1
+    is the mirror image. Margins must be a pair of symmetric zero-mean
+    distributions (ppf/rvs capable objects).
     """
     if config not in (1, 4):
         raise InvalidParameter("config must be 1 or 4 (the nested configurations)")
     if n_mc < 10_000:
         raise InvalidParameter(f"n_mc must be at least 10000, got {n_mc}")
     rng = np.random.default_rng(seed)
-    u = rng.exponential(1.0 / rate_common, (n_mc, 2))
-    eps = rng.exponential(1.0 / rate_extra, (n_mc, 2))
-    eta = rng.exponential(1.0 / rate_extra, (n_mc, 2))
+    u = rng.exponential(1.0, (n_mc, 2))
+    eps = rng.exponential(1.0, (n_mc, 2))
+    eta = rng.exponential(1.0, (n_mc, 2))
 
     uv1 = sample_uniform(model, n_mc, rng)
     uv2 = sample_uniform(model, n_mc, rng)

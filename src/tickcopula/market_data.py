@@ -33,13 +33,10 @@ class TickSeries:
         Transaction times in seconds since session open, strictly increasing.
     log_prices : array
         Natural log of the traded price, same length as ``times``.
-    asset_id : str
-        Opaque label carried through the pipeline.
     """
 
     times: np.ndarray
     log_prices: np.ndarray
-    asset_id: str = ""
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -62,10 +59,6 @@ class TickSeries:
     def span(self) -> float:
         """Observed time span in seconds."""
         return float(self.times[-1] - self.times[0])
-
-    def head(self, n: int) -> "TickSeries":
-        """First ``n`` ticks as a new series (handy for nested-sample studies)."""
-        return TickSeries(self.times[:n], self.log_prices[:n], self.asset_id)
 
 
 _BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
@@ -165,7 +158,7 @@ def _tick_checks(columns):
     ]
 
 
-def load_ticks(path, asset_id: str = "") -> TickSeries:
+def load_ticks(path) -> TickSeries:
     """Read a ``time,price`` CSV into a :class:`TickSeries`.
 
     Prices are stored as natural logs. Rows must already be in strictly
@@ -176,7 +169,7 @@ def load_ticks(path, asset_id: str = "") -> TickSeries:
     _, (times, prices) = _read_columns(path, ("time", "price"), MalformedInput, _tick_checks)
     if times.size < 2:
         raise InsufficientData(f"{path}: need at least 2 ticks, found {times.size}")
-    return TickSeries(times, np.log(prices), asset_id=asset_id)
+    return TickSeries(times, np.log(prices))
 
 
 def save_ticks(series: TickSeries, path) -> None:

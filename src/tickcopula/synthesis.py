@@ -48,15 +48,15 @@ class SimSpec:
     seed: object = None
 
     def __post_init__(self):
-        if self.lambda1 <= 0 or self.lambda2 <= 0:
-            raise InvalidParameter("arrival intensities must be positive")
+        for name in ("lambda1", "lambda2", "horizon"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise InvalidParameter(f"{name} must be positive and finite, got {value}")
         count_mode = self.n1 is not None or self.n2 is not None
         if self.horizon is not None and count_mode:
             raise InvalidParameter("give either horizon or target counts, not both")
         if self.horizon is None and not count_mode:
             raise InvalidParameter("one of horizon or (n1, n2) is required")
-        if self.horizon is not None and self.horizon <= 0:
-            raise InvalidParameter("horizon must be positive")
         if count_mode:
             if self.n1 is None or self.n2 is None:
                 raise InvalidParameter("n1 and n2 must be given together")
@@ -170,8 +170,8 @@ def simulate(spec: SimSpec) -> SimResult:
         df=spec.model.df,
     )
     return SimResult(
-        a=TickSeries(times[idx_a], log_x[idx_a], asset_id="asset1"),
-        b=TickSeries(times[idx_b], log_y[idx_b], asset_id="asset2"),
+        a=TickSeries(times[idx_a], log_x[idx_a]),
+        b=TickSeries(times[idx_b], log_y[idx_b]),
         truth=truth,
     )
 

@@ -26,11 +26,13 @@ from .synthesis import _check_n_rep, _per_sample, _run_cells, simulate  # noqa: 
 
 STANDARD_NORMAL = (stats.norm(0.0, 1.0), stats.norm(0.0, 1.0))
 
+# every study simulates both assets at this arrival rate, in ticks per second
+_RATE = 1.0
 # grid spacing for the previous-tick baseline, in units of 1/lambda
 PREV_TICK_DELTA_FACTOR = 2.0
 
 
-def _one_replicate(sim, lam):
+def _one_replicate(sim):
     """The three competing correlation estimates on one simulated sample.
 
     Refresh-time pairs hold the tick-retaining price pairs, so the refresh
@@ -38,7 +40,7 @@ def _one_replicate(sim, lam):
     """
     cc = corrected_correlation(pair_ticks(sim.a, sim.b))
     try:
-        prev = pair_previous_tick(sim.a, sim.b, PREV_TICK_DELTA_FACTOR / lam)
+        prev = pair_previous_tick(sim.a, sim.b, PREV_TICK_DELTA_FACTOR / _RATE)
         px, py = prev.returns()
         prev_est = float(np.corrcoef(px, py)[0, 1])
     except InsufficientData:
@@ -51,7 +53,6 @@ def gaussian_estimator_study(
            (-0.4, 2000), (0.1, 2000), (0.2, 2000), (0.8, 2000),
            (-0.4, 5000), (0.1, 5000), (0.2, 5000), (0.8, 5000)),
     n_rep: int = 100,
-    lam: float = 1.0,
     seed: int = 1,
 ) -> list[dict]:
     """Mean/sd and MSE of the three estimators on Gaussian-copula data.
@@ -61,7 +62,7 @@ def gaussian_estimator_study(
     """
     ests = _run_cells(
         [(CopulaModel("gaussian", rho), STANDARD_NORMAL, n) for rho, n in cells],
-        n_rep, [seed], _per_sample(lambda sim: _one_replicate(sim, lam)), lambda1=lam, lambda2=lam,
+        n_rep, [seed], _per_sample(_one_replicate), lambda1=_RATE, lambda2=_RATE,
     )
     rows = []
     for (rho, n), cell in zip(cells, ests):
@@ -81,23 +82,19 @@ def _uncorrected_and_corrected(sim):
     return cc.rho_hat, cc.theta_hat
 
 
-def t_copula_margin_study(
-    rho: float = -0.4,
-    df: int = 8,
-    n: int = 2000,
-    n_rep: int = 100,
-    lam: float = 1.0,
-    seed: int = 2,
-) -> list[dict]:
-    """Uncorrected vs corrected estimates under a t copula, varied margins."""
+def t_copula_margin_study(n_rep: int = 100, seed: int = 2) -> list[dict]:
+    """Uncorrected vs corrected estimates under a t(8) copula at rho = -0.4, varied margins.
+
+    Each sample has 2000 ticks per asset.
+    """
     margin_rows = [
         ("t(5), t(7)", (stats.t(5), stats.t(7))),
         ("N(0,2), N(0,4)", (stats.norm(0, 2), stats.norm(0, 4))),
         ("t(4), N(0,3)", (stats.t(4), stats.norm(0, 3))),
     ]
-    model = CopulaModel("student_t", rho, df=df)
-    ests = _run_cells([(model, margins, n) for _, margins in margin_rows], n_rep, [seed],
-                      _per_sample(_uncorrected_and_corrected), lambda1=lam, lambda2=lam)
+    model = CopulaModel("student_t", -0.4, df=8)
+    ests = _run_cells([(model, margins, 2000) for _, margins in margin_rows], n_rep, [seed],
+                      _per_sample(_uncorrected_and_corrected), lambda1=_RATE, lambda2=_RATE)
     rows = []
     for (label, _), cell in zip(margin_rows, ests):
         unc, cor = cell.T
@@ -116,14 +113,14 @@ def t_copula_margin_study(
 _METHODS = ("quad", "quantile", "elliptical")
 
 
-def _interval_bounds(sim, curve, level):
+def _interval_bounds(sim, curve):
     """``[lo, hi]`` of each interval method on one sample; NaN where it failed."""
     paired = pair_ticks(sim.a, sim.b)
     tau_obs = kendall_tau(paired, basis="all-pairs").tau_hat
     methods = (
-        lambda: interval_quad(curve, tau_obs, level),
-        lambda: interval_quantile(curve, tau_obs, level),
-        lambda: interval_misspecified(_refresh_stamped(paired), level),
+        lambda: interval_quad(curve, tau_obs),
+        lambda: interval_quantile(curve, tau_obs),
+        lambda: interval_misspecified(_refresh_stamped(paired)),
     )
     bounds = []
     for method in methods:
@@ -141,41 +138,37 @@ def coverage_study(
     taus=(0.1, 0.2, 0.3, 0.5),
     n_rep: int = 100,
     n_ticks: int = 350,
-    curve_grid=None,
     curve_n_rep: int = 200,
-    lam: float = 1.0,
-    level: float = 0.95,
     seed: int = 3,
 ) -> list[dict]:
-    """Coverage probability, mean length and failures of the three interval methods.
+    """Coverage probability, mean length and failures of the three 95 % interval methods.
 
-    One calibration curve per family (built once), then ``n_rep`` fresh
-    simulations per (family, tau) row. A replicate counts as covered when
-    the method's interval contains the true tau. An inversion failure
-    (:class:`CalibrationFailure`) counts as a miss, adds no length, and is
-    counted in the row's ``n_fail_<method>``. The misspecified-elliptical
-    method runs on the refresh-time synchronized series, the object a naive
-    Gaussian analysis would use.
+    One calibration curve per family (built once, on 12 true taus from 0.02
+    to 0.75), then ``n_rep`` fresh simulations per (family, tau) row. A
+    replicate counts as covered when the method's interval contains the
+    true tau. An inversion failure (:class:`CalibrationFailure`) counts as
+    a miss, adds no length, and is counted in the row's
+    ``n_fail_<method>``. The misspecified-elliptical method runs on the
+    refresh-time synchronized series, the object a naive Gaussian analysis
+    would use.
     """
     _check_n_rep(n_rep)  # before the curves, the costly part
-    if curve_grid is None:
-        curve_grid = np.linspace(0.02, 0.75, 12)
-    arrival = PoissonPair(lam, lam)
+    arrival = PoissonPair(_RATE, _RATE)
     rows = []
     for fi, family in enumerate(families):
         curve = build_curve(
             family,
             arrival,
             STANDARD_NORMAL,
-            grid=curve_grid,
+            grid=np.linspace(0.02, 0.75, 12),
             n_rep=curve_n_rep,
             n_ticks=n_ticks,
             seed=[seed, fi],
         )
         bounds = _run_cells(
             [(param_of_tau(family, tau), STANDARD_NORMAL, n_ticks) for tau in taus],
-            n_rep, [seed, 17 + fi], _per_sample(lambda sim: _interval_bounds(sim, curve, level)),
-            lambda1=lam, lambda2=lam,
+            n_rep, [seed, 17 + fi], _per_sample(lambda sim: _interval_bounds(sim, curve)),
+            lambda1=_RATE, lambda2=_RATE,
         ).reshape(len(taus), n_rep, len(_METHODS), 2)
         for tau_true, cell in zip(taus, bounds):
             lo, hi = cell[..., 0], cell[..., 1]

@@ -7,11 +7,24 @@ from scipy import stats
 from tickcopula import TickSeries
 
 
-def make_series(times, log_prices=None, asset_id="test"):
+def make_series(times, log_prices=None):
     times = np.asarray(times, dtype=float)
     if log_prices is None:
         log_prices = np.linspace(0.0, 1.0, times.size)
-    return TickSeries(times, np.asarray(log_prices, dtype=float), asset_id=asset_id)
+    return TickSeries(times, np.asarray(log_prices, dtype=float))
+
+
+def kendall_tau_brute(rx, ry) -> float:
+    """O(n^2) sign-sum definition of Kendall's tau with tied pairs dropped."""
+    rx = np.asarray(rx, dtype=float)
+    ry = np.asarray(ry, dtype=float)
+    sx = np.sign(rx[:, None] - rx[None, :])
+    sy = np.sign(ry[:, None] - ry[None, :])
+    prod = sx * sy
+    iu = np.triu_indices(rx.size, k=1)
+    vals = prod[iu]
+    untied = (sx[iu] != 0) & (sy[iu] != 0)
+    return float(vals[untied].sum() / untied.sum())
 
 
 def refresh_pairs_oracle(t1, t2):
@@ -37,12 +50,12 @@ def refresh_pairs_oracle(t1, t2):
     return pairs
 
 
-def poisson_ticks(rng, lam, n, asset_id="sim"):
+def poisson_ticks(rng, lam, n):
     """A Poisson tick series with iid standard normal log-price increments."""
     gaps = rng.exponential(1.0 / lam, n)
     times = np.cumsum(gaps)
     prices = np.cumsum(np.sqrt(gaps) * rng.standard_normal(n))
-    return TickSeries(times, prices, asset_id=asset_id)
+    return TickSeries(times, prices)
 
 
 @pytest.fixture

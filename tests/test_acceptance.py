@@ -13,11 +13,11 @@ from tickcopula import (
     CopulaModel,
     PoissonPair,
     SimSpec,
+    TickSeries,
     corrected_correlation,
     dependence_checks,
     diagnostics,
     kendall_tau,
-    kendall_tau_brute,
     pair_ticks,
     plugin_copula,
     simulate,
@@ -31,7 +31,7 @@ from tickcopula.tables import (
     t_copula_margin_study,
 )
 
-from conftest import poisson_ticks, refresh_pairs_oracle
+from conftest import kendall_tau_brute, poisson_ticks, refresh_pairs_oracle
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -261,7 +261,8 @@ def test_criterion_8_plugin_convergence():
         )
         dists = []
         for n in (500, 2000, 8000):
-            paired = pair_ticks(sim.a.head(n), sim.b.head(n))
+            a, b = (TickSeries(s.times[:n], s.log_prices[:n]) for s in (sim.a, sim.b))
+            paired = pair_ticks(a, b)
             cc = corrected_correlation(paired)
             theta = float(np.clip(cc.theta_hat, -0.999, 0.999))
             plug = plugin_copula(paired, theta, "gaussian")

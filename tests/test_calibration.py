@@ -159,6 +159,17 @@ class TestIntervalQuantile:
         # identity curve: tau interval ~ obs +/- 1.96 * 0.02
         assert iv.length == pytest.approx(2 * 1.96 * 0.02, rel=0.25)
 
+    def test_observation_on_a_flat_band_takes_its_far_end(self):
+        # grid points 4 and 5 share one replicate cloud, so both bands are flat there
+        rng = np.random.default_rng(1)
+        grid = np.linspace(0.05, 0.7, 10)
+        est = grid[:, None] + rng.standard_normal((10, 200)) * 0.03
+        est[4] = est[5] = 0.5 * (grid[4] + grid[5]) + rng.standard_normal(200) * 0.03
+        curve = CorrectionCurve.from_samples("clayton", grid, est, {})
+        band_lo, band_hi = curve.band(0.95)
+        assert interval_quantile(curve, float(band_lo[4])).hi == grid[5]
+        assert interval_quantile(curve, float(band_hi[5])).lo == grid[4]
+
     def test_outside_all_bands_fails(self):
         curve = make_curve((0.0, 0.7, 0.0), resid_scale=0.02)
         with pytest.raises(CalibrationFailure):

@@ -309,6 +309,27 @@ class TestErrorContract:
         err = self.json_error(capsys, ["intervals", "--method", "quad", "--curve", bad, "--tau-hat", "0.3"])
         assert err["error"] == "InvalidParameter" and words in err["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--family", "gaussian", "--param", "0.3", "--n1", "50", "--n2", "50", "--seed", "-1"],
+        ["calibrate", "--family", "clayton", "--seed", "-3"],
+        ["reproduce", "table3", "--seed", "-1"],
+    ], ids=["simulate", "calibrate", "reproduce"])
+    def test_negative_seed(self, tmp_path, capsys, argv):
+        err = self.json_error(capsys, [*argv, "--out", tmp_path / "x"])
+        assert err["error"] == "InvalidParameter" and "--seed" in err["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option, value", [
+        ("--horizon", "inf"), ("--horizon", "nan"), ("--lambda1", "nan"), ("--lambda1", "inf"),
+        ("--lambda2", "-inf"),
+    ])
+    def test_non_finite_simulation_spec(self, tmp_path, capsys, option, value):
+        size = [] if option == "--horizon" else ["--n1", "50", "--n2", "50"]
+        err = self.json_error(capsys, ["simulate", "--family", "gaussian", "--param", "0.3", *size,
+                                       f"{option}={value}", "--out", tmp_path / "x"])
+        assert err["error"] == "InvalidParameter" and option[2:] in err["message"]
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("option", ["--r1", "--r2"])
     @pytest.mark.parametrize("grid", ["abc", "1,,2", "nan"])
     def test_bad_plugin_eval_grid(self, sim_prefix, tmp_path, capsys, option, grid):

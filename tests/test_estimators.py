@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,16 +13,16 @@ from tickcopula import (
     InsufficientData,
     InvalidParameter,
     PairedSeries,
+    configuration_labels,
     corrected_correlation,
     dependence_checks,
     kendall_tau,
-    kendall_tau_brute,
     pair_previous_tick,
     pair_ticks,
 )
 from tickcopula import estimators
 
-from conftest import poisson_ticks
+from conftest import kendall_tau_brute, poisson_ticks
 
 
 def paired_from_returns(rx, ry, times=None):
@@ -186,12 +188,11 @@ class TestKendallTau:
         a = poisson_ticks(rng, 1.0, 800)
         b = poisson_ticks(rng, 1.0, 800)
         p = pair_ticks(a, b)
-        full = kendall_tau(p, basis="same-config", configs=(1, 2, 3, 4))
-        default = kendall_tau(p, basis="same-config")
-        assert default.n_used < full.n_used
-        assert full.n_used == len(p) - 1
+        nested = np.isin(configuration_labels(p), (1, 4))
+        est = kendall_tau(p, basis="same-config")
+        assert est.n_used == nested.sum() < len(p) - 1
         allp = kendall_tau(p, basis="all-pairs")
-        assert full.n_pairs_compared < allp.n_pairs_compared
+        assert est.n_pairs_compared + est.n_tied < allp.n_pairs_compared
 
     def test_same_config_equals_groupwise_brute_force(self, rng):
         from tickcopula import diagnostics
@@ -222,24 +223,28 @@ class TestKendallTau:
             kendall_tau(p)
 
     @pytest.mark.parametrize("basis, configs, rx", [
-        ("all-pairs", (1, 4), [1.0]),
-        ("all-pairs", (1, 4), [1.0, 1.0, 1.0]),
-        ("same-config", (), [0.1, 0.3, 0.2]),
-        ("same-config", (1, 4), [1.0, 1.0, 1.0]),
+        ("all-pairs", (1,), [1.0]),
+        ("all-pairs", (1, 1, 1), [1.0, 1.0, 1.0]),
+        ("same-config", (3, 3, 3), [0.1, 0.3, 0.2]),
+        ("same-config", (1, 1, 1), [1.0, 1.0, 1.0]),
     ])
     def test_nothing_comparable(self, basis, configs, rx):
-        # synchronous pairs all carry configuration label 1
+        # ``configs`` are the labels of the returns: synchronous pairs carry
+        # label 1; asset 2 trading half a second after asset 1 gives label 3
         p = paired_from_returns(rx, np.arange(len(rx), dtype=float))
+        if 3 in configs:
+            p = dataclasses.replace(p, t2=p.t2 + 0.5)
+        assert tuple(configuration_labels(p)) == configs
         with pytest.raises(InsufficientData, match="comparable"):
-            kendall_tau(p, basis=basis, configs=configs)
+            kendall_tau(p, basis=basis)
 
     def test_single_return_configuration_is_not_used(self):
-        # configuration labels 3, 3, 3, 1: label 1 holds one return
         t1 = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        t2 = np.array([0.5, 1.5, 2.5, 3.5, 3.9])
+        t2 = np.array([0.0, 1.0, 2.0, 2.5, 4.5])
         p = PairedSeries(t1=t1, x=[0.0, 0.1, 0.3, 0.2, 0.6], t2=t2, y=[0.0, 0.2, 0.1, 0.4, 0.5],
                          scheme="a0", n_raw1=5, n_raw2=5)
-        est = kendall_tau(p, basis="same-config", configs=(1, 3))
+        assert configuration_labels(p).tolist() == [1, 1, 1, 4]  # label 4 holds one return
+        est = kendall_tau(p, basis="same-config")
         assert est.n_used == 3 and est.n_pairs_compared + est.n_tied == 3
 
     @pytest.mark.parametrize("basis", ["all-pairs", "same-config"])
@@ -280,10 +285,10 @@ def return_pairs(draw):
 @given(return_pairs())
 def test_kendall_counts_match_sign_count(pair):
     rx, ry = pair
-    n = rx.size
-    counts = estimators._kendall_counts(rx, ry)
-    assert counts == sign_counts(rx, ry)
-    assert counts[1] + counts[2] == n * (n - 1) // 2
+    num, untied, _ = sign_counts(rx, ry)
+    assert estimators._kendall_counts(rx, ry) == (num, untied)
+    cmd, untied_rows = estimators._kendall_rows(rx[None], ry[None], np.array([rx.size]))
+    assert (cmd[0], untied_rows[0]) == (num, untied)
 
 
 class TestDependenceChecks:
@@ -353,6 +358,6 @@ def test_block_kendall_counts_match_scipy_and_brute_force(rows):
     cmd, untied = estimators._kendall_rows(rx, ry, lengths)
     for r, n in enumerate(lengths):
         x, y = rx[r, :n], ry[r, :n]
-        assert (cmd[r], untied[r]) == estimators._kendall_counts(x, y)[:2]
+        assert (cmd[r], untied[r]) == estimators._kendall_counts(x, y)
         if untied[r]:
             assert cmd[r] / untied[r] == kendall_tau_brute(x, y)

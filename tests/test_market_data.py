@@ -97,10 +97,6 @@ class TestTickSeries:
         with pytest.raises(MalformedInput):
             TickSeries([1.0, 2.0], [0.0, np.nan])
 
-    def test_head(self):
-        s = TickSeries([1.0, 2.0, 3.0], [0.0, 0.1, 0.2])
-        assert len(s.head(2)) == 2
-
 
 # Fault kinds a tick row can carry, with the message fragment load_ticks names.
 ROW_FAULTS = {

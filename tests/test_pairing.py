@@ -292,13 +292,13 @@ def tick_streams(draw):
     """Two tick series and a grid width; on an integer grid, cross-asset ties are common."""
     on_grid = draw(st.booleans())
     series = []
-    for asset in ("a", "b"):
+    for _ in range(2):
         n = draw(st.integers(2, 40))
         gaps = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n)))
         start = draw(st.floats(0.0, 10.0))
         if on_grid:
             gaps, start = np.ceil(gaps), float(np.floor(start))
-        series.append(make_series(start + np.cumsum(gaps), asset_id=asset))
+        series.append(make_series(start + np.cumsum(gaps)))
     return series[0], series[1], draw(st.floats(0.1, 20.0))
 
 

@@ -48,6 +48,13 @@ class TestSpecValidation:
                 n2=5,
             )
 
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2", "horizon"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    def test_rates_and_horizon_must_be_positive_and_finite(self, field, value):
+        size = {"n1": None, "n2": None, "horizon": 100.0}
+        with pytest.raises(InvalidParameter, match=field):
+            gaussian_spec(**{**size, field: value})
+
 
 class TestSimulate:
     def test_deterministic_under_seed(self):
