@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .copulas import param_of_tau
 from .errors import CalibrationFailure, ExtrapolationWarning, InvalidParameter
@@ -353,7 +353,7 @@ def interval_quad(
     if not 0.0 < level < 1.0:
         raise InvalidParameter(f"level must lie in (0, 1), got {level}")
     _check_observation(tau_uncorrected)
-    z = float(stats.norm.ppf(0.5 * (1.0 + level)))
+    z = float(special.ndtri(0.5 * (1.0 + level)))
     s = curve.inverse_resid_scale
     span_lo, span_hi = curve.span
     center = float(curve.predict_inverse(tau_uncorrected))

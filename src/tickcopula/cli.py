@@ -17,7 +17,6 @@ import json
 import sys
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .arrival_theory import PoissonPair, theory_report
@@ -48,7 +47,7 @@ from .pairing import (
     pair_refresh_time,
     pair_ticks,
 )
-from .synthesis import RNG_NAME, SimSpec, simulate
+from .synthesis import RNG_NAME, SimSpec, _NormalMargin, _TMargin, simulate
 from .tables import coverage_study, gaussian_estimator_study, t_copula_margin_study
 
 
@@ -93,8 +92,8 @@ def parse_margin(text: str):
             parts = _parse_numbers(rest, f"margin {text!r}")
             if len(parts) != 2 or parts[1] <= 0:
                 raise InvalidParameter(f"bad normal margin spec {text!r}")
-            return stats.norm(parts[0], parts[1])
-        return stats.norm(0.0, 1.0)
+            return _NormalMargin(parts[0], parts[1])
+        return _NormalMargin(0.0, 1.0)
     if kind in ("t", "student_t", "student-t"):
         if not rest:
             raise InvalidParameter(f"t margin needs degrees of freedom: {text!r}")
@@ -103,7 +102,7 @@ def parse_margin(text: str):
             raise InvalidParameter(f"bad t margin spec {text!r}")
         if parts[0] <= 2:
             raise InvalidParameter("t margin needs df > 2 for a finite variance")
-        return stats.t(parts[0])
+        return _TMargin(parts[0])
     raise InvalidParameter(f"unknown margin spec {text!r}")
 
 
@@ -460,8 +459,10 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:  # numpy's seed coercion would raise a bare ValueError
             raise InvalidParameter(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
-    except (TickCopulaError, OSError) as exc:
-        error = {"error": type(exc).__name__, "message": str(exc)}
+    except (TickCopulaError, OSError, MemoryError) as exc:
+        # numpy raises a private subclass of MemoryError; report the public name
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        error = {"error": kind, "message": str(exc)}
         print(json.dumps(error), file=sys.stderr)
         return 1
 

@@ -106,7 +106,7 @@ def _bvn_cdf(h, k, rho: float) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
     if abs(rho) < 1e-14:
-        return stats.norm.cdf(h) * stats.norm.cdf(k)
+        return special.ndtr(h) * special.ndtr(k)
     r = math.sqrt(1.0 - rho * rho)
     eps = 1e-300
     hh = np.where(np.abs(h) < eps, eps, h)
@@ -121,7 +121,7 @@ def _bvn_cdf(h, k, rho: float) -> np.ndarray:
     t2 = np.where(np.isfinite(k), t2, 0.0)
     hk = h * k
     adj = np.where((hk > 0) | ((hk == 0) & (h + k >= 0)), 0.0, 0.5)
-    out = 0.5 * (stats.norm.cdf(h) + stats.norm.cdf(k)) - t1 - t2 - adj
+    out = 0.5 * (special.ndtr(h) + special.ndtr(k)) - t1 - t2 - adj
     return np.clip(out, 0.0, 1.0)
 
 
@@ -138,7 +138,7 @@ def cdf(model: CopulaModel, u, v) -> np.ndarray:
     ui = np.clip(np.where(interior, u, 0.5), 1e-15, 1.0 - 1e-15)
     vi = np.clip(np.where(interior, v, 0.5), 1e-15, 1.0 - 1e-15)
     if model.family == "gaussian":
-        val = _bvn_cdf(stats.norm.ppf(ui), stats.norm.ppf(vi), model.param)
+        val = _bvn_cdf(special.ndtri(ui), special.ndtri(vi), model.param)
     elif model.family == "student_t":
         val = _student_t_cdf(ui, vi, model.param, model.df)
     elif model.family == "clayton":
@@ -172,9 +172,10 @@ def _student_t_cdf(u, v, rho: float, df: int) -> np.ndarray:
     taken by Gauss-Legendre quadrature in the probability scale of W, which
     keeps every call reproducible (no Monte Carlo integration).
     """
-    x = stats.t.ppf(u, df)
-    y = stats.t.ppf(v, df)
-    w_quant = stats.chi2.ppf(_GL_P, df) / df  # quantiles of the mixing variable
+    x = special.stdtrit(df, u)
+    y = special.stdtrit(df, v)
+    # quantiles of the mixing variable; 2 * gammaincinv(df/2, p) is chi2(df).ppf(p)
+    w_quant = 2.0 * special.gammaincinv(df / 2.0, _GL_P) / df
     sq = np.sqrt(w_quant)
     xs = x[..., None] * sq
     ys = y[..., None] * sq
@@ -186,25 +187,56 @@ def _student_t_cdf(u, v, rho: float, df: int) -> np.ndarray:
 # densities
 
 
-def _features(family: str, df: int | None, u: np.ndarray, v: np.ndarray) -> tuple:
-    """The parameter-free per-point terms of the family's log density.
+def _coordinate_terms(family: str, df: int | None, p: np.ndarray) -> tuple:
+    """The parameter-free terms of the log density that depend on one coordinate.
 
-    Fitting evaluates the density at many parameters on one dataset, so the
-    quantile transforms and logarithms are computed here once.
+    Each term is elementwise in ``p``, so on pseudo-observations it can be
+    evaluated once per distinct value and gathered per point.
     """
     if family == "gaussian":
-        x, y = stats.norm.ppf(u), stats.norm.ppf(v)
+        return (special.ndtri(p),)
+    if family == "student_t":
+        x = special.stdtrit(df, p)
+        return x, np.log1p(x * x / df)
+    if family == "clayton":
+        return (np.log(p),)
+    # gumbel
+    lp = -np.log(p)
+    return lp, np.log(lp)
+
+
+def _features(family: str, df: int | None, tu: tuple, tv: tuple) -> tuple:
+    """The parameter-free per-point terms of the family's log density.
+
+    ``tu`` and ``tv`` are the :func:`_coordinate_terms` of u and v. Fitting
+    evaluates the density at many parameters on one dataset, so the quantile
+    transforms and logarithms are computed here once.
+    """
+    if family == "gaussian":
+        (x,), (y,) = tu, tv
         return x * x + y * y, x * y
     if family == "student_t":
-        x, y = stats.t.ppf(u, df), stats.t.ppf(v, df)
+        (x, log_mx), (y, log_my) = tu, tv
         # minus the two marginal t log densities, up to the constant
-        t_margins = (df + 1.0) / 2.0 * (np.log1p(x * x / df) + np.log1p(y * y / df))
+        t_margins = (df + 1.0) / 2.0 * (log_mx + log_my)
         return x * x + y * y, x * y, t_margins
     if family == "clayton":
-        return np.log(u), np.log(v)
+        return tu[0], tv[0]
     # gumbel
-    lu, lv = -np.log(u), -np.log(v)
-    return lu + lv, np.log(lu), np.log(lv)
+    (lu, log_lu), (lv, log_lv) = tu, tv
+    return lu + lv, log_lu, log_lv
+
+
+def _gathered_features(family: str, df: int | None, vals: np.ndarray, iu: np.ndarray,
+                       iv: np.ndarray) -> tuple:
+    """:func:`_features` at ``u = vals[iu]``, ``v = vals[iv]``, transforming each value once.
+
+    Pseudo-observations of both columns share the values ``rank/(n+1)``, so
+    the quantile transform runs over at most n values instead of 2n. Every
+    step is elementwise, so the result equals the per-point one bit for bit.
+    """
+    terms = _coordinate_terms(family, df, vals)
+    return _features(family, df, tuple(t[iu] for t in terms), tuple(t[iv] for t in terms))
 
 
 def _log_density(family: str, param: float, df: int | None, features: tuple) -> np.ndarray:
@@ -250,8 +282,9 @@ def log_pdf(model: CopulaModel, u, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if (u <= 0).any() or (u >= 1).any() or (v <= 0).any() or (v >= 1).any():
         raise InvalidParameter("density requires arguments strictly inside (0, 1)")
-    features = _features(model.family, model.df, u, v)
-    return _log_density(model.family, model.param, model.df, features)
+    tu = _coordinate_terms(model.family, model.df, u)
+    tv = _coordinate_terms(model.family, model.df, v)
+    return _log_density(model.family, model.param, model.df, _features(model.family, model.df, tu, tv))
 
 
 def pdf(model: CopulaModel, u, v) -> np.ndarray:
@@ -282,10 +315,10 @@ def sample_uniform(model: CopulaModel, n: int, rng: np.random.Generator) -> np.n
         z1 = g[:, 0]
         z2 = rho * g[:, 0] + math.sqrt(1.0 - rho * rho) * g[:, 1]
         if model.family == "gaussian":
-            return np.column_stack([stats.norm.cdf(z1), stats.norm.cdf(z2)])
+            return np.column_stack([special.ndtr(z1), special.ndtr(z2)])
         scale = np.sqrt(rng.chisquare(model.df, n) / model.df)
         return np.column_stack(
-            [stats.t.cdf(z1 / scale, model.df), stats.t.cdf(z2 / scale, model.df)]
+            [special.stdtr(model.df, z1 / scale), special.stdtr(model.df, z2 / scale)]
         )
     if model.family == "clayton":
         th = model.param
@@ -334,16 +367,13 @@ def _tau_bracket(family: str) -> tuple[float, float]:
     return (_TAU_EPS, 1.0 - 1e-3)
 
 
-def _fit_family_tau(
-    uv: np.ndarray, family: str, df: int | None
-) -> tuple[float, float, bool]:
+def _fit_family_tau(features: tuple, family: str, df: int | None) -> tuple[float, float, bool]:
     """Maximize the copula log-likelihood over tau; returns (tau, loglik, boundary).
 
-    The parameter-free terms are computed once per dataset; each evaluation
-    then sums the family's log density at the parameter of ``tau``.
+    ``features`` are the dataset's parameter-free terms (:func:`_features`);
+    each evaluation sums the family's log density at the parameter of ``tau``.
     """
     lo, hi = _tau_bracket(family)
-    features = _features(family, df, uv[:, 0], uv[:, 1])
 
     def neg_loglik(tau: float) -> float:
         param = param_of_tau(family, tau, df).param
@@ -388,6 +418,9 @@ def fit_aic(
     if not t_dfs or min(t_dfs) < 3:
         raise InvalidParameter(f"student_t df must be integers >= 3, got {t_dfs}")
 
+    # both columns draw from one value set, so each transform runs once per value
+    vals, inv = np.unique(uv.T, return_inverse=True)
+    iu, iv = inv.reshape(2, -1)
     fits: list[CopulaFit] = []
     failures: list[FitFailure] = []
     for family in families:
@@ -396,7 +429,10 @@ def fit_aic(
         dfs = t_dfs if family == "student_t" else [None]
         k = 2 if family == "student_t" and t_df is None else 1
         try:
-            runs = [(*_fit_family_tau(uv, family, df), df) for df in dfs]
+            runs = [
+                (*_fit_family_tau(_gathered_features(family, df, vals, iu, iv), family, df), df)
+                for df in dfs
+            ]
         except FitFailure as exc:
             failures.append(exc)
             continue

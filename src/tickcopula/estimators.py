@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from .copulas import CopulaModel, sample_uniform
 from .errors import InsufficientData, InvalidParameter
@@ -80,7 +80,7 @@ def corrected_correlation(p: PairedSeries, level: float = 0.95) -> CorrectedCorr
     theta_raw = w * rho_hat
     clamped = abs(theta_raw) >= 1.0
     theta_hat = float(np.clip(theta_raw, -1.0, 1.0))
-    z = stats.norm.ppf(0.5 * (1.0 + level))
+    z = special.ndtri(0.5 * (1.0 + level))
     fhat = np.arctanh(np.clip(rho_hat, -1.0 + 1e-15, 1.0 - 1e-15))
     lo = w * np.tanh(fhat - z / np.sqrt(n))
     hi = w * np.tanh(fhat + z / np.sqrt(n))
@@ -273,7 +273,7 @@ def dependence_checks(
     lengths eps_i, eta_i during which only the enveloping asset trades.
     ``config`` 4 nests asset 1's interarrival inside asset 2's; ``config`` 1
     is the mirror image. Margins must be a pair of symmetric zero-mean
-    distributions (ppf/rvs capable objects).
+    distributions (objects with a ``ppf``).
     """
     if config not in (1, 4):
         raise InvalidParameter("config must be 1 or 4 (the nested configurations)")

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from scipy import special
 
 from .copulas import CopulaModel, sample_uniform, tau_of
 from .errors import InsufficientData, InvalidParameter
@@ -27,6 +28,33 @@ from .market_data import TickSeries
 
 _LOG_P0 = float(np.log(100.0))  # arbitrary initial price level
 RNG_NAME = "numpy-PCG64"  # the bit generator behind np.random.default_rng, recorded in artifacts
+# A float64 array holds at most intp.max // 8 values, and numpy raises a bare
+# ValueError past that; half of it leaves room for a Poisson count above its
+# mean. Generator.poisson's own limit on its mean (~9.2e18) is higher still.
+_MAX_EVENTS = np.iinfo(np.intp).max // 16
+
+
+@dataclass(frozen=True)
+class _NormalMargin:
+    """N(loc, scale^2), with the quantile arithmetic of scipy's frozen ``norm``."""
+
+    loc: float
+    scale: float
+
+    def ppf(self, q):
+        return special.ndtri(q) * self.scale + self.loc
+
+
+@dataclass(frozen=True)
+class _TMargin:
+    """Student t with ``df`` degrees of freedom, with the quantiles of scipy's frozen ``t``."""
+
+    df: float
+
+    def ppf(self, q):
+        q = np.asarray(q, dtype=float)
+        # stdtrit maps q = 0 to +inf; the quantile there is -inf
+        return np.where(q == 0.0, -np.inf, special.stdtrit(self.df, q))[()]
 
 
 @dataclass(frozen=True)
@@ -34,8 +62,9 @@ class SimSpec:
     """Simulation recipe: copula, margins, arrival rates and size.
 
     Exactly one of (``horizon``) or (``n1`` and ``n2``) must be given.
-    ``margins`` is a pair of ppf-capable objects (e.g. frozen scipy
-    distributions) applied to the copula draws.
+    ``margins`` is a pair of objects with a vectorized ``ppf`` (quantile
+    function) applied to the copula draws: a frozen scipy distribution, or
+    the light normal and t margins the CLI and the studies build.
     """
 
     model: CopulaModel
@@ -62,6 +91,9 @@ class SimSpec:
                 raise InvalidParameter("n1 and n2 must be given together")
             if self.n1 < 2 or self.n2 < 2:
                 raise InvalidParameter("target counts must be at least 2")
+        n_events = self.n1 + self.n2 if count_mode else (self.lambda1 + self.lambda2) * self.horizon
+        if n_events > _MAX_EVENTS:
+            raise InvalidParameter(f"{n_events:.3g} events are more than an array can hold")
         if len(self.margins) != 2:
             raise InvalidParameter("margins must be a pair")
 

@@ -8,7 +8,6 @@ dictionaries ready for CSV serialization. The same entry points back the
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from .arrival_theory import PoissonPair
 from .calibration import (
@@ -22,9 +21,16 @@ from .copulas import CopulaModel, param_of_tau
 from .errors import InsufficientData
 from .estimators import corrected_correlation, kendall_tau
 from .pairing import _refresh_stamped, pair_previous_tick, pair_ticks
-from .synthesis import _check_n_rep, _per_sample, _run_cells, simulate  # noqa: F401 (perfbench tests the tables.simulate binding)
+from .synthesis import (  # noqa: F401 (perfbench tests the tables.simulate binding)
+    _NormalMargin,
+    _TMargin,
+    _check_n_rep,
+    _per_sample,
+    _run_cells,
+    simulate,
+)
 
-STANDARD_NORMAL = (stats.norm(0.0, 1.0), stats.norm(0.0, 1.0))
+STANDARD_NORMAL = (_NormalMargin(0.0, 1.0), _NormalMargin(0.0, 1.0))
 
 # every study simulates both assets at this arrival rate, in ticks per second
 _RATE = 1.0
@@ -88,9 +94,9 @@ def t_copula_margin_study(n_rep: int = 100, seed: int = 2) -> list[dict]:
     Each sample has 2000 ticks per asset.
     """
     margin_rows = [
-        ("t(5), t(7)", (stats.t(5), stats.t(7))),
-        ("N(0,2), N(0,4)", (stats.norm(0, 2), stats.norm(0, 4))),
-        ("t(4), N(0,3)", (stats.t(4), stats.norm(0, 3))),
+        ("t(5), t(7)", (_TMargin(5), _TMargin(7))),
+        ("N(0,2), N(0,4)", (_NormalMargin(0, 2), _NormalMargin(0, 4))),
+        ("t(4), N(0,3)", (_TMargin(4), _NormalMargin(0, 3))),
     ]
     model = CopulaModel("student_t", -0.4, df=8)
     ests = _run_cells([(model, margins, 2000) for _, margins in margin_rows], n_rep, [seed],

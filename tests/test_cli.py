@@ -330,6 +330,21 @@ class TestErrorContract:
         assert err["error"] == "InvalidParameter" and option[2:] in err["message"]
         assert not list(tmp_path.iterdir())
 
+    def test_horizon_beyond_poisson_limit(self, tmp_path, capsys):
+        # numpy's Poisson sampler raised "lam value too large" here
+        err = self.json_error(capsys, ["simulate", "--family", "gaussian", "--param", "0.3",
+                                       "--horizon", "1e300", "--out", tmp_path / "x"])
+        assert err["error"] == "InvalidParameter" and "events" in err["message"]
+        assert not list(tmp_path.iterdir())
+
+    def test_counts_beyond_memory(self, tmp_path, capsys):
+        # 8e17 bytes per event array: past any address space, so the allocation
+        # fails at once on every host instead of being overcommitted
+        err = self.json_error(capsys, ["simulate", "--family", "gaussian", "--param", "0.3",
+                                       "--n1", 10**17, "--n2", "5", "--out", tmp_path / "x"])
+        assert err["error"] == "MemoryError" and "allocate" in err["message"]
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("option", ["--r1", "--r2"])
     @pytest.mark.parametrize("grid", ["abc", "1,,2", "nan"])
     def test_bad_plugin_eval_grid(self, sim_prefix, tmp_path, capsys, option, grid):

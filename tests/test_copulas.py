@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from tickcopula import copulas
 from tickcopula import (
     CopulaModel,
     EmpiricalMargin,
@@ -339,8 +342,8 @@ class TestFitAic:
         def no_quantiles(*args, **kwargs):
             raise AssertionError("a quantile transform ran before the df check")
 
-        monkeypatch.setattr(stats.norm, "ppf", no_quantiles)
-        monkeypatch.setattr(stats.t, "ppf", no_quantiles)
+        monkeypatch.setattr(special, "ndtri", no_quantiles)
+        monkeypatch.setattr(special, "stdtrit", no_quantiles)
         with pytest.raises(InvalidParameter, match="df"):
             fit_aic(uv, **kw)
 
@@ -371,6 +374,54 @@ class TestFitAic:
             ("student_t", 21, -0.4695071088291318, 48.456282818974785),
         ]),
     ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(30, 500),
+        levels=st.sampled_from([None, 2, 5, 40]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_deduplicated_features_equal_per_point_quantiles(self, n, levels, seed):
+        # the features fit_aic hands to each fit, against per-point scipy.stats
+        # quantiles; `levels` distinct values per column make average-rank ties
+        rng = np.random.default_rng(seed)
+        xy = rng.standard_normal((n, 2)) if levels is None else rng.integers(0, levels, (n, 2))
+        uv = pseudo_observations(xy[:, 0] + 0.3 * xy[:, 1], xy[:, 1])
+        u, v = uv.T
+        seen = {}
+
+        def record(features, family, df):
+            seen[family, df] = features
+            return 0.0, 0.0, False
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(copulas, "_fit_family_tau", record)
+            fit_aic(uv, families=("gaussian", "student_t"), t_df_grid=(3, 4, 7, 15, 30))
+        x, y = stats.norm.ppf(u), stats.norm.ppf(v)
+        expected = {("gaussian", None): (x * x + y * y, x * y)}
+        for df in (3, 4, 7, 15, 30):
+            x, y = stats.t.ppf(u, df), stats.t.ppf(v, df)
+            t_margins = (df + 1.0) / 2.0 * (np.log1p(x * x / df) + np.log1p(y * y / df))
+            expected["student_t", df] = (x * x + y * y, x * y, t_margins)
+        assert seen.keys() == expected.keys()
+        for key, terms in expected.items():
+            assert [t.tobytes() for t in seen[key]] == [t.tobytes() for t in terms], key
+
+    def test_one_t_quantile_call_per_df_over_distinct_values(self, monkeypatch):
+        n = 300
+        uv = pseudo_observations(*self._sim_uv(CopulaModel("student_t", 0.5, df=5), n, 35).T)
+        sizes = []
+        stdtrit = special.stdtrit
+
+        def counted(df, p):
+            sizes.append(np.size(p))
+            return stdtrit(df, p)
+
+        monkeypatch.setattr(special, "stdtrit", counted)
+        grid = tuple(range(3, 31))
+        fit_aic(uv, t_df_grid=grid)
+        assert len(sizes) == len(grid)
+        assert max(sizes) <= n
 
     @pytest.mark.parametrize("model, n, seed, kw, expected", PINNED)
     def test_pinned_fits(self, model, n, seed, kw, expected):

@@ -10,7 +10,7 @@ from tickcopula import (
     SimSpec,
     simulate,
 )
-from tickcopula.synthesis import _simulate_counts
+from tickcopula.synthesis import _NormalMargin, _TMargin, _simulate_counts
 
 
 def gaussian_spec(rho=0.5, n=1000, seed=0, **kw):
@@ -54,6 +54,30 @@ class TestSpecValidation:
         size = {"n1": None, "n2": None, "horizon": 100.0}
         with pytest.raises(InvalidParameter, match=field):
             gaussian_spec(**{**size, field: value})
+
+    @pytest.mark.parametrize("size", [{"horizon": 1e300}, {"horizon": 1e9, "lambda1": 1e9},
+                                      {"n1": 10**18, "n2": 5}], ids=["horizon", "rate", "counts"])
+    def test_event_count_beyond_any_array_rejected(self, size):
+        with pytest.raises(InvalidParameter, match="events"):
+            gaussian_spec(**{"n1": None, "n2": None, **size})
+
+
+_ORACLE_Q = np.r_[np.random.default_rng(0).random(100_000), 0.0, 1.0, 0.5, 1e-300]
+
+
+@pytest.mark.parametrize("loc, scale", [(0.0, 1.0), (1.0, 2.0), (0, 4), (-0.5, 0.3)])
+def test_normal_margin_equals_frozen_scipy_bit_for_bit(loc, scale):
+    ref = stats.norm(loc, scale).ppf(_ORACLE_Q)
+    assert _NormalMargin(loc, scale).ppf(_ORACLE_Q).tobytes() == ref.tobytes()
+    assert _NormalMargin(loc, scale).ppf(0.3) == stats.norm(loc, scale).ppf(0.3)
+
+
+@pytest.mark.parametrize("df", [3, 4, 5, 7, 2.5, 30])
+def test_t_margin_equals_frozen_scipy_bit_for_bit(df):
+    ref = stats.t(df).ppf(_ORACLE_Q)
+    assert _TMargin(df).ppf(_ORACLE_Q).tobytes() == ref.tobytes()
+    assert _TMargin(df).ppf(0.0) == -np.inf and _TMargin(df).ppf(1.0) == np.inf
+    assert np.ndim(_TMargin(df).ppf(0.3)) == 0
 
 
 class TestSimulate:
