@@ -270,11 +270,11 @@ def _cmd_plugin_eval(args) -> int:
     paired = read_paired_csv(args.paired)
     plugin = plugin_copula(paired, args.param, args.family, df=args.df)
     rx, ry = paired.returns()
-    if args.r1:
+    if args.r1 is not None:
         grid1 = np.array(_parse_numbers(args.r1, f"--r1 {args.r1!r}"))
     else:
         grid1 = np.quantile(rx, np.linspace(0.1, 0.9, 9))
-    if args.r2:
+    if args.r2 is not None:
         grid2 = np.array(_parse_numbers(args.r2, f"--r2 {args.r2!r}"))
     else:
         grid2 = np.quantile(ry, np.linspace(0.1, 0.9, 9))

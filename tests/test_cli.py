@@ -346,7 +346,7 @@ class TestErrorContract:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("option", ["--r1", "--r2"])
-    @pytest.mark.parametrize("grid", ["abc", "1,,2", "nan"])
+    @pytest.mark.parametrize("grid", ["abc", "1,,2", "nan", ""])
     def test_bad_plugin_eval_grid(self, sim_prefix, tmp_path, capsys, option, grid):
         paired = tmp_path / "paired.csv"
         assert run(["pair", f"{sim_prefix}_a.csv", f"{sim_prefix}_b.csv", "--out", paired]) == 0

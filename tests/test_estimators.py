@@ -291,6 +291,15 @@ def test_kendall_counts_match_sign_count(pair):
     assert (cmd[0], untied_rows[0]) == (num, untied)
 
 
+def test_kendall_counts_exact_past_int64_products():
+    # (n0 - tx) * (n0 - ty) is 2.5e19 here, past the int64 range
+    n = 100_000
+    n0 = n * (n - 1) // 2
+    x = np.arange(n, dtype=float)
+    assert estimators._kendall_counts(x, x) == (n0, n0)
+    assert estimators._kendall_counts(x, -x) == (-n0, n0)
+
+
 class TestDependenceChecks:
     def test_independence_is_symmetric(self, std_normal_margins):
         rep = dependence_checks(
@@ -335,19 +344,39 @@ class TestCorrectedCorrelationDomain:
             corrected_correlation(paired_from_returns(rx, ry))
 
 
+def _row_values(draw, rng, n):
+    """One side of a row: integer-tied, continuous, signed zeros or constant."""
+    kind = draw(st.sampled_from(["ints", "normal", "zeros", "constant"]))
+    if kind == "ints":
+        spread = draw(st.sampled_from([1, 3, 10]))
+        return rng.integers(-spread, spread + 1, n)
+    if kind == "zeros":  # -0.0 and 0.0 compare equal, so they must tie
+        return rng.choice([-0.0, 0.0, 0.25, -1.5], n, p=[0.4, 0.4, 0.1, 0.1])
+    if kind == "constant":
+        return np.full(n, draw(st.sampled_from([0.5, -0.0])))
+    return rng.standard_normal(n)
+
+
 @st.composite
 def return_rows(draw):
-    """NaN-padded rows of unequal length on both sides of the direct-count limit, often tied."""
+    """NaN-padded rows of unequal length on both sides of the direct-count limit, often tied.
+
+    Rows of 0 and 1 returns sit inside the block, and some blocks are exactly
+    ``_DENSE_MAX_RETURNS`` wide.
+    """
     limit = estimators._DENSE_MAX_RETURNS
-    lengths = draw(st.lists(st.sampled_from([2, 3, 17, 60, limit - 1, limit, limit + 1, limit + 30]),
-                            min_size=1, max_size=6))
+    sizes = [0, 1, 2, 3, 17, 60, limit - 1, limit]
+    if draw(st.booleans()):
+        sizes += [limit + 1, limit + 30]
+    lengths = draw(st.lists(st.sampled_from(sizes), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        lengths.append(limit)
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     rx = np.full((len(lengths), max(lengths)), np.nan)
     ry = np.full_like(rx, np.nan)
     for r, n in enumerate(lengths):
-        for rows in (rx, ry):
-            spread = draw(st.sampled_from([1, 3, 10, 0]))  # 0: continuous values
-            rows[r, :n] = rng.integers(-spread, spread + 1, n) if spread else rng.standard_normal(n)
+        rx[r, :n] = _row_values(draw, rng, n)
+        ry[r, :n] = _row_values(draw, rng, n)
     return rx, ry, np.array(lengths)
 
 
@@ -358,6 +387,9 @@ def test_block_kendall_counts_match_scipy_and_brute_force(rows):
     cmd, untied = estimators._kendall_rows(rx, ry, lengths)
     for r, n in enumerate(lengths):
         x, y = rx[r, :n], ry[r, :n]
+        num, n_untied, _ = sign_counts(x, y)
+        assert (cmd[r], untied[r]) == (num, n_untied)
         assert (cmd[r], untied[r]) == estimators._kendall_counts(x, y)
         if untied[r]:
             assert cmd[r] / untied[r] == kendall_tau_brute(x, y)
+
