@@ -14,6 +14,7 @@ return space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -399,13 +400,20 @@ def fit_aic(
 ) -> list[CopulaFit]:
     """Fit each family by pseudo-likelihood and rank by AIC (ascending).
 
-    ``uv`` holds pseudo-observations in (0,1)^2, at least 30 of them. The
+    ``uv`` holds pseudo-observations in (0,1)^2, at least 30 of them, and
+    neither column may be constant; ``families`` may not repeat a name. The
     Student-t degrees of freedom (integers >= 3) are profiled over
     ``t_df_grid`` unless ``t_df`` pins them, in which case the family counts
-    one parameter instead of two. Families whose optimum sits on the bracket
-    boundary are flagged rather than dropped; a family whose likelihood
-    cannot be evaluated raises :class:`FitFailure` unless another family
-    succeeds.
+    one parameter instead of two. The profile is searched, not swept: a
+    bisection over the sorted distinct grid moves right while the next df's
+    log-likelihood is strictly higher and left otherwise, fitting each df it
+    visits once (at most 10 of the default 28). It returns a local maximum
+    of the profile over the grid, which is the full-grid argmax (the
+    smallest df on ties) whenever the profile is unimodal; a multimodal
+    profile, seen on small or heavily tied samples, can yield another local
+    maximum. Families whose optimum sits on the bracket boundary are flagged
+    rather than dropped; a family whose likelihood cannot be evaluated
+    raises :class:`FitFailure` unless another family succeeds.
     """
     uv = np.asarray(uv, dtype=float)
     if uv.ndim != 2 or uv.shape[1] != 2:
@@ -414,29 +422,47 @@ def fit_aic(
         raise InsufficientData(f"need at least 30 pseudo-observations, got {uv.shape[0]}")
     if (uv <= 0).any() or (uv >= 1).any():
         raise InvalidParameter("pseudo-observations must lie strictly inside (0, 1)")
-    t_dfs = [int(t_df)] if t_df is not None else [int(d) for d in t_df_grid]
-    if not t_dfs or min(t_dfs) < 3:
-        raise InvalidParameter(f"student_t df must be integers >= 3, got {t_dfs}")
+    if (uv == uv[0]).all(axis=0).any():
+        raise InsufficientData("a column of pseudo-observations holds a single value; "
+                               "its dependence cannot be fitted")
+    families = tuple(families)
+    for family in families:
+        if family not in FAMILIES:
+            raise InvalidParameter(f"unknown family {family!r}")
+    if len(set(families)) != len(families):
+        raise InvalidParameter(f"families must not repeat, got {list(families)}")
+    dfs = [t_df] if t_df is not None else list(t_df_grid)
+    if not dfs or any(not float(d).is_integer() or d < 3 for d in dfs):
+        raise InvalidParameter(f"student_t df must be integers >= 3, got {dfs}")
+    t_grid = sorted({int(d) for d in dfs})
 
     # both columns draw from one value set, so each transform runs once per value
     vals, inv = np.unique(uv.T, return_inverse=True)
     iu, iv = inv.reshape(2, -1)
+
+    def fit(family: str, df: int | None) -> tuple[float, float, bool, int | None]:
+        return (*_fit_family_tau(_gathered_features(family, df, vals, iu, iv), family, df), df)
+
+    def profile_t() -> tuple[float, float, bool, int]:
+        at = functools.cache(lambda i: fit("student_t", t_grid[i]))  # no df is fitted twice
+        lo, hi = 0, len(t_grid) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if at(mid + 1)[1] > at(mid)[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        return at(lo)
+
     fits: list[CopulaFit] = []
     failures: list[FitFailure] = []
     for family in families:
-        if family not in FAMILIES:
-            raise InvalidParameter(f"unknown family {family!r}")
-        dfs = t_dfs if family == "student_t" else [None]
         k = 2 if family == "student_t" and t_df is None else 1
         try:
-            runs = [
-                (*_fit_family_tau(_gathered_features(family, df, vals, iu, iv), family, df), df)
-                for df in dfs
-            ]
+            tau, ll, bnd, df = profile_t() if family == "student_t" else fit(family, None)
         except FitFailure as exc:
             failures.append(exc)
             continue
-        tau, ll, bnd, df = max(runs, key=lambda run: run[1])  # the first maximum on ties
         fits.append(
             CopulaFit(
                 model=param_of_tau(family, tau, df=df),

@@ -283,6 +283,23 @@ class TestErrorContract:
         err = self.json_error(capsys, ["select-copula", "--paired", paired, "--t-df", t_df])
         assert err["error"] == "InvalidParameter" and "df" in err["message"]
 
+    def test_repeated_family(self, sim_prefix, tmp_path, capsys):
+        paired = tmp_path / "paired.csv"
+        assert run(["pair", f"{sim_prefix}_a.csv", f"{sim_prefix}_b.csv", "--out", paired]) == 0
+        capsys.readouterr()
+        err = self.json_error(capsys, ["select-copula", "--paired", paired, "--families", "gaussian",
+                                       "gaussian"])
+        assert err["error"] == "InvalidParameter" and "repeat" in err["message"]
+
+    @pytest.mark.parametrize("argv", [["select-copula"], ["estimate", "--method", "kendall"]],
+                             ids=["select-copula", "kendall"])
+    def test_constant_price_leg(self, tmp_path, capsys, argv):
+        x = np.random.default_rng(5).standard_normal(41).cumsum()
+        paired = tmp_path / "paired.csv"
+        paired.write_text("t1,x,t2,y\n" + "".join(f"{t},{xt},{t},0.5\n" for t, xt in enumerate(x)))
+        err = self.json_error(capsys, [*argv, "--paired", paired])
+        assert err["error"] == "InsufficientData"
+
     @pytest.mark.parametrize("method", ["quad", "quantile"])
     @pytest.mark.parametrize("tau_hat", ["nan", "inf", "-inf"])
     def test_non_finite_tau_hat(self, curve_path, capsys, method, tau_hat):

@@ -335,7 +335,7 @@ class TestFitAic:
             ref = float(np.sum(log_pdf(f.model, uv[:, 0], uv[:, 1])))
             assert f.loglik == pytest.approx(ref, rel=1e-9, abs=1e-6)
 
-    @pytest.mark.parametrize("kw", [{"t_df": 2}, {"t_df": 0}, {"t_df_grid": (2, 5)}])
+    @pytest.mark.parametrize("kw", [{"t_df": 2}, {"t_df": 0}, {"t_df_grid": (2, 5)}, {"t_df_grid": (3, 4.5)}])
     def test_bad_student_t_df_rejected_before_fitting(self, monkeypatch, kw):
         uv = pseudo_observations(*self._sim_uv(CopulaModel("gaussian", 0.3), 100, 8).T)
 
@@ -396,7 +396,9 @@ class TestFitAic:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(copulas, "_fit_family_tau", record)
-            fit_aic(uv, families=("gaussian", "student_t"), t_df_grid=(3, 4, 7, 15, 30))
+            fit_aic(uv, families=("gaussian",))
+            for df in (3, 4, 7, 15, 30):  # the df search visits only some of a grid
+                fit_aic(uv, families=("student_t",), t_df=df)
         x, y = stats.norm.ppf(u), stats.norm.ppf(v)
         expected = {("gaussian", None): (x * x + y * y, x * y)}
         for df in (3, 4, 7, 15, 30):
@@ -410,18 +412,71 @@ class TestFitAic:
     def test_one_t_quantile_call_per_df_over_distinct_values(self, monkeypatch):
         n = 300
         uv = pseudo_observations(*self._sim_uv(CopulaModel("student_t", 0.5, df=5), n, 35).T)
-        sizes = []
+        dfs, sizes = [], []
         stdtrit = special.stdtrit
 
         def counted(df, p):
+            dfs.append(df)
             sizes.append(np.size(p))
             return stdtrit(df, p)
 
         monkeypatch.setattr(special, "stdtrit", counted)
-        grid = tuple(range(3, 31))
-        fit_aic(uv, t_df_grid=grid)
-        assert len(sizes) == len(grid)
+        fit_aic(uv)  # the default grid, df 3..30
+        assert len(dfs) <= 10
+        assert len(set(dfs)) == len(dfs)
         assert max(sizes) <= n
+        dfs.clear()
+        fit_aic(uv, families=("student_t",), t_df=7)
+        assert dfs == [7]
+
+    @staticmethod
+    def _t_profile(uv, grid):
+        """Log-likelihood of the t fit at each df of ``grid``, each pinned by ``t_df``."""
+        return [fit_aic(uv, families=("student_t",), t_df=d)[0].loglik for d in grid]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.sampled_from(["gaussian", "student_t", "clayton", "gumbel"]),
+        tau=st.floats(0.05, 0.8),
+        n=st.integers(30, 400),
+        levels=st.sampled_from([None, 3, 7, 20]),
+        grid=st.one_of(st.just(tuple(range(3, 31))), st.lists(st.integers(3, 60), min_size=1, max_size=10)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_df_search_returns_a_local_maximum_of_the_profile(self, family, tau, n, levels, grid, seed):
+        # `levels` rounds each column to that many values, which ties ranks
+        model = param_of_tau(family, tau, df=5 if family == "student_t" else None)
+        xy = self._sim_uv(model, n, seed)
+        if levels is not None:
+            xy = np.floor(xy * levels)
+        uv = pseudo_observations(*xy.T)
+        dfs = sorted(set(grid))
+        prof = self._t_profile(uv, dfs)
+        fit = fit_aic(uv, families=("student_t",), t_df_grid=grid)[0]
+        i = dfs.index(fit.model.df)
+        assert fit.loglik == prof[i]
+        # a local maximum: a strict rise into it, no rise out of it
+        local = [j for j in range(len(dfs))
+                 if (j == 0 or prof[j] > prof[j - 1]) and (j == len(dfs) - 1 or prof[j] >= prof[j + 1])]
+        assert i in local
+        if len(local) == 1:  # unimodal: the full-grid argmax, smallest df on ties
+            assert i == int(np.argmax(prof))
+
+    # multimodal profiles found by sweeping small samples: the search stops
+    # at df 30 although a small df fits better
+    @pytest.mark.parametrize("model, n, seed, levels, search_df, argmax_df, gap", [
+        (CopulaModel("clayton", 2.0), 30, [3, 30, 99], None, 30, 3, 0.142),
+        (CopulaModel("gaussian", 0.3), 60, [3, 60], 7, 30, 4, 0.018),
+    ], ids=["clayton-n30", "gaussian-n60-7-levels"])
+    def test_df_search_on_multimodal_profiles(self, model, n, seed, levels, search_df, argmax_df, gap):
+        xy = self._sim_uv(model, n, seed)
+        uv = pseudo_observations(*(xy if levels is None else np.floor(xy * levels)).T)
+        grid = range(3, 31)
+        prof = self._t_profile(uv, grid)
+        fit = fit_aic(uv, families=("student_t",))[0]
+        assert fit.model.df == search_df
+        assert grid[int(np.argmax(prof))] == argmax_df
+        assert max(prof) - fit.loglik == pytest.approx(gap, abs=1e-3)
 
     @pytest.mark.parametrize("model, n, seed, kw, expected", PINNED)
     def test_pinned_fits(self, model, n, seed, kw, expected):
