@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +45,13 @@ __all__ = [
     "interval_quantile",
     "interval_misspecified",
 ]
+
+
+def _check_grid(g: np.ndarray) -> None:
+    if g.ndim != 1 or g.size < 5:
+        raise InvalidParameter("calibration grid needs at least 5 tau values")
+    if not (np.diff(g) > 0).all():
+        raise InvalidParameter("grid_taus must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -71,16 +78,14 @@ class CorrectionCurve:
     inverse_coeffs: tuple[float, float, float]
     inverse_resid_scale: float
     meta: dict
+    _bands: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid_taus, dtype=float)
         e = np.asarray(self.estimates, dtype=float)
-        if g.ndim != 1 or g.size < 5:
-            raise InvalidParameter("calibration grid needs at least 5 tau values")
+        _check_grid(g)
         if e.ndim != 2 or e.shape[0] != g.size or e.shape[1] < 50:
             raise InvalidParameter("estimates need at least 50 replicates for each grid point")
-        if not (np.diff(g) > 0).all():
-            raise InvalidParameter("grid_taus must be strictly increasing")
         object.__setattr__(self, "grid_taus", g)
         object.__setattr__(self, "estimates", e)
         a, b, c = (float(v) for v in self.quad_coeffs)
@@ -146,11 +151,19 @@ class CorrectionCurve:
         return float(self.predict(lo)), float(self.predict(hi))
 
     def band(self, level: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-grid empirical (alpha/2, 1-alpha/2) bands, made nondecreasing."""
-        alpha = 1.0 - level
-        lo = np.quantile(self.estimates, alpha / 2.0, axis=1)
-        hi = np.quantile(self.estimates, 1.0 - alpha / 2.0, axis=1)
-        return np.maximum.accumulate(lo), np.maximum.accumulate(hi)
+        """Per-grid empirical (alpha/2, 1-alpha/2) bands, made nondecreasing.
+
+        Computed once per level; the arrays are shared and read-only.
+        """
+        if level not in self._bands:
+            alpha = 1.0 - level
+            lo = np.quantile(self.estimates, alpha / 2.0, axis=1)
+            hi = np.quantile(self.estimates, 1.0 - alpha / 2.0, axis=1)
+            bands = np.maximum.accumulate(lo), np.maximum.accumulate(hi)
+            for b in bands:
+                b.flags.writeable = False
+            self._bands[level] = bands
+        return self._bands[level]
 
     def to_dict(self) -> dict:
         return {
@@ -272,14 +285,18 @@ def build_curve(
     (a :class:`~tickcopula.arrival_theory.PoissonPair`), paired, and their
     all-pairs Kendall tau recorded. Cell seeds derive from
     ``(seed, grid index, replicate)`` so the curve is a pure function of
-    ``seed`` regardless of evaluation order.
+    ``seed`` regardless of evaluation order. The replicate blocks run on
+    every CPU in the process's affinity mask, with the same result as on one.
+    A grid of fewer than 5 distinct taus, or fewer than 50 replicates, is
+    rejected before anything is simulated.
     """
     grid = np.asarray(sorted(grid), dtype=float)
     if n_rep < 50:
         raise InvalidParameter(f"n_rep must be at least 50, got {n_rep}")
+    _check_grid(grid)
     cells = [(param_of_tau(family, float(tau), df=df), margins, n_ticks) for tau in grid]
-    estimates = _run_cells(cells, n_rep, [seed], _uncorrected_taus,
-                           lambda1=arrival.lambda1, lambda2=arrival.lambda2).reshape(grid.size, n_rep)
+    estimates = _run_cells(cells, n_rep, [seed], _uncorrected_taus, lambda1=arrival.lambda1,
+                           lambda2=arrival.lambda2, pool=True).reshape(grid.size, n_rep)
 
     meta = {
         "family": family,

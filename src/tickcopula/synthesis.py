@@ -16,6 +16,7 @@ lambda2), which is the standard marking of a merged Poisson stream.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -214,9 +215,53 @@ def _check_n_rep(n_rep: int) -> None:
 
 
 _BLOCK = 10  # replicates per pass; blocks of 20 measured slower, with a higher memory peak
+_pool_block = None  # in a pool worker: the block function it was forked with
 
 
-def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2) -> np.ndarray:
+def _init_pool_worker(block):
+    global _pool_block
+    _pool_block = block
+
+
+def _run_pool_block(i):
+    return _pool_block(i)
+
+
+def _fork_workers(n_tasks: int) -> int:
+    """Processes for ``n_tasks`` blocks: one per CPU in this process's affinity mask, at most one per block.
+
+    1 (run in-process) where ``fork`` or the affinity mask is unavailable,
+    and inside a worker process, whose CPUs its parent already shares out.
+    """
+    import multiprocessing
+
+    if (not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.parent_process() is not None):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+def _fork_map(block, n_tasks: int, workers: int) -> list:
+    """``[block(i) for i in range(n_tasks)]`` on ``workers`` forked processes, in task order.
+
+    Each worker receives ``block`` through ``fork``, not ``pickle``, so a
+    task sends only its index and ``block`` may be a closure. The first
+    failing task in index order raises its own error, as in the loop; a
+    worker killed from outside raises ``BrokenProcessPool``. Queued tasks
+    are cancelled and every worker has exited before this returns or raises.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_init_pool_worker, initargs=(block,))
+    try:
+        return list(executor.map(_run_pool_block, range(n_tasks)))
+    finally:
+        executor.shutdown(cancel_futures=True)
+
+
+def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2, pool=False) -> np.ndarray:
     """The simulate -> estimate replicate loop behind every Monte Carlo study.
 
     ``cells`` is a list of ``(model, margins, n)``, each simulated with
@@ -228,16 +273,33 @@ def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2) -> np.n
     :func:`_per_sample` adapts an estimator of one :class:`SimResult`. The
     result has shape ``(len(cells), n_rep, k)``. Fewer than two replicates
     leave no spread to summarize and raise :class:`InvalidParameter`.
+
+    With ``pool=True`` the blocks run in a pool of forked processes, one per
+    CPU in the affinity mask and at most one per block; see
+    :func:`_fork_workers` for when it stays in-process. Blocks are
+    independent and collected in (cell, replicate) order, so the result is
+    the in-process result bit for bit, and a failure raises the error of the
+    first failing block in that order. ``estimate`` must then be a pure
+    function of its arguments: whatever it records in this process's memory
+    (spans, counters, caches) is lost with the worker that ran it.
     """
     _check_n_rep(n_rep)
-    blocks = []
-    for c, (model, margins, n) in enumerate(cells):
-        spec = SimSpec(model=model, margins=margins, lambda1=lambda1, lambda2=lambda2, n1=n, n2=n)
-        for first in range(0, n_rep, _BLOCK):
-            seeds = [[*seed_prefix, c, r] for r in range(first, min(first + _BLOCK, n_rep))]
-            blocks.append(np.asarray(estimate(spec, seeds), dtype=float).reshape(len(seeds), -1))
-    if not blocks:
+    specs = [SimSpec(model=model, margins=margins, lambda1=lambda1, lambda2=lambda2, n1=n, n2=n)
+             for model, margins, n in cells]
+    tasks = [(c, first) for c in range(len(cells)) for first in range(0, n_rep, _BLOCK)]
+    if not tasks:
         return np.zeros((0, n_rep, 0))
+
+    def block(i):
+        c, first = tasks[i]
+        seeds = [[*seed_prefix, c, r] for r in range(first, min(first + _BLOCK, n_rep))]
+        return np.asarray(estimate(specs[c], seeds), dtype=float).reshape(len(seeds), -1)
+
+    workers = _fork_workers(len(tasks)) if pool else 1
+    if workers > 1:
+        blocks = _fork_map(block, len(tasks), workers)
+    else:
+        blocks = [block(i) for i in range(len(tasks))]
     return np.concatenate(blocks).reshape(len(cells), n_rep, -1)
 
 

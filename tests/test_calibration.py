@@ -175,6 +175,15 @@ class TestIntervalQuantile:
         with pytest.raises(CalibrationFailure):
             interval_quantile(curve, 0.95)
 
+    def test_band_computed_once_per_level(self):
+        curve = make_curve((0.01, 0.65, -0.05), resid_scale=0.03)
+        band = curve.band(0.9)
+        assert curve.band(0.9) is band and curve.band(0.95) is not band
+        alpha = 1.0 - 0.9
+        for b, q in zip(band, (alpha / 2.0, 1.0 - alpha / 2.0)):
+            assert not b.flags.writeable
+            assert b.tobytes() == np.maximum.accumulate(np.quantile(curve.estimates, q, axis=1)).tobytes()
+
     def test_point_inside_interval(self):
         curve = make_curve((0.01, 0.65, -0.05), resid_scale=0.03)
         iv = interval_quantile(curve, 0.25)
@@ -254,6 +263,18 @@ class TestBuildCurve:
                 warnings.simplefilter("ignore", ExtrapolationWarning)
                 back = correct_tau(curve, mean_est)
             assert abs(back - tau) <= 2 * curve.resid_scale
+
+    @pytest.mark.parametrize("grid, message", [
+        ([0.1, 0.2, 0.3], "at least 5 tau values"),
+        ([0.1, 0.2, 0.3, 0.3, 0.5], "strictly increasing"),
+    ], ids=["three-points", "repeated-tau"])
+    def test_bad_grid_rejected_before_simulating(self, grid, message, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a bad grid was simulated")
+
+        monkeypatch.setattr("tickcopula.calibration._run_cells", unreachable)
+        with pytest.raises(InvalidParameter, match=message):
+            build_curve("clayton", PoissonPair(1.0, 1.0), STD_MARGINS, grid=grid, n_rep=50)
 
     def test_underestimation_law_at_clt_scale(self):
         # positive true tau: mean uncorrected estimate below truth and the

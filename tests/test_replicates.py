@@ -7,6 +7,9 @@ in another order, changes a digest.
 
 import hashlib
 import json
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from scipy import stats
 from tickcopula import (
     CalibrationFailure,
     CopulaModel,
+    InsufficientData,
     InvalidParameter,
     PoissonPair,
     SimSpec,
@@ -28,7 +32,7 @@ from tickcopula import (
     param_of_tau,
     simulate,
 )
-from tickcopula.synthesis import _BLOCK, _per_sample, _run_cells
+from tickcopula.synthesis import _BLOCK, _fork_workers, _per_sample, _run_cells
 from tickcopula.tables import (
     STANDARD_NORMAL,
     coverage_study,
@@ -113,6 +117,52 @@ class TestRunCells:
             gaussian_estimator_study(n_rep=n_rep)
         with pytest.raises(InvalidParameter, match="n_rep"):
             t_copula_margin_study(n_rep=n_rep)
+
+
+class TestForkPool:
+    """``pool=True`` runs the blocks in forked workers, with the in-process results and errors."""
+
+    CELLS = TestRunCells.CELLS
+
+    def test_build_curve_matches_one_cpu(self, monkeypatch):
+        def curve_bytes():
+            return build_curve("clayton", PoissonPair(1, 1), STANDARD_NORMAL,
+                               grid=np.linspace(0.02, 0.75, 5), n_rep=50, seed=7).estimates.tobytes()
+
+        pooled = curve_bytes()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert curve_bytes() == pooled
+
+    def test_earliest_failing_block_raises(self):
+        def estimate(spec, seeds):
+            c, r = seeds[0][-2:]
+            if (c, r) == (0, _BLOCK):
+                time.sleep(0.2)  # fails after block (1, 0) in time, before it in block order
+                raise InsufficientData(f"block {c}, {r}")
+            if (c, r) == (1, 0):
+                raise InvalidParameter(f"block {c}, {r}")
+            return [0.0] * len(seeds)
+
+        with pytest.raises(InsufficientData, match=f"^block 0, {_BLOCK}$"):
+            _run_cells(self.CELLS, 2 * _BLOCK, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
+
+    def test_no_worker_outlives_the_call(self):
+        def estimate(spec, seeds):
+            return [[os.getpid(), _fork_workers(99)] for _ in seeds]
+
+        cpus = len(os.sched_getaffinity(0))
+        out = _run_cells(self.CELLS, 5 * _BLOCK, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
+        assert multiprocessing.active_children() == []
+        pids = set(out[..., 0].ravel())
+        assert len(pids) <= cpus and (os.getpid() in pids) == (cpus == 1)
+        assert (out[..., 1] == 1).all()  # a worker runs its own blocks in-process
+
+        def fail(spec, seeds):
+            raise InvalidParameter("every block fails")
+
+        with pytest.raises(InvalidParameter, match="every block fails"):
+            _run_cells(self.CELLS, 5 * _BLOCK, [0], fail, lambda1=1.0, lambda2=1.0, pool=True)
+        assert multiprocessing.active_children() == []
 
 
 def test_coverage_rows_count_calibration_failures():
