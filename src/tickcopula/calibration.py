@@ -196,7 +196,7 @@ class CorrectionCurve:
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
+            fh.write(json.dumps(self.to_dict()))  # the C encoder; json.dump always runs the Python one
 
     @classmethod
     def from_json(cls, path) -> "CorrectionCurve":

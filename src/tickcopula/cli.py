@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -353,7 +354,14 @@ def _cmd_reproduce(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tickcopula`` parser, built on the first call and shared by every later one.
+
+    :func:`main` reuses it, so in-process drivers pay for the argparse tree
+    once. Callers must not mutate it, and every default is immutable, so
+    no call can carry state into the next.
+    """
     parser = argparse.ArgumentParser(
         prog="tickcopula",
         description="Dependence estimation for nonsynchronously observed tick data.",
@@ -403,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-copula", help="rank copula families by AIC")
     p.add_argument("--paired", required=True)
-    p.add_argument("--families", nargs="+", default=list(FAMILIES))
+    p.add_argument("--families", nargs="+", default=FAMILIES)
     p.add_argument("--t-df", type=int, help="fix the student_t degrees of freedom")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_select_copula)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special
 
 from .copulas import CopulaModel, sample_uniform, tau_of
-from .errors import InsufficientData, InvalidParameter
+from .errors import CalibrationFailure, InsufficientData, InvalidParameter
 from .market_data import TickSeries
 
 _LOG_P0 = float(np.log(100.0))  # arbitrary initial price level
@@ -245,18 +245,26 @@ def _fork_map(block, n_tasks: int, workers: int) -> list:
     """``[block(i) for i in range(n_tasks)]`` on ``workers`` forked processes, in task order.
 
     Each worker receives ``block`` through ``fork``, not ``pickle``, so a
-    task sends only its index and ``block`` may be a closure. The first
-    failing task in index order raises its own error, as in the loop; a
-    worker killed from outside raises ``BrokenProcessPool``. Queued tasks
-    are cancelled and every worker has exited before this returns or raises.
+    task sends only its index and ``block`` may be a closure. Indices go out
+    in chunks of consecutive tasks, about six chunks per worker, to cut the
+    parent's dispatch work; chunks come back in order and each runs its
+    tasks in order, so the first failing task in index order raises its own
+    error, as in the loop. A worker killed from outside raises
+    :class:`CalibrationFailure`. Queued tasks are cancelled and every worker
+    has exited before this returns or raises.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                    initializer=_init_pool_worker, initargs=(block,))
     try:
-        return list(executor.map(_run_pool_block, range(n_tasks)))
+        return list(executor.map(_run_pool_block, range(n_tasks),
+                                 chunksize=max(1, n_tasks // (6 * workers))))
+    except BrokenProcessPool:
+        raise CalibrationFailure("a worker process died before its replicate blocks finished "
+                                 "(killed from outside, for example for lack of memory)") from None
     finally:
         executor.shutdown(cancel_futures=True)
 

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
+import signal
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -10,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tickcopula import InvalidParameter, PairedSeries, calibration, cli, configuration_labels, pair_ticks
 from tickcopula.cli import _write_json, main, parse_margin, read_paired_csv, write_paired_csv
-from tickcopula import InvalidParameter, PairedSeries, configuration_labels, pair_ticks
 from tickcopula.market_data import load_ticks
+from tickcopula.synthesis import _fork_workers
 
 from conftest import poisson_ticks
 
@@ -194,6 +198,36 @@ class TestKendallAndSelection:
         assert ((0 <= vals) & (vals <= 1)).all()
 
 
+class TestSharedParser:
+    """``main`` reuses one parser, and no call leaves state in it for the next."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_families_default_after_explicit_families(self, sim_prefix, tmp_path, capsys):
+        paired_path = tmp_path / "paired.csv"
+        run(["pair", f"{sim_prefix}_a.csv", f"{sim_prefix}_b.csv", "--out", paired_path])
+
+        def ranked(extra):
+            assert run(["select-copula", "--paired", paired_path, "--t-df", "8", *extra]) == 0
+            lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+            return {r["family"] for r in csv.DictReader(lines)}
+
+        assert ranked(["--families", "clayton", "gumbel"]) == {"clayton", "gumbel"}
+        assert ranked([]) == {"gaussian", "student_t", "clayton", "gumbel"}
+
+    def test_same_config_flag_does_not_stick(self, sim_prefix, tmp_path, capsys):
+        paired_path = tmp_path / "paired.csv"
+        run(["pair", f"{sim_prefix}_a.csv", f"{sim_prefix}_b.csv", "--out", paired_path])
+
+        def basis(extra):
+            assert run(["estimate", "--paired", paired_path, "--method", "kendall", *extra]) == 0
+            return json.loads(capsys.readouterr().out)["basis"]
+
+        assert basis(["--same-config"]) == "same-config"
+        assert basis([]) == "all-pairs"
+
+
 class TestCalibrateIntervals:
     def test_calibrate_then_intervals(self, tmp_path, capsys):
         curve_path = tmp_path / "curve.json"
@@ -311,6 +345,22 @@ class TestErrorContract:
         err = self.json_error(capsys, ["calibrate", "--family", "clayton", "--n-ticks", "2", "--out",
                                        tmp_path / "curve.json"])
         assert err["error"] == "InsufficientData" and "comparable" in err["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.skipif(_fork_workers(25) == 1, reason="the blocks would run, and die, in this process")
+    def test_killed_worker(self, tmp_path, monkeypatch, capsys):
+        uncorrected_taus = calibration._uncorrected_taus
+
+        def killed_in_a_worker(spec, seeds):
+            if multiprocessing.parent_process() is not None:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return uncorrected_taus(spec, seeds)
+
+        monkeypatch.setattr(calibration, "_uncorrected_taus", killed_in_a_worker)
+        err = self.json_error(capsys, ["calibrate", "--family", "clayton", "--k", "5", "--n-rep", "50",
+                                       "--n-ticks", "50", "--out", tmp_path / "curve.json"])
+        assert err["error"] == "CalibrationFailure" and "worker process died" in err["message"]
+        assert multiprocessing.active_children() == []
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("damage, words", [

@@ -146,6 +146,23 @@ class TestForkPool:
         with pytest.raises(InsufficientData, match=f"^block 0, {_BLOCK}$"):
             _run_cells(self.CELLS, 2 * _BLOCK, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
 
+    @pytest.mark.parametrize("later", [(1, 0), (0, 2 * _BLOCK)], ids=["other-chunk", "same-chunk"])
+    def test_earliest_failing_block_raises_in_chunks(self, monkeypatch, later):
+        def estimate(spec, seeds):
+            c, r = seeds[0][-2:]
+            if (c, r) == (0, _BLOCK):
+                time.sleep(0.2)
+                raise InsufficientData(f"block {c}, {r}")
+            if (c, r) == later:
+                raise InvalidParameter(f"block {c}, {r}")
+            return [0.0] * len(seeds)
+
+        # two workers take the 2 x 24 blocks in chunks of 4: (0, _BLOCK) and (1, 0) are 23 blocks apart
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(InsufficientData, match=f"^block 0, {_BLOCK}$"):
+            _run_cells(self.CELLS, 24 * _BLOCK, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
+        assert multiprocessing.active_children() == []
+
     def test_no_worker_outlives_the_call(self):
         def estimate(spec, seeds):
             return [[os.getpid(), _fork_workers(99)] for _ in seeds]
