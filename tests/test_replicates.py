@@ -157,7 +157,8 @@ class TestForkPool:
                 raise InvalidParameter(f"block {c}, {r}")
             return [0.0] * len(seeds)
 
-        # two workers take the 2 x 24 blocks in chunks of 4: (0, _BLOCK) and (1, 0) are 23 blocks apart
+        # two workers take the 2 x 24 blocks in chunks of 4: blocks 1 and 2, (0, _BLOCK) and
+        # (0, 2 * _BLOCK), share the first chunk; block 24, (1, 0), opens the seventh
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(InsufficientData, match=f"^block 0, {_BLOCK}$"):
             _run_cells(self.CELLS, 24 * _BLOCK, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
