@@ -10,11 +10,13 @@ machine-readable JSON error on stderr; usage errors exit with status 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -39,9 +41,10 @@ from .copulas import (
 )
 from .errors import InvalidParameter, TickCopulaError
 from .estimators import corrected_correlation, kendall_tau
-from .market_data import _read_columns, load_ticks, save_ticks
+from .market_data import _read_columns, _write_rows, load_ticks, save_ticks
 from .pairing import (
     PairedSeries,
+    _n_distinct,
     configuration_labels,
     overlap_intervals,
     pair_previous_tick,
@@ -60,12 +63,16 @@ def _meta(args, **extra) -> dict:
     return meta
 
 
-def _write_text(path, text: str) -> None:
+def _output(path):
+    """The text stream ``path`` names, as a context manager; ``None`` or ``-`` is stdout."""
     if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _write_text(path, text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -135,30 +142,41 @@ def write_paired_csv(path, paired: PairedSeries, meta: dict) -> None:
         scheme=paired.scheme, n_raw1=paired.n_raw1, n_raw2=paired.n_raw2,
         delta=("" if paired.delta is None else paired.delta),
     )
-    cols = [paired.t1.tolist(), paired.x.tolist(), paired.t2.tolist(), paired.y.tolist()]
-    first = "%.17g,%.17g,%.17g,%.17g,,\n" % tuple(c[0] for c in cols)
-    rest = map("%.17g,%.17g,%.17g,%.17g,%.17g,%d\n".__mod__,
-               zip(*(c[1:] for c in cols), overlaps.tolist(), configs.tolist()))
-    _write_text(path, _meta_lines(meta) + "t1,x,t2,y,overlap,config\n" + first + "".join(rest))
+    cols = (paired.t1, paired.x, paired.t2, paired.y)
+    head = _meta_lines(meta) + "t1,x,t2,y,overlap,config\n"
+    head += "%.17g,%.17g,%.17g,%.17g,,\n" % tuple(c[0].item() for c in cols)
+    with _output(path) as fh:
+        _write_rows(fh, head, "%.17g,%.17g,%.17g,%.17g,%.17g,%d\n",
+                    (*(c[1:] for c in cols), overlaps, configs))
 
 
 def read_paired_csv(path) -> PairedSeries:
     """Load a paired CSV written by :func:`write_paired_csv`.
 
     A malformed or non-finite value raises :class:`InvalidParameter` naming
-    the first offending data row.
+    the first offending data row. So does a raw tick count in the metadata
+    below the number of distinct timestamps in its column, which would make
+    a loss fraction negative or divide by zero, and a ``delta`` that is not
+    finite and positive. A missing count defaults to that number.
     """
     meta, (t1, x, t2, y) = _read_columns(path, ("t1", "x", "t2", "y"), InvalidParameter)
     if t1.size == 0:
         raise InvalidParameter(f"{path}: no data rows")
     scheme = meta.get("scheme", "a0")
+    distinct = {"n_raw1": _n_distinct(t1), "n_raw2": _n_distinct(t2)}
     try:
-        n1 = int(meta["n_raw1"]) if "n_raw1" in meta else int(np.unique(t1).size)
-        n2 = int(meta["n_raw2"]) if "n_raw2" in meta else int(np.unique(t2).size)
+        counts = {k: int(meta[k]) if k in meta else d for k, d in distinct.items()}
         delta = float(meta["delta"]) if meta.get("delta") else None
     except ValueError as exc:
         raise InvalidParameter(f"{path}: bad metadata line: {exc}") from None
-    return PairedSeries(t1=t1, x=x, t2=t2, y=y, scheme=scheme, n_raw1=n1, n_raw2=n2, delta=delta)
+    if delta is not None and not (math.isfinite(delta) and delta > 0):
+        raise InvalidParameter(f"{path}: delta must be finite and positive, got {meta['delta']!r}")
+    paired = PairedSeries(t1=t1, x=x, t2=t2, y=y, scheme=scheme, delta=delta, **counts)
+    for key, d in distinct.items():  # counted on the columns PairedSeries found nondecreasing
+        if counts[key] < d:
+            raise InvalidParameter(f"{path}: {key}={counts[key]} is below the {d} distinct "
+                                   f"timestamps of its column")
+    return paired
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,20 @@ Lines starting with ``#`` before the header carry ``key=value`` metadata.
 
 Data rows are numbered from 1 after the header; blank lines are skipped but
 keep their number, so an error names the line a reader would count to. The
-whole file is parsed in one :func:`numpy.loadtxt` call and checked with
-array masks; a parse failure is re-scanned line by line only to name the
-first offending row.
+metadata and the header are read line by line, and the open file is then
+handed to one :func:`numpy.loadtxt` call, which parses its lines as they are
+read; the columns are checked with array masks. The file's text is never
+held whole on this path, so memory follows the parsed arrays. Only when the
+parse raises or a check fails is the file read again as a whole: to name the
+first offending row, or to parse a file with whitespace-only lines, which
+loadtxt alone rejects. Writers format and write rows a fixed-size chunk at
+a time.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -75,26 +82,52 @@ def _read_columns(path, names, error, checks=None):
     may return further ``(row_mask, message)`` pairs; a message is formatted
     with ``row`` and ``fields`` (that row's values). Earlier checks win ties,
     after the built-in non-finite check.
+
+    The data lines stream from the open file into one :func:`numpy.loadtxt`
+    call. Only when that parse raises or a check fails is the file read again
+    as a whole by :func:`_reread_columns`, which numbers the offending row.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            meta = _read_head(fh, path, names, error)
+            columns = np.ascontiguousarray(_loadtxt(fh, len(names)).T)
+    except ValueError:  # undecodable bytes, or a line loadtxt cannot parse
+        return _reread_columns(path, names, error, checks)
+    if _first_fault(columns, checks):
+        return _reread_columns(path, names, error, checks)
+    return meta, columns
+
+
+def _read_head(fh, path, names, error):
+    """Read the ``# key=value`` lines into a dict, then check the header line."""
+    meta: dict[str, str] = {}
+    line = fh.readline()
+    while line.startswith("#"):
+        key, _, value = line[1:].strip().partition("=")
+        meta[key.strip()] = value.strip()
+        line = fh.readline()
+    line = line.removesuffix("\n")
+    header = [c.strip().strip('"').strip().lower() for c in line.split(",")]
+    if header[: len(names)] != list(names):
+        raise error(f"{path}: expected a header starting {','.join(names)!r}, got {line!r}")
+    return meta
+
+
+def _reread_columns(path, names, error, checks):
+    """The whole-text parse behind :func:`_read_columns`, run after a fault.
+
+    Blank lines keep their row number and whitespace-only lines are dropped
+    before parsing, so a file with such lines is parsed here, and every
+    error names the row a reader would count to.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    meta: dict[str, str] = {}
-    pos, end = 0, -1
-    while True:  # the "# key=value" lines, then the header
-        pos, end = end + 1, text.find("\n", end + 1)
-        end = len(text) if end < 0 else end
-        if not text.startswith("#", pos):
-            break
-        key, _, value = text[pos + 1:end].strip().partition("=")
-        meta[key.strip()] = value.strip()
-    header = [c.strip().strip('"').strip().lower() for c in text[pos:end].split(",")]
-    if pos >= len(text) or header[: len(names)] != list(names):
-        raise error(f"{path}: expected a header starting {','.join(names)!r}, "
-                    f"got {text[pos:end]!r}")
-    data_text = text[end + 1:]
+    fh = io.StringIO(text)
+    meta = _read_head(fh, path, names, error)
+    data_text = fh.read()
     if not data_text.isascii() or any(c in data_text for c in _ASCII_SPACES):
         data_text = _BLANK_LINE.sub("", data_text)  # loadtxt skips only empty lines
     lines = data_text.split("\n")
@@ -108,22 +141,37 @@ def _read_columns(path, names, error, checks=None):
         lines = lines[: row - 1]
         table = _loadtxt(lines, k)
     columns = np.ascontiguousarray(table.T)
-    masks = [(~np.isfinite(columns).all(axis=0), "row {row}: non-finite value")]
-    masks += checks(columns) if checks else []
-    firsts = [(int(np.argmax(m)), j) for j, (m, _) in enumerate(masks) if m.any()]
-    if firsts:
-        i, j = min(firsts)
+    first = _first_fault(columns, checks)
+    if first:
+        i, message = first
         row = int(np.flatnonzero([bool(line) for line in lines])[i]) + 1
-        fault = masks[j][1].format(row=row, fields=columns[:, i].tolist())
+        fault = message.format(row=row, fields=columns[:, i].tolist())
     if fault:
         raise error(f"{path}: {fault}")
     return meta, columns
 
 
+def _first_fault(columns, checks):
+    """``(index, message)`` of the first row a check rejects, or ``None``."""
+    masks = [(~np.isfinite(columns).all(axis=0), "row {row}: non-finite value")]
+    masks += checks(columns) if checks else []
+    firsts = [(int(np.argmax(m)), j) for j, (m, _) in enumerate(masks) if m.any()]
+    if not firsts:
+        return None
+    i, j = min(firsts)
+    return i, masks[j][1]
+
+
 def _loadtxt(lines, k):
-    if not any(lines):
+    """Parse an iterable of lines; a table of no rows when every line is empty."""
+    lines = iter(lines)
+    for first in lines:  # numpy warns on input with no rows
+        if first not in ("", "\n"):
+            break
+    else:
         return np.empty((0, k))
-    return np.loadtxt(lines, delimiter=",", usecols=range(k), ndmin=2, quotechar='"', comments=None)
+    return np.loadtxt(itertools.chain([first], lines), delimiter=",", usecols=range(k), ndmin=2,
+                      quotechar='"', comments=None)
 
 
 def _first_unparsable(lines, k, exc):
@@ -172,13 +220,23 @@ def load_ticks(path) -> TickSeries:
     return TickSeries(times, np.log(prices))
 
 
+_CHUNK_ROWS = 4096  # rows formatted per write, so the text held is one chunk's, not the file's
+
+
+def _write_rows(fh, head, row_format, columns):
+    """Write ``head``, then each row of the equal-length ``columns`` through ``row_format``."""
+    fh.write(head)
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = zip(*(c[lo:lo + _CHUNK_ROWS].tolist() for c in columns))
+        fh.write("".join(map(row_format.__mod__, rows)))
+
+
 def save_ticks(series: TickSeries, path) -> None:
     """Write a series back to ``time,price`` CSV with 17 significant digits.
 
     Round-trips bit-for-bit through :func:`load_ticks` up to the exp/log pair
     applied to the price column.
     """
-    rows = map("%.17g,%.17g\n".__mod__, zip(series.times.tolist(), np.exp(series.log_prices).tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("time,price\n" + "".join(rows))
+        _write_rows(fh, "time,price\n", "%.17g,%.17g\n", (series.times, np.exp(series.log_prices)))
 

@@ -288,6 +288,11 @@ def configuration_labels(p: PairedSeries) -> np.ndarray:
     return labels
 
 
+def _n_distinct(t: np.ndarray) -> int:
+    """The number of distinct values of a nonempty nondecreasing array, without a sort."""
+    return 1 + int(np.count_nonzero(t[1:] != t[:-1]))
+
+
 def diagnostics(p: PairedSeries) -> PairDiagnostics:
     """Overlaps, configurations, interarrival means and loss fractions.
 
@@ -309,8 +314,8 @@ def diagnostics(p: PairedSeries) -> PairDiagnostics:
     m1 = float(np.diff(p.t1).mean())
     m2 = float(np.diff(p.t2).mean())
     m_overlap = float(overlaps.mean())
-    loss1 = 1.0 - np.unique(p.t1).size / p.n_raw1
-    loss2 = 1.0 - np.unique(p.t2).size / p.n_raw2
+    loss1 = 1.0 - _n_distinct(p.t1) / p.n_raw1
+    loss2 = 1.0 - _n_distinct(p.t2) / p.n_raw2
     return PairDiagnostics(
         overlaps=overlaps,
         configs=configs,

@@ -58,6 +58,12 @@ def poisson_ticks(rng, lam, n):
     return TickSeries(times, prices)
 
 
+def seeded_day():
+    """Two seeded Poisson tick series whose a0 pairing has 4731 pairs."""
+    rng = np.random.default_rng(20261018)
+    return poisson_ticks(rng, 1.0, 7000), poisson_ticks(rng, 1.5, 9000)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

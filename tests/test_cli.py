@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import multiprocessing
@@ -13,12 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tickcopula import InvalidParameter, PairedSeries, calibration, cli, configuration_labels, pair_ticks
+from tickcopula import (
+    InvalidParameter,
+    PairedSeries,
+    TickSeries,
+    calibration,
+    cli,
+    configuration_labels,
+    pair_ticks,
+    save_ticks,
+)
 from tickcopula.cli import _write_json, main, parse_margin, read_paired_csv, write_paired_csv
-from tickcopula.market_data import load_ticks
+from tickcopula.market_data import _CHUNK_ROWS, load_ticks
 from tickcopula.synthesis import _fork_workers
 
-from conftest import poisson_ticks
+from conftest import poisson_ticks, seeded_day
 
 
 def run(args):
@@ -334,6 +344,21 @@ class TestErrorContract:
         err = self.json_error(capsys, [*argv, "--paired", paired])
         assert err["error"] == "InsufficientData"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"], ids=["bare", "blank-lines", "crlf"])
+    @pytest.mark.parametrize("command", ["pair", "estimate"])
+    def test_header_only_input(self, tmp_path, capsys, command, body):
+        # numpy's loadtxt warns on a stream with no rows; none may reach stderr
+        path = tmp_path / "in.csv"
+        if command == "pair":
+            path.write_bytes(("time,price\n" + body).encode())
+            argv, kind = ["pair", path, path, "--out", tmp_path / "p.csv"], "InsufficientData"
+        else:
+            path.write_bytes(("t1,x,t2,y\n" + body).encode())
+            argv, kind = ["estimate", "--paired", path], "InvalidParameter"
+        err = self.json_error(capsys, argv)
+        assert err["error"] == kind
+
     @pytest.mark.parametrize("method", ["quad", "quantile"])
     @pytest.mark.parametrize("tau_hat", ["nan", "inf", "-inf"])
     def test_non_finite_tau_hat(self, curve_path, capsys, method, tau_hat):
@@ -488,6 +513,27 @@ class TestPairedInputErrors:
         message = self.run_estimate(tmp_path, capsys, ["# n_raw1=many"] + GOOD_LINES)
         assert "bad metadata" in message
 
+    @pytest.mark.parametrize("line, words", [
+        ("# n_raw1=0", "n_raw1=0 is below the 12 distinct"),  # divided by zero in diagnostics
+        ("# n_raw1=5", "n_raw1=5 is below"),  # a negative loss fraction
+        ("# n_raw1=-3", "n_raw1=-3 is below"),
+        ("# n_raw2=11", "n_raw2=11 is below"),
+        ("# delta=nan", "delta must be finite and positive"),
+        ("# delta=inf", "delta must be finite and positive"),
+        ("# delta=0", "delta must be finite and positive"),
+        ("# delta=-2.5", "delta must be finite and positive"),
+    ])
+    def test_inconsistent_metadata(self, tmp_path, capsys, line, words):
+        message = self.run_estimate(tmp_path, capsys, [line] + GOOD_LINES)
+        assert words in message and "p.csv" in message
+
+    def test_counts_equal_to_the_distinct_timestamps(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(["# n_raw1=12", "# n_raw2=13", "# delta=0.5", *GOOD_LINES]) + "\n")
+        assert run(["estimate", "--paired", path]) == 0
+        diag = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diag["loss1"] == 0.0 and diag["loss2"] == 1 - 12 / 13
+
     def test_json_output_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError):
             _write_json(tmp_path / "x.json", {"point": float("nan")})
@@ -522,13 +568,25 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def paired_series(draw):
     n = draw(st.integers(1, 30))
     times = st.lists(st.floats(-1e15, 1e15), min_size=n, max_size=n).map(sorted)
+    t1, t2 = draw(times), draw(times)
     return PairedSeries(
-        t1=draw(times), x=draw(st.lists(finite, min_size=n, max_size=n)),
-        t2=draw(times), y=draw(st.lists(finite, min_size=n, max_size=n)),
+        t1=t1, x=draw(st.lists(finite, min_size=n, max_size=n)),
+        t2=t2, y=draw(st.lists(finite, min_size=n, max_size=n)),
         scheme=draw(st.sampled_from(["a0", "refresh", "prev-tick"])),
-        n_raw1=draw(st.integers(1, 10**9)), n_raw2=draw(st.integers(1, 10**9)),
+        # a source series has at least as many ticks as its pairs have distinct times
+        n_raw1=draw(st.integers(len(set(t1)), 10**9)), n_raw2=draw(st.integers(len(set(t2)), 10**9)),
         delta=draw(st.none() | st.floats(1e-9, 1e9)),
     )
+
+
+# SHA-256 of write_paired_csv output: the first n pairs of the seeded day's a0 pairing.
+# One chunk is 4096 rows, so 4096-4098 pairs straddle it.
+PAIRED_SHA256 = {
+    1: "58ca6365810c022e576d511c11e67ee4dc24b1680bf73a2251a90ec24f610782",
+    4096: "853e31865bf4dc0461bb1972b48ea2ed4ce3751856bb4469846c484472ef68bc",
+    4097: "87fb9eb8b47187bbd83521d3951cb71c5ab8563d82a89b342c6958445d7a2496",
+    4098: "5497759a3d05472b46a65f23541d82c43aa78f827338206c0771bc8e0a554bd0",
+}
 
 
 class TestPairedCsvFormat:
@@ -552,6 +610,17 @@ class TestPairedCsvFormat:
             write_paired_csv(path, paired, {"tool": "tickcopula", "seed": 3})
             assert path.read_bytes() == row_writer_oracle(paired, {"tool": "tickcopula", "seed": 3}).encode()
 
+    @pytest.mark.parametrize("n", [1, _CHUNK_ROWS, _CHUNK_ROWS + 1, _CHUNK_ROWS + 2])
+    def test_frozen_digest(self, tmp_path, capsys, n):
+        # the first pair is written with the header, so n pairs make n - 1 chunked rows
+        p = pair_ticks(*seeded_day())
+        head = PairedSeries(t1=p.t1[:n], x=p.x[:n], t2=p.t2[:n], y=p.y[:n], scheme=p.scheme,
+                            n_raw1=p.n_raw1, n_raw2=p.n_raw2)
+        write_paired_csv(tmp_path / "p.csv", head, {"tool": "tickcopula", "seed": 3})
+        write_paired_csv("-", head, {"tool": "tickcopula", "seed": 3})
+        assert hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest() == PAIRED_SHA256[n]
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PAIRED_SHA256[n]
+
     def test_stdout_matches_file(self, tmp_path, rng, capsys):
         paired = pair_ticks(poisson_ticks(rng, 1.0, 60), poisson_ticks(rng, 1.0, 60))
         write_paired_csv("-", paired, {"seed": 1})
@@ -565,3 +634,39 @@ class TestPairedCsvFormat:
         back = read_paired_csv(path)
         assert back.scheme == "refresh" and back.delta is None
         assert back.x.tolist() == [1.0, 1.25] and back.n_raw1 == 2
+
+
+def traced_peak(fn, *args):
+    """Peak bytes tracemalloc sees allocated during ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def synthetic_pairs(n):
+    """n pairs whose every value prints with 17 digits, so rows are equally long."""
+    t = np.arange(n) + 0.123456789
+    return PairedSeries(t1=t, x=np.sin(t), t2=t + 0.5, y=np.cos(t), scheme="a0", n_raw1=n, n_raw2=n)
+
+
+class TestBoundedMemory:
+    def test_read_peak_follows_the_parsed_arrays(self, tmp_path):
+        n = 20_000
+        path = tmp_path / "p.csv"
+        write_paired_csv(path, synthetic_pairs(n), {"seed": 1})
+        assert traced_peak(read_paired_csv, path) < 3 * (4 * 8 * n)  # four float64 columns
+
+    def test_writer_peaks_stop_growing_past_one_chunk(self, tmp_path):
+        # Past one chunk, only the numeric columns the writers compute grow the
+        # peak: overlap and config (8 bytes each a row) and exp(log price) (8
+        # bytes a row). Holding the text would add ~100 bytes a row.
+        small, large = 2 * _CHUNK_ROWS + 1, 8 * _CHUNK_ROWS + 1
+        paired = [traced_peak(write_paired_csv, tmp_path / "p.csv", synthetic_pairs(n), {"seed": 1})
+                  for n in (small, large)]
+        assert paired[1] - paired[0] <= 16 * (large - small) + 4096
+        series = [TickSeries(p.t1, p.x) for p in map(synthetic_pairs, (small, large))]
+        ticks = [traced_peak(save_ticks, ts, tmp_path / "t.csv") for ts in series]
+        assert ticks[1] - ticks[0] <= 8 * (large - small) + 4096

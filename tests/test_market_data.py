@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tempfile
 from pathlib import Path
@@ -9,11 +10,16 @@ from hypothesis import strategies as st
 
 from tickcopula import (
     InsufficientData,
+    InvalidParameter,
     MalformedInput,
     TickSeries,
     load_ticks,
     save_ticks,
 )
+from tickcopula.cli import read_paired_csv
+from tickcopula.market_data import _CHUNK_ROWS
+
+from conftest import seeded_day
 
 
 def write_csv(path, rows, header="time,price"):
@@ -206,3 +212,104 @@ class TestColumnarParse:
             back = load_ticks(path)
         assert np.array_equal(back.times, times)
         assert np.allclose(back.log_prices, log_prices, rtol=0, atol=1e-12)
+
+
+# Line kinds of a generated data section; each fault maps to the message it must raise.
+LINE_FAULTS = {
+    "short": "expected {k} fields",
+    "word": "non-numeric field",
+    "hash": "expected {k} fields",  # a "#" line after the header is one field, not metadata
+    "nan": "non-finite value",
+    "inf": "non-finite value",
+}
+READERS = {
+    "ticks": (("time", "price"), "venue", MalformedInput),
+    "paired": (("t1", "x", "t2", "y"), "overlap,config", InvalidParameter),
+}
+
+
+@st.composite
+def csv_files(draw, names, extra_header):
+    """``(bytes, data lines, first fault)`` of a CSV mixing every accepted quirk with row faults.
+
+    The time columns (``time``, ``t1``, ``t2``) increase by one per row, so the
+    faults are only the drawn ones; the first is ``(row, message)`` with rows
+    counted from 1 after the header, blank and whitespace-only lines included.
+    """
+    k = len(names)
+    kinds = draw(st.lists(st.sampled_from(["ok", "quoted", "extra", "blank", "spaces", *LINE_FAULTS]),
+                          max_size=25))
+    lines, first, t = [], None, 0.0
+    for row, kind in enumerate(kinds, start=1):
+        if kind in ("blank", "spaces"):
+            lines.append("" if kind == "blank" else draw(st.sampled_from([" ", " \t ", "\x0c", "\u00a0"])))
+            continue
+        t += 1.0
+        values = [draw(st.floats(1e-3, 1e6)) for _ in range(k)]
+        fields = [repr(t if name.startswith("t") else v) for name, v in zip(names, values)]
+        if kind in ("nan", "inf", "word"):
+            fields[-1] = {"nan": "nan", "inf": "inf", "word": "abc"}[kind]
+        if kind == "quoted":
+            fields = [f'"{f}"' for f in fields]
+        line = ",".join(fields[:-1] if kind == "short" else fields) + (",X,7" if kind == "extra" else "")
+        lines.append("# mid-file" if kind == "hash" else line)
+        if first is None and kind in LINE_FAULTS:
+            first = (row, LINE_FAULTS[kind].format(k=k))
+    header = ",".join(draw(st.sampled_from([n, f'"{n}"', n.upper()])) for n in names)
+    header += draw(st.sampled_from(["", "," + extra_header]))
+    meta = draw(st.lists(st.sampled_from(["# source=vendor", "#  note = a b ", "#"]), max_size=2))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join([*meta, header, *lines]) + draw(st.sampled_from([newline, ""]))
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return bom + text.encode("utf-8"), lines, first
+
+
+class TestStreamingReader:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(READERS)), st.data())
+    def test_arrays_or_row_numbered_error(self, kind, data):
+        names, extra_header, error = READERS[kind]
+        raw, lines, first = data.draw(csv_files(names, extra_header))
+        kept = [line for line in lines if line.strip()]
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "in.csv"
+            path.write_bytes(raw)
+            read = load_ticks if kind == "ticks" else read_paired_csv
+            if first is not None:
+                with pytest.raises(error) as info:
+                    read(path)
+                assert f"row {first[0]}" in str(info.value) and f"row {first[0]}0" not in str(info.value)
+                assert first[1] in str(info.value)
+                return
+            if len(kept) < (2 if kind == "ticks" else 1):
+                with pytest.raises(InsufficientData if kind == "ticks" else InvalidParameter):
+                    read(path)
+                return
+            got = read(path)
+        want = np.loadtxt(kept, delimiter=",", usecols=range(len(names)), ndmin=2, quotechar='"',
+                          comments=None).T
+        if kind == "ticks":
+            assert np.array_equal(got.times, want[0])
+            assert np.array_equal(got.log_prices, np.log(want[1]))
+        else:
+            for name, column in zip(names, want):
+                assert np.array_equal(getattr(got, name), column)
+
+
+# SHA-256 of save_ticks output: the first n ticks of a seeded Poisson series.
+# The counts straddle one writer chunk of 4096 rows; 2 is the shortest series.
+TICKS_SHA256 = {
+    2: "e4afd6fc4abe0440e9f6317085cfe63cd4eb544efc86228ff948306c633b35c5",
+    4095: "61ead6c3ddfb6d0d16c76dab30c3d2c52da65f1ac9f06bccd16561ebbb9fece5",
+    4096: "6905f9a1b4ccfcfc8c7d38f4cff6c62318ae9104b76c4dbb16d2e8deb193ae9a",
+    4097: "df921da08cb46d52a26ad547b056e48f224d2e73c921f9a57cb66d82ec141fdf",
+}
+
+
+class TestSaveTicksBytes:
+    @pytest.mark.parametrize("n", [2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    def test_frozen_digest(self, tmp_path, n):
+        a, _ = seeded_day()
+        save_ticks(TickSeries(a.times[:n], a.log_prices[:n]), tmp_path / "t.csv")
+        assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == TICKS_SHA256[n]
