@@ -49,10 +49,8 @@ from .errors import (
 )
 from .estimators import (
     CorrectedCorrelation,
-    DependenceCheckReport,
     TauEstimate,
     corrected_correlation,
-    dependence_checks,
     kendall_tau,
 )
 from .market_data import TickSeries, load_ticks, save_ticks

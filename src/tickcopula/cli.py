@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -154,29 +153,24 @@ def read_paired_csv(path) -> PairedSeries:
     """Load a paired CSV written by :func:`write_paired_csv`.
 
     A malformed or non-finite value raises :class:`InvalidParameter` naming
-    the first offending data row. So does a raw tick count in the metadata
-    below the number of distinct timestamps in its column, which would make
-    a loss fraction negative or divide by zero, and a ``delta`` that is not
-    finite and positive. A missing count defaults to that number.
+    the first offending data row. A missing raw tick count defaults to the
+    number of distinct timestamps in its column; :class:`PairedSeries`
+    rejects the rest, and its message is prefixed with ``path``.
     """
     meta, (t1, x, t2, y) = _read_columns(path, ("t1", "x", "t2", "y"), InvalidParameter)
     if t1.size == 0:
         raise InvalidParameter(f"{path}: no data rows")
     scheme = meta.get("scheme", "a0")
-    distinct = {"n_raw1": _n_distinct(t1), "n_raw2": _n_distinct(t2)}
     try:
-        counts = {k: int(meta[k]) if k in meta else d for k, d in distinct.items()}
+        counts = {k: int(meta[k]) if k in meta else _n_distinct(t)
+                  for k, t in (("n_raw1", t1), ("n_raw2", t2))}
         delta = float(meta["delta"]) if meta.get("delta") else None
     except ValueError as exc:
         raise InvalidParameter(f"{path}: bad metadata line: {exc}") from None
-    if delta is not None and not (math.isfinite(delta) and delta > 0):
-        raise InvalidParameter(f"{path}: delta must be finite and positive, got {meta['delta']!r}")
-    paired = PairedSeries(t1=t1, x=x, t2=t2, y=y, scheme=scheme, delta=delta, **counts)
-    for key, d in distinct.items():  # counted on the columns PairedSeries found nondecreasing
-        if counts[key] < d:
-            raise InvalidParameter(f"{path}: {key}={counts[key]} is below the {d} distinct "
-                                   f"timestamps of its column")
-    return paired
+    try:
+        return PairedSeries(t1=t1, x=x, t2=t2, y=y, scheme=scheme, delta=delta, **counts)
+    except InvalidParameter as exc:
+        raise InvalidParameter(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,6 @@ pivot ``sqrt(n) * (f(theta_hat) - f(theta))`` with
 across all return pairs or restricted to pairs of returns sharing the same
 nested ordering configuration (1 or 4). Tied pairs are excluded from both
 the numerator and the denominator and reported separately.
-
-``dependence_checks`` Monte-Carlo-verifies the sign identities behind the
-underestimation of concordance on nonsynchronous pairs: conditioning the
-common-interval sign product on a disagreeing contamination sign leaves its
-expectation unchanged, while adding the contamination shrinks the absolute
-expectation without flipping its sign.
 """
 
 from __future__ import annotations
@@ -26,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special, stats
 
-from .copulas import CopulaModel, sample_uniform
 from .errors import InsufficientData, InvalidParameter
 from .pairing import PairDiagnostics, PairedSeries, diagnostics
 
@@ -259,122 +252,4 @@ def kendall_tau(p: PairedSeries, basis: str = "all-pairs") -> TauEstimate:
         n_used=int(n[n >= 2].sum()),
         n_pairs_compared=n_compared,
         n_tied=int((n * (n - 1) // 2).sum()) - n_compared,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo checks of the sign identities
-
-
-@dataclass(frozen=True)
-class DependenceCheckReport:
-    """Monte Carlo comparison of concordance with and without contamination.
-
-    ``sign_common`` estimates E(sign A) where A is the sign product over the
-    common (overlapping) intervals of two same-configuration pairs;
-    ``sign_observed`` estimates E(sign(A + B)) where B carries the
-    non-overlapping contamination. ``conditional_diff`` is
-    E(sign A | sign A != sign B) - E(sign A), zero in expectation.
-    ``identity_lhs/rhs`` are the two sides of the decomposition
-    E(sign(A+B)) = E(sign A | sign A != sign B, |A|>|B|) * P(|A|>|B|).
-    """
-
-    config: int
-    n_mc: int
-    sign_common: float
-    sign_common_se: float
-    sign_observed: float
-    sign_observed_se: float
-    conditional_diff: float
-    conditional_diff_se: float
-    identity_lhs: float
-    identity_rhs: float
-    identity_se: float
-
-    @property
-    def underestimates(self) -> bool:
-        return abs(self.sign_observed) < abs(self.sign_common)
-
-    @property
-    def same_sign(self) -> bool:
-        return np.sign(self.sign_observed) == np.sign(self.sign_common)
-
-
-def dependence_checks(
-    config: int,
-    model: CopulaModel,
-    margins,
-    n_mc: int,
-    seed=None,
-) -> DependenceCheckReport:
-    """Simulate two same-configuration pairs and test the sign identities.
-
-    The geometry: two non-overlapping common intervals of standard
-    exponential lengths u1, u2, padded on each side by standard exponential
-    lengths eps_i, eta_i during which only the enveloping asset trades.
-    ``config`` 4 nests asset 1's interarrival inside asset 2's; ``config`` 1
-    is the mirror image. Margins must be a pair of symmetric zero-mean
-    distributions (objects with a ``ppf``).
-    """
-    if config not in (1, 4):
-        raise InvalidParameter("config must be 1 or 4 (the nested configurations)")
-    if n_mc < 10_000:
-        raise InvalidParameter(f"n_mc must be at least 10000, got {n_mc}")
-    rng = np.random.default_rng(seed)
-    u = rng.exponential(1.0, (n_mc, 2))
-    eps = rng.exponential(1.0, (n_mc, 2))
-    eta = rng.exponential(1.0, (n_mc, 2))
-
-    uv1 = sample_uniform(model, n_mc, rng)
-    uv2 = sample_uniform(model, n_mc, rng)
-    m1, m2 = margins
-    x1, y1 = m1.ppf(uv1[:, 0]), m2.ppf(uv1[:, 1])
-    x2, y2 = m1.ppf(uv2[:, 0]), m2.ppf(uv2[:, 1])
-
-    dx = np.sqrt(u[:, 0]) * x1 - np.sqrt(u[:, 1]) * x2
-    dy = np.sqrt(u[:, 0]) * y1 - np.sqrt(u[:, 1]) * y2
-    a = dx * dy
-
-    # contamination from the enveloping asset's extra increments, times the
-    # other asset's return: asset 2 envelops in config 4, asset 1 in config 1
-    extra_margin, other = (m2, dx) if config == 4 else (m1, dy)
-    extra = (
-        np.sqrt(eps[:, 0]) * extra_margin.ppf(rng.random(n_mc))
-        + np.sqrt(eta[:, 0]) * extra_margin.ppf(rng.random(n_mc))
-        - np.sqrt(eps[:, 1]) * extra_margin.ppf(rng.random(n_mc))
-        - np.sqrt(eta[:, 1]) * extra_margin.ppf(rng.random(n_mc))
-    )
-    b = other * extra
-
-    sign_a = np.sign(a)
-    sign_b = np.sign(b)
-    sign_ab = np.sign(a + b)
-
-    def mean_se(arr):
-        return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))
-
-    sa_mean, sa_se = mean_se(sign_a)
-    sab_mean, sab_se = mean_se(sign_ab)
-    mixed = sign_a != sign_b
-    cond_mean, cond_se = mean_se(sign_a[mixed])
-    dominant = mixed & (np.abs(a) > np.abs(b))
-    p_dom = float((np.abs(a) > np.abs(b)).mean())
-    p_dom_se = float(np.sqrt(p_dom * (1.0 - p_dom) / n_mc))
-    dom_mean, dom_se = mean_se(sign_a[dominant])
-    identity_rhs = dom_mean * p_dom
-    identity_se = float(
-        np.sqrt(sab_se**2 + (p_dom * dom_se) ** 2 + (dom_mean * p_dom_se) ** 2)
-    )
-    return DependenceCheckReport(
-        config=config,
-        n_mc=n_mc,
-        sign_common=sa_mean,
-        sign_common_se=sa_se,
-        sign_observed=sab_mean,
-        sign_observed_se=sab_se,
-        conditional_diff=cond_mean - sa_mean,
-        conditional_diff_se=float(np.sqrt(cond_se**2 + sa_se**2)),
-        identity_lhs=sab_mean,
-        identity_rhs=float(identity_rhs),
-        identity_se=identity_se,
     )

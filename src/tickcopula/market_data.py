@@ -76,12 +76,12 @@ def _read_columns(path, names, error, checks=None):
     """Parse a CSV whose header starts with ``names`` into float columns.
 
     Returns ``(meta, columns)``: the ``# key=value`` lines before the header
-    as a dict, and a C-contiguous ``(len(names), n_rows)`` array of the
-    leading columns. Every failure raises ``error`` naming ``path`` and, for
-    a data fault, the first offending 1-based data row. ``checks(columns)``
-    may return further ``(row_mask, message)`` pairs; a message is formatted
-    with ``row`` and ``fields`` (that row's values). Earlier checks win ties,
-    after the built-in non-finite check.
+    as a dict, and a ``(len(names), n_rows)`` view of the leading columns.
+    Every failure raises ``error`` naming ``path`` and, for a data fault, the
+    first offending 1-based data row. ``checks(columns)`` may return further
+    ``(row_mask, message)`` pairs; a message is formatted with ``row`` and
+    ``fields`` (that row's values). Earlier checks win ties, after the
+    built-in non-finite check.
 
     The data lines stream from the open file into one :func:`numpy.loadtxt`
     call. Only when that parse raises or a check fails is the file read again
@@ -90,7 +90,7 @@ def _read_columns(path, names, error, checks=None):
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             meta = _read_head(fh, path, names, error)
-            columns = np.ascontiguousarray(_loadtxt(fh, len(names)).T)
+            columns = _loadtxt(fh, len(names)).T
     except ValueError:  # undecodable bytes, or a line loadtxt cannot parse
         return _reread_columns(path, names, error, checks)
     if _first_fault(columns, checks):
@@ -140,7 +140,7 @@ def _reread_columns(path, names, error, checks):
         row, fault = _first_unparsable(lines, k, exc)
         lines = lines[: row - 1]
         table = _loadtxt(lines, k)
-    columns = np.ascontiguousarray(table.T)
+    columns = table.T
     first = _first_fault(columns, checks)
     if first:
         i, message = first

@@ -24,6 +24,7 @@ fraction of raw ticks lost to the synchronization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,7 +43,9 @@ class PairedSeries:
 
     ``t1``/``x`` belong to the first asset, ``t2``/``y`` to the second.
     ``n_raw1``/``n_raw2`` record the tick counts of the source series so the
-    data-loss fraction stays computable after pairing.
+    data-loss fraction stays computable after pairing; neither may be below
+    the distinct timestamps of its column. ``delta``, the previous-tick grid
+    width, is ``None`` or finite and positive.
     """
 
     t1: np.ndarray
@@ -65,9 +68,16 @@ class PairedSeries:
             raise InsufficientData("empty pairing")
         if not all(np.isfinite(v).all() for v in (t1, x, t2, y)):
             raise InvalidParameter("paired series contains non-finite values")
+        if self.delta is not None and not (math.isfinite(self.delta) and self.delta > 0):
+            raise InvalidParameter(f"delta must be finite and positive, got {self.delta}")
         # prev-tick may legitimately repeat a tick; backward jumps are never valid
         if (np.diff(t1) < 0).any() or (np.diff(t2) < 0).any():
             raise InvalidParameter("paired timestamps must be nondecreasing")
+        for key, t in (("n_raw1", t1), ("n_raw2", t2)):
+            count, distinct = getattr(self, key), _n_distinct(t)
+            if count < distinct:  # a loss fraction would be negative or divide by zero
+                raise InvalidParameter(f"{key}={count} is below the {distinct} distinct "
+                                       f"timestamps of its column")
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "t2", t2)
         object.__setattr__(self, "x", x)

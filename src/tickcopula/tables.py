@@ -38,20 +38,25 @@ _RATE = 1.0
 PREV_TICK_DELTA_FACTOR = 2.0
 
 
+def _uncorrected_and_corrected(sim):
+    cc = corrected_correlation(pair_ticks(sim.a, sim.b))
+    return cc.rho_hat, cc.theta_hat
+
+
 def _one_replicate(sim):
     """The three competing correlation estimates on one simulated sample.
 
     Refresh-time pairs hold the tick-retaining price pairs, so the refresh
-    estimate is the uncorrected correlation ``cc.rho_hat``.
+    estimate is the uncorrected correlation.
     """
-    cc = corrected_correlation(pair_ticks(sim.a, sim.b))
+    refresh, corrected = _uncorrected_and_corrected(sim)
     try:
         prev = pair_previous_tick(sim.a, sim.b, PREV_TICK_DELTA_FACTOR / _RATE)
         px, py = prev.returns()
         prev_est = float(np.corrcoef(px, py)[0, 1])
     except InsufficientData:
         prev_est = np.nan
-    return prev_est, cc.rho_hat, cc.theta_hat
+    return prev_est, refresh, corrected
 
 
 def gaussian_estimator_study(
@@ -81,11 +86,6 @@ def gaussian_estimator_study(
             row[f"{name}_mse"] = float(np.mean((arr - rho) ** 2))
         rows.append(row)
     return rows
-
-
-def _uncorrected_and_corrected(sim):
-    cc = corrected_correlation(pair_ticks(sim.a, sim.b))
-    return cc.rho_hat, cc.theta_hat
 
 
 def t_copula_margin_study(n_rep: int = 100, seed: int = 2) -> list[dict]:

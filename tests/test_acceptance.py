@@ -15,7 +15,6 @@ from tickcopula import (
     SimSpec,
     TickSeries,
     corrected_correlation,
-    dependence_checks,
     diagnostics,
     kendall_tau,
     pair_ticks,
@@ -31,7 +30,7 @@ from tickcopula.tables import (
     t_copula_margin_study,
 )
 
-from conftest import kendall_tau_brute, poisson_ticks, refresh_pairs_oracle
+from conftest import dependence_checks, kendall_tau_brute, poisson_ticks, refresh_pairs_oracle
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

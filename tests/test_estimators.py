@@ -15,14 +15,13 @@ from tickcopula import (
     PairedSeries,
     configuration_labels,
     corrected_correlation,
-    dependence_checks,
     kendall_tau,
     pair_previous_tick,
     pair_ticks,
 )
 from tickcopula import estimators
 
-from conftest import kendall_tau_brute, poisson_ticks
+from conftest import dependence_checks, kendall_tau_brute, poisson_ticks
 
 
 def paired_from_returns(rx, ry, times=None):

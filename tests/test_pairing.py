@@ -91,6 +91,26 @@ def test_paired_series_rejects_non_finite_values(field, value):
         PairedSeries(**columns, scheme="a0", n_raw1=4, n_raw2=4)
 
 
+@pytest.mark.parametrize("meta, words", [
+    ({"n_raw1": 0}, "n_raw1=0 is below the 12 distinct"),  # diagnostics would divide by zero
+    ({"n_raw1": 5}, "n_raw1=5 is below"),  # loss1 would be -1.4
+    ({"n_raw2": 11}, "n_raw2=11 is below"),
+    ({"delta": np.nan}, "delta must be finite and positive"),
+    ({"delta": np.inf}, "delta must be finite and positive"),
+    ({"delta": 0.0}, "delta must be finite and positive"),
+    ({"delta": -2.5}, "delta must be finite and positive"),
+    # precedence: delta, then the timestamps' order, then the counts
+    ({"delta": np.nan, "t1": np.arange(12.0)[::-1], "n_raw1": 0}, "delta must be"),
+    ({"t1": np.arange(12.0)[::-1], "n_raw1": 0}, "nondecreasing"),
+])
+def test_paired_series_rejects_inconsistent_metadata(meta, words):
+    t = np.arange(12.0)
+    fields = dict(t1=t, x=np.sin(t), t2=t, y=np.cos(t), scheme="a0", n_raw1=12, n_raw2=12)
+    PairedSeries(**fields)  # counts equal to the distinct timestamps are accepted
+    with pytest.raises(InvalidParameter, match=words):
+        PairedSeries(**{**fields, **meta})
+
+
 class TestRefreshTime:
     def test_prices_match_tick_pairing_and_times_collapse(self, rng):
         a = poisson_ticks(rng, 1.0, 300)
