@@ -58,6 +58,17 @@ class TestFrozenOutputs:
             "bc88fcd4fdd65984c1b6e9ffb1cad794b84cf72168967c9d15acb135c015f35d"
         )
 
+    @pytest.mark.parametrize("family, digest", [
+        ("clayton", "f31f2fa55c5882c30e4633a6dd1c827d7f26eae691f668f8d99943c24808e053"),
+        ("gumbel", "509b2216515894bcf63502930da23a82b55d206199c372f55bbb1ca0f3fc2990"),
+    ])
+    def test_build_curve_straddling_the_dense_kendall_limit(self, family, digest):
+        # 600 ticks a side leave rows of about 400 returns, counted on both sides of
+        # estimators._DENSE_MAX_RETURNS within one replicate block
+        curve = build_curve(family, PoissonPair(1, 1), STANDARD_NORMAL,
+                            grid=np.linspace(0.02, 0.75, 5), n_rep=50, n_ticks=600, seed=7)
+        assert sha256(curve.estimates.tobytes()) == digest
+
     def test_gaussian_estimator_study(self):
         assert sha256(gaussian_estimator_study(n_rep=3)) == (
             "f66a33db3a3144a1b3dda8f9d9e158bb395207551634fe9a4aea63171ecb1607"
