@@ -143,9 +143,9 @@ def _tick_pairs(t: np.ndarray, from_a: np.ndarray) -> tuple[np.ndarray, np.ndarr
     its walk; the pair it closes is dropped.
     """
     k, m = t.shape
-    label = np.full((k, m + 1), 2, dtype=np.int8)  # 1: asset 1, 2: asset 2, 0: joint
-    label[:, 1:][from_a] = 1
+    label = np.empty((k, m + 1), dtype=np.int8)  # 1: asset 1, 2: asset 2, 0: joint
     label[:, 0] = 0  # the sentinels
+    np.subtract(2, from_a, out=label[:, 1:], dtype=np.int8)
     tied = t[:, 1:] == t[:, :-1]
     label[:, 2:][tied] = 0  # a tick tied with the one before it joins it ...
     keep = np.ones((k, m + 1), dtype=bool)

@@ -358,10 +358,11 @@ def _row_values(draw, rng, n):
 
 @st.composite
 def return_rows(draw):
-    """NaN-padded rows of unequal length on both sides of the direct-count limit, often tied.
+    """Padded rows of unequal length on both sides of the direct-count limit, often tied.
 
     Rows of 0 and 1 returns sit inside the block, and some blocks are exactly
-    ``_DENSE_MAX_RETURNS`` wide.
+    ``_DENSE_MAX_RETURNS`` wide. The padding past each row's length holds NaN,
+    +inf, -inf or finite values that tie the returns, none of which may count.
     """
     limit = estimators._DENSE_MAX_RETURNS
     sizes = [0, 1, 2, 3, 17, 60, limit - 1, limit]
@@ -373,6 +374,9 @@ def return_rows(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     rx = np.full((len(lengths), max(lengths)), np.nan)
     ry = np.full_like(rx, np.nan)
+    pad = draw(st.sampled_from(["nan", "inf", "-inf", "finite"]))
+    if pad != "nan":
+        rx[:], ry[:] = (rng.integers(-2, 3, rx.shape) if pad == "finite" else float(pad) for _ in "xy")
     for r, n in enumerate(lengths):
         rx[r, :n] = _row_values(draw, rng, n)
         ry[r, :n] = _row_values(draw, rng, n)

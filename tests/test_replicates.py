@@ -32,7 +32,7 @@ from tickcopula import (
     param_of_tau,
     simulate,
 )
-from tickcopula.synthesis import _BLOCK, _fork_workers, _per_sample, _run_cells
+from tickcopula.synthesis import _block_reps, _fork_workers, _per_sample, _run_cells
 from tickcopula.tables import (
     STANDARD_NORMAL,
     coverage_study,
@@ -107,8 +107,15 @@ class TestRunCells:
         assert out.shape == (2, 2, 1) and (out[0] == 30).all() and (out[1] == 40).all()
         assert _run_cells([], 2, [0], len, lambda1=1.0, lambda2=1.0).shape == (0, 2, 0)
 
+    def test_block_reps_follow_the_event_budget(self):
+        # about 35k events a block: 50 replicates at 350 ticks per asset, 8 at 2k, 1 at 20k and 200k
+        assert [_block_reps(2 * n) for n in (350, 2_000, 17_500, 17_501, 20_000, 200_000)] == [
+            50, 8, 1, 1, 1, 1]
+
     def test_blocks_keep_the_seed_tree(self):
-        n_rep = 2 * _BLOCK + 3
+        b0, b1 = (_block_reps(2 * n) for _, _, n in self.CELLS)
+        n_rep = 2 * b0 + 3
+        assert b1 < b0 and n_rep % b1  # the cells' blocks differ, and each ends short
         sizes = []
 
         def estimate(spec, seeds):
@@ -116,7 +123,7 @@ class TestRunCells:
             return [[spec.n1, spec.lambda2, *seed] for seed in seeds]
 
         out = _run_cells(self.CELLS, n_rep, [9, 4], estimate, lambda1=1.0, lambda2=2.0)
-        assert sizes == [_BLOCK, _BLOCK, 3] * 2
+        assert sizes == [b0, b0, 3] + [b1] * (n_rep // b1) + [n_rep % b1]
         for c, (_, _, n) in enumerate(self.CELLS):
             assert out[c].tolist() == [[n, 2.0, 9, 4, c, r] for r in range(n_rep)]
 
@@ -134,6 +141,7 @@ class TestForkPool:
     """``pool=True`` runs the blocks in forked workers, with the in-process results and errors."""
 
     CELLS = TestRunCells.CELLS
+    BLOCK = _block_reps(2 * CELLS[0][2])  # replicates per block of cell 0
 
     def test_build_curve_matches_one_cpu(self, monkeypatch):
         def curve_bytes():
@@ -147,32 +155,35 @@ class TestForkPool:
     def test_earliest_failing_block_raises(self):
         def estimate(spec, seeds):
             c, r = seeds[0][-2:]
-            if (c, r) == (0, _BLOCK):
+            if (c, r) == (0, self.BLOCK):
                 time.sleep(0.2)  # fails after block (1, 0) in time, before it in block order
                 raise InsufficientData(f"block {c}, {r}")
             if (c, r) == (1, 0):
                 raise InvalidParameter(f"block {c}, {r}")
             return [0.0] * len(seeds)
 
-        with pytest.raises(InsufficientData, match=f"^block 0, {_BLOCK}$"):
-            _run_cells(self.CELLS, 2 * _BLOCK, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
+        with pytest.raises(InsufficientData, match=f"^block 0, {self.BLOCK}$"):
+            _run_cells(self.CELLS, 2 * self.BLOCK, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
 
-    @pytest.mark.parametrize("later", [(1, 0), (0, 2 * _BLOCK)], ids=["other-chunk", "same-chunk"])
+    @pytest.mark.parametrize("later", [(1, 0), (0, 2 * BLOCK)], ids=["other-chunk", "same-chunk"])
     def test_earliest_failing_block_raises_in_chunks(self, monkeypatch, later):
         def estimate(spec, seeds):
             c, r = seeds[0][-2:]
-            if (c, r) == (0, _BLOCK):
+            if (c, r) == (0, self.BLOCK):
                 time.sleep(0.2)
                 raise InsufficientData(f"block {c}, {r}")
             if (c, r) == later:
                 raise InvalidParameter(f"block {c}, {r}")
             return [0.0] * len(seeds)
 
-        # two workers take the 2 x 24 blocks in chunks of 4: blocks 1 and 2, (0, _BLOCK) and
-        # (0, 2 * _BLOCK), share the first chunk; block 24, (1, 0), opens the seventh
+        # cell 0 runs in 24 blocks and cell 1 in 33, which two workers take in chunks of
+        # 57 // 12 = 4: blocks 1 and 2, (0, BLOCK) and (0, 2 * BLOCK), share the first chunk;
+        # block 24, (1, 0), opens the seventh
+        n_rep = 24 * self.BLOCK
+        assert n_rep // self.BLOCK + -(-n_rep // _block_reps(2 * self.CELLS[1][2])) == 57
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        with pytest.raises(InsufficientData, match=f"^block 0, {_BLOCK}$"):
-            _run_cells(self.CELLS, 24 * _BLOCK, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
+        with pytest.raises(InsufficientData, match=f"^block 0, {self.BLOCK}$"):
+            _run_cells(self.CELLS, n_rep, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_the_call(self):
@@ -180,7 +191,7 @@ class TestForkPool:
             return [[os.getpid(), _fork_workers(99)] for _ in seeds]
 
         cpus = len(os.sched_getaffinity(0))
-        out = _run_cells(self.CELLS, 5 * _BLOCK, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
+        out = _run_cells(self.CELLS, 5 * self.BLOCK, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
         assert multiprocessing.active_children() == []
         pids = set(out[..., 0].ravel())
         assert len(pids) <= cpus and (os.getpid() in pids) == (cpus == 1)
@@ -190,7 +201,7 @@ class TestForkPool:
             raise InvalidParameter("every block fails")
 
         with pytest.raises(InvalidParameter, match="every block fails"):
-            _run_cells(self.CELLS, 5 * _BLOCK, [0], fail, lambda1=1.0, lambda2=1.0, pool=True)
+            _run_cells(self.CELLS, 5 * self.BLOCK, [0], fail, lambda1=1.0, lambda2=1.0, pool=True)
         assert multiprocessing.active_children() == []
 
 
