@@ -372,11 +372,11 @@ def return_rows(draw):
     if draw(st.booleans()):
         lengths.append(limit)
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    rx = np.full((len(lengths), max(lengths)), np.nan)
-    ry = np.full_like(rx, np.nan)
-    pad = draw(st.sampled_from(["nan", "inf", "-inf", "finite"]))
-    if pad != "nan":
-        rx[:], ry[:] = (rng.integers(-2, 3, rx.shape) if pad == "finite" else float(pad) for _ in "xy")
+    rx = np.empty((len(lengths), max(lengths)))
+    ry = np.empty_like(rx)
+    pad = draw(st.sampled_from(["nan", "inf", "-inf", "ties"]))
+    for v in (rx, ry):  # what each row holds past its length
+        v[:] = rng.integers(-2, 3, v.shape) if pad == "ties" else float(pad)
     for r, n in enumerate(lengths):
         rx[r, :n] = _row_values(draw, rng, n)
         ry[r, :n] = _row_values(draw, rng, n)
