@@ -10,8 +10,9 @@ the expected paired interarrival of each asset, and the dimensionless ratio
 All three expectations are infinite series in the splitting probabilities
 ``x_i = lambda_i / (lambda1 + lambda2)``. The Beta(1,k) distribution function
 has the elementary form ``F(x) = 1 - (1-x)**k``, which collapses every term
-to a power of ``x_i``; the series are summed by truncation with an exact
-geometric tail bound.
+to a power of ``x_i``. The series are therefore arithmetico-geometric, and
+each sums in closed form in the rate ratio ``r = lambda1 / lambda2``; ``gamma``
+depends on ``r`` alone.
 
 Two caveats about how these closed forms relate to measurements on paired
 data. First, ``expected_dt1`` and ``expected_dt2`` differ from each other at
@@ -49,11 +50,11 @@ class PoissonPair:
 
     @property
     def x1(self) -> float:
-        return self.lambda1 / (self.lambda1 + self.lambda2)
+        return 1.0 / (1.0 + float(self.lambda2) / float(self.lambda1))
 
     @property
     def x2(self) -> float:
-        return self.lambda2 / (self.lambda1 + self.lambda2)
+        return 1.0 / (1.0 + float(self.lambda1) / float(self.lambda2))
 
 
 @dataclass(frozen=True)
@@ -62,17 +63,13 @@ class TheoryReport:
 
     ``expected_dt1``/``expected_dt2`` are the expected paired interarrivals,
     ``expected_overlap`` the expected overlap interval, ``gamma`` their
-    dimensionless ratio. ``truncation_n`` is the number of series terms
-    summed and ``truncation_error_bound`` an upper bound on the truncation
-    error of any reported time quantity.
+    dimensionless ratio.
     """
 
     expected_overlap: float
     expected_dt1: float
     expected_dt2: float
     gamma: float
-    truncation_n: int
-    truncation_error_bound: float
 
 
 def pq_terms(pp: PoissonPair, n: int) -> tuple[float, float]:
@@ -87,79 +84,29 @@ def pq_terms(pp: PoissonPair, n: int) -> tuple[float, float]:
     return float(x2 * x1**n), float(x1 * x2**n)
 
 
-def _tail_bound_linear(r: float, n: int) -> float:
-    """Exact tail of sum_{k>n} k r**k."""
-    return r ** (n + 1) * ((n + 1) - n * r) / (1.0 - r) ** 2
+def theory_report(pp: PoissonPair) -> TheoryReport:
+    """The overlap and paired-interarrival series, summed in closed form.
 
-
-def _tail_bound_geom(r: float, n: int) -> float:
-    """Exact tail of sum_{k>n} r**k."""
-    return r ** (n + 1) / (1.0 - r)
-
-
-def _truncation_n(r: float, tol: float) -> int:
-    """Smallest n with the k*r**k tail below tol (the dominating tail)."""
-    n = 8
-    while _tail_bound_linear(r, n) > tol:
-        n *= 2
-        if n > 1 << 26:
-            raise InvalidParameter(f"tolerance {tol} unattainable for rate ratio {r}")
-    # shrink back to the first adequate n
-    lo, hi = n // 2, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _tail_bound_linear(r, mid) <= tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
-def theory_report(pp: PoissonPair, tol: float = 1e-12) -> TheoryReport:
-    """Sum the overlap and paired-interarrival series to tolerance ``tol``.
-
-    The truncation point is chosen from the exact geometric tail bounds so
-    that every reported time quantity is within ``tol`` of its limit. At
-    equal rates the sums collapse analytically: expected overlap ``2/lam``,
-    expected paired interarrival ``1.5/lam`` and ``gamma = 0.75``.
+    With ``r = lambda1 / lambda2``, ``sum_n n (p_n + q_n) = r + 1/r`` and the
+    paired-interarrival multipliers are ``x1 + 1/r`` and ``x2 + r``. At equal
+    rates the expected overlap is ``2/lam``, the expected paired
+    interarrival ``1.5/lam`` and ``gamma = 0.75``. A rate pair whose values
+    float64 cannot hold raises :class:`InvalidParameter`.
     """
-    if not np.isfinite(tol) or tol <= 0:
-        raise InvalidParameter(f"tol must be positive, got {tol}")
-    x1, x2 = pp.x1, pp.x2
-    rate_scale = 1.0 / pp.lambda1 + 1.0 / pp.lambda2
-    r = max(x1, x2)
-    # scale tol down so the bound holds after the rate prefactors
-    term_tol = tol / max(rate_scale, 1.0 / pp.lambda1, 1.0 / pp.lambda2) / 2.0
-    n_trunc = _truncation_n(r, term_tol)
-
-    k = np.arange(1, n_trunc + 1, dtype=float)
-    pow1 = x1**k
-    pow2 = x2**k
-    # overlap: (1/2) * rate_scale * sum_n n (p_n + q_n)
-    s_pq = float(np.sum(k * (x2 * pow1 + x1 * pow2)))
-    expected_overlap = 0.5 * rate_scale * s_pq
-    # paired interarrival multipliers: sum_k (1-x_i) x_i^k + k x_i (1-x_i)^k
-    eta1 = float(np.sum((1.0 - x1) * pow1 + k * x1 * pow2))
-    eta2 = float(np.sum((1.0 - x2) * pow2 + k * x2 * pow1))
-    expected_dt1 = eta1 / pp.lambda1
-    expected_dt2 = eta2 / pp.lambda2
-
-    gamma = float(np.sqrt(expected_dt1 * expected_dt2) / expected_overlap)
-    tail_lin = _tail_bound_linear(r, n_trunc)
-    tail_geo = _tail_bound_geom(r, n_trunc)
-    bound = max(
-        0.5 * rate_scale * 2.0 * tail_lin,
-        (tail_geo + tail_lin) / pp.lambda1,
-        (tail_geo + tail_lin) / pp.lambda2,
-    )
-    return TheoryReport(
-        expected_overlap=float(expected_overlap),
-        expected_dt1=float(expected_dt1),
-        expected_dt2=float(expected_dt2),
-        gamma=gamma,
-        truncation_n=int(n_trunc),
-        truncation_error_bound=float(bound),
-    )
+    lam1, lam2 = float(pp.lambda1), float(pp.lambda2)  # Python floats overflow without a warning
+    r, r_inv = lam1 / lam2, lam2 / lam1
+    expected_overlap = 0.5 * (1.0 / lam1 + 1.0 / lam2) * (r + r_inv)
+    expected_dt1 = (pp.x1 + r_inv) / lam1
+    expected_dt2 = (pp.x2 + r) / lam2
+    # gamma = 2r(1 + r + r^2) / ((1 + r)^2 (1 + r^2)) is unchanged by r -> 1/r;
+    # the form in s <= 1 cannot overflow
+    s = min(r, r_inv)
+    gamma = 2.0 * s * (1.0 + s + s * s) / ((1.0 + s) ** 2 * (1.0 + s * s))
+    values = (expected_overlap, expected_dt1, expected_dt2, gamma)
+    if not all(0.0 < v < np.inf for v in values):
+        raise InvalidParameter(
+            f"the arrival quantities at rates {lam1} and {lam2} exceed the float64 range")
+    return TheoryReport(*values)
 
 
 def estimate_rates(a: TickSeries, b: TickSeries) -> PoissonPair:

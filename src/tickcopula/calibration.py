@@ -255,7 +255,8 @@ def _uncorrected_taus(spec, seeds) -> np.ndarray:
     y = np.full_like(x, np.nan)
     x[row, col] = ev.log_x[from_a].reshape(k, -1)[row, i1]
     y[row, col] = ev.log_y[ev.to_b].reshape(k, -1)[row, i2]
-    rx, ry = np.diff(x, axis=1), np.diff(y, axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf; such rows replay alone below
+        rx, ry = np.diff(x, axis=1), np.diff(y, axis=1)
     ok = (np.isfinite(ev.times) & np.isfinite(ev.log_x) & np.isfinite(ev.log_y)).all(axis=1)
     ok &= (np.diff(ev.times, axis=1) > 0).all(axis=1) & ~(np.isinf(rx) | np.isinf(ry)).any(axis=1)
     taus = np.full(k, np.nan)

@@ -212,9 +212,9 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    report = theory_report(PoissonPair(args.lambda1, args.lambda2), tol=args.tol)
+    report = theory_report(PoissonPair(args.lambda1, args.lambda2))
     payload = dataclasses.asdict(report)
-    payload["meta"] = _meta(args, lambda1=args.lambda1, lambda2=args.lambda2, tol=args.tol)
+    payload["meta"] = _meta(args, lambda1=args.lambda1, lambda2=args.lambda2)
     _write_json(args.out, payload)
     return 0
 
@@ -408,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theory", help="closed-form arrival quantities for Poisson rates")
     p.add_argument("--lambda1", type=float, required=True)
     p.add_argument("--lambda2", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_theory)
 

@@ -330,9 +330,12 @@ def sample_uniform(model: CopulaModel, n: int, rng: np.random.Generator) -> np.n
     th = model.param
     if th == 1.0:
         return rng.random((n, 2))
-    frailty = _positive_stable(1.0 / th, n, rng)
-    e = rng.standard_exponential((n, 2))
-    return np.exp(-((e / frailty[:, None]) ** (1.0 / th)))
+    # at high theta a frailty can overflow, or its sines vanish to 0 * inf; the
+    # draws then hold 0, 1 or nan, which the tick series' own checks reject
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        frailty = _positive_stable(1.0 / th, n, rng)
+        e = rng.standard_exponential((n, 2))
+        return np.exp(-((e / frailty[:, None]) ** (1.0 / th)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +423,7 @@ def fit_aic(
         raise InvalidParameter("uv must be an (n, 2) array of pseudo-observations")
     if uv.shape[0] < 30:
         raise InsufficientData(f"need at least 30 pseudo-observations, got {uv.shape[0]}")
-    if (uv <= 0).any() or (uv >= 1).any():
+    if not ((uv > 0).all() and (uv < 1).all()):  # nan fails both comparisons
         raise InvalidParameter("pseudo-observations must lie strictly inside (0, 1)")
     if (uv == uv[0]).all(axis=0).any():
         raise InsufficientData("a column of pseudo-observations holds a single value; "

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, MalformedInput
+from .errors import InsufficientData, InvalidParameter, MalformedInput
 
 
 @dataclass(frozen=True)
@@ -235,8 +235,18 @@ def save_ticks(series: TickSeries, path) -> None:
     """Write a series back to ``time,price`` CSV with 17 significant digits.
 
     Round-trips bit-for-bit through :func:`load_ticks` up to the exp/log pair
-    applied to the price column.
+    applied to the price column. A log price whose price overflows to inf or
+    underflows to 0, which :func:`load_ticks` would reject, raises
+    :class:`InvalidParameter` naming the first such tick before the file is
+    opened.
     """
+    with np.errstate(over="ignore", under="ignore"):
+        prices = np.exp(series.log_prices)
+    if not (prices.min() > 0.0 and prices.max() < np.inf):  # reductions: no mask is held
+        i = int(np.argmax((prices == 0.0) | (prices == np.inf)))
+        t, log_price = series.times[i].item(), series.log_prices[i].item()
+        raise InvalidParameter(f"tick {i + 1} at time {t!r}: price exp({log_price!r}) "
+                               "is not a finite positive float")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_rows(fh, "time,price\n", "%.17g,%.17g\n", (series.times, np.exp(series.log_prices)))
+        _write_rows(fh, "time,price\n", "%.17g,%.17g\n", (series.times, prices))
 

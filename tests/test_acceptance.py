@@ -139,7 +139,7 @@ def test_criterion_5_arrival_series():
     """Closed forms at equal rates; brute-force series check at unequal rates."""
     ok = True
     for lam in (0.5, 1.0, 2.0):
-        r = theory_report(PoissonPair(lam, lam), tol=1e-12)
+        r = theory_report(PoissonPair(lam, lam))
         ok &= abs(r.expected_overlap - 2.0 / lam) < 1e-10
         ok &= abs(r.expected_dt1 - 1.5 / lam) < 1e-10
         ok &= abs(r.expected_dt2 - 1.5 / lam) < 1e-10
@@ -147,22 +147,22 @@ def test_criterion_5_arrival_series():
     brute_ok = True
     for lam1, lam2 in ((1.0, 3.0), (0.7, 1.3)):
         pp = PoissonPair(lam1, lam2)
-        r = theory_report(pp, tol=1e-12)
+        r = theory_report(pp)
         n = np.arange(1, 1_000_001, dtype=float)
         x1, x2 = pp.x1, pp.x2
         ei = 0.5 * (1 / lam1 + 1 / lam2) * float(np.sum(n * (x2 * x1**n + x1 * x2**n)))
         eta1 = float(np.sum((1 - x1) * x1**n + n * x1 * (1 - x1) ** n))
         eta2 = float(np.sum((1 - x2) * x2**n + n * x2 * (1 - x2) ** n))
-        brute_ok &= abs(r.expected_overlap - ei) <= r.truncation_error_bound + 1e-13
-        brute_ok &= abs(r.expected_dt1 - eta1 / lam1) <= r.truncation_error_bound + 1e-13
-        brute_ok &= abs(r.expected_dt2 - eta2 / lam2) <= r.truncation_error_bound + 1e-13
+        brute_ok &= abs(r.expected_overlap - ei) <= 1e-13
+        brute_ok &= abs(r.expected_dt1 - eta1 / lam1) <= 1e-13
+        brute_ok &= abs(r.expected_dt2 - eta2 / lam2) <= 1e-13
     ok &= brute_ok
     r1 = theory_report(PoissonPair(1.0, 1.0))
     report(
         5,
         ok,
         f"equal rates: overlap {r1.expected_overlap:.12f} (2), dt {r1.expected_dt1:.12f} "
-        f"(1.5), gamma {r1.gamma:.12f} (0.75); unequal-rate sums within reported bounds",
+        f"(1.5), gamma {r1.gamma:.12f} (0.75); unequal-rate sums within 1e-13",
     )
     assert ok
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tickcopula import (
@@ -54,14 +56,37 @@ class TestPqTerms:
             pq_terms(PoissonPair(1.0, 1.0), 0)
 
 
+LOG_MAX = np.log(np.finfo(float).max)
+
+
+def log_largest_value(lam1, lam2):
+    """Log of the largest of overlap, dt1 and dt2, computed without leaving float64."""
+    ll1, ll2 = np.log(lam1), np.log(lam2)
+    lr = ll1 - ll2
+    log_overlap = np.log(0.5) + np.logaddexp(-ll1, -ll2) + np.logaddexp(lr, -lr)
+    log_dt1 = np.logaddexp(-np.logaddexp(0.0, -lr), -lr) - ll1
+    log_dt2 = np.logaddexp(-np.logaddexp(0.0, lr), lr) - ll2
+    return max(log_overlap, log_dt1, log_dt2)
+
+
+def report_or_none(lam1, lam2):
+    try:
+        return theory_report(PoissonPair(lam1, lam2))
+    except InvalidParameter:
+        return None
+
+
+log_uniform_rate = st.floats(np.log10(1e-320), 308.0).map(lambda e: 10.0**e)
+
+
 class TestTheoryReport:
     def test_equal_rate_closed_forms(self):
-        for lam in (0.5, 1.0, 4.0):
-            r = theory_report(PoissonPair(lam, lam), tol=1e-12)
-            assert r.expected_overlap == pytest.approx(2.0 / lam, abs=1e-10)
-            assert r.expected_dt1 == pytest.approx(1.5 / lam, abs=1e-10)
-            assert r.expected_dt2 == pytest.approx(1.5 / lam, abs=1e-10)
-            assert r.gamma == pytest.approx(0.75, abs=1e-10)
+        for lam in (0.5, 1.0, 2.0, 4.0):
+            r = theory_report(PoissonPair(lam, lam))
+            assert r.expected_overlap == 2.0 / lam
+            assert r.expected_dt1 == 1.5 / lam
+            assert r.expected_dt2 == 1.5 / lam
+            assert r.gamma == 0.75
 
     def test_gamma_is_the_reported_ratio(self):
         r = theory_report(PoissonPair(1.0, 2.5))
@@ -88,7 +113,7 @@ class TestTheoryReport:
         # 10^6-term direct summation as the oracle
         for lam1, lam2 in ((1.0, 3.0), (0.7, 1.3)):
             pp = PoissonPair(lam1, lam2)
-            r = theory_report(pp, tol=1e-12)
+            r = theory_report(pp)
             n = np.arange(1, 1_000_001, dtype=float)
             x1, x2 = pp.x1, pp.x2
             p_n = x2 * x1**n
@@ -96,24 +121,49 @@ class TestTheoryReport:
             ei = 0.5 * (1 / lam1 + 1 / lam2) * float(np.sum(n * (p_n + q_n)))
             eta1 = float(np.sum((1 - x1) * x1**n + n * x1 * (1 - x1) ** n))
             eta2 = float(np.sum((1 - x2) * x2**n + n * x2 * (1 - x2) ** n))
-            assert abs(r.expected_overlap - ei) <= r.truncation_error_bound + 1e-13
-            assert abs(r.expected_dt1 - eta1 / lam1) <= r.truncation_error_bound + 1e-13
-            assert abs(r.expected_dt2 - eta2 / lam2) <= r.truncation_error_bound + 1e-13
+            assert abs(r.expected_overlap - ei) <= 1e-13
+            assert abs(r.expected_dt1 - eta1 / lam1) <= 1e-13
+            assert abs(r.expected_dt2 - eta2 / lam2) <= 1e-13
 
-    def test_truncation_bound_honesty(self):
-        # doubling the effective N (via a tighter tol) moves each sum by less
-        # than the looser run's reported bound
-        pp = PoissonPair(1.0, 2.0)
-        loose = theory_report(pp, tol=1e-6)
-        tight = theory_report(pp, tol=1e-14)
-        assert tight.truncation_n > loose.truncation_n
-        assert abs(loose.expected_overlap - tight.expected_overlap) < loose.truncation_error_bound
-        assert abs(loose.expected_dt1 - tight.expected_dt1) < loose.truncation_error_bound
-        assert abs(loose.expected_dt2 - tight.expected_dt2) < loose.truncation_error_bound
+    def test_sums_match_pq_partial_sums(self):
+        # the paper's series in the splitting terms: overlap sum n (p_n + q_n),
+        # paired interarrival multipliers sum p_n + n q_n and sum q_n + n p_n;
+        # 600 terms leave a tail below 1e-20 at these ratios
+        n = np.arange(1, 601)
+        for lam1, lam2 in ((1.0, 3.0), (0.7, 1.3), (1.0, 2.0), (5.0, 0.5)):
+            pp = PoissonPair(lam1, lam2)
+            p, q = np.array([pq_terms(pp, int(k)) for k in n]).T
+            r = theory_report(pp)
+            assert abs(r.expected_overlap - 0.5 * (1 / lam1 + 1 / lam2) * np.sum(n * (p + q))) <= 1e-13
+            assert abs(r.expected_dt1 - np.sum(p + n * q) / lam1) <= 1e-13
+            assert abs(r.expected_dt2 - np.sum(q + n * p) / lam2) <= 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam1=log_uniform_rate, lam2=log_uniform_rate, scale=st.floats(-30.0, 30.0))
+    def test_any_rate_pair_is_finite_or_refused(self, lam1, lam2, scale):
+        r = report_or_none(lam1, lam2)
+        # refused exactly when a true value is past the float64 range
+        if r is None:
+            assert log_largest_value(lam1, lam2) > LOG_MAX - 1e-9
+            assert report_or_none(lam2, lam1) is None
+            return
+        assert log_largest_value(lam1, lam2) < LOG_MAX + 1e-9
+        values = np.array([r.expected_overlap, r.expected_dt1, r.expected_dt2, r.gamma])
+        assert np.isfinite(values).all() and (values > 0).all()
+        swapped = theory_report(PoissonPair(lam2, lam1))
+        assert (swapped.expected_dt1, swapped.expected_dt2) == (r.expected_dt2, r.expected_dt1)
+        assert (swapped.expected_overlap, swapped.gamma) == (r.expected_overlap, r.gamma)
+        scaled = report_or_none(lam1 * 10.0**scale, lam2 * 10.0**scale)
+        if scaled is not None:
+            assert scaled.gamma == pytest.approx(r.gamma, rel=1e-14)
+
+    def test_largest_rates(self):
+        r = theory_report(PoissonPair(1e308, 1e308))
+        assert r.gamma == 0.75
+        assert r.expected_overlap == pytest.approx(2e-308, rel=1e-14)
+        assert pq_terms(PoissonPair(1e308, 1e308), 1) == (0.25, 0.25)
 
     def test_invalid_inputs(self):
-        with pytest.raises(InvalidParameter):
-            theory_report(PoissonPair(1.0, 1.0), tol=0.0)
         with pytest.raises(InvalidParameter):
             PoissonPair(0.0, 1.0)
         with pytest.raises(InvalidParameter):

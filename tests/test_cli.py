@@ -158,6 +158,35 @@ class TestTheoryCommand:
         assert exc.value.code == 2
 
 
+class TestTheoryRates:
+    """Rates at the ends of float64: finite strict JSON, or one JSON error; never a warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lambda1, lambda2", [("1", "1e-6"), ("1e308", "1e308"), ("1", "1e308")])
+    def test_finite_strict_json(self, capsys, lambda1, lambda2):
+        rc = run(["theory", "--lambda1", lambda1, "--lambda2", lambda2])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        out = json.loads(captured.out, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+        values = [out[k] for k in ("expected_overlap", "expected_dt1", "expected_dt2", "gamma")]
+        assert all(0.0 < v < np.inf for v in values)
+        assert "tol" not in out["meta"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lambda1, lambda2", [("1", "1e-320"), ("1e-320", "1e-320")])
+    def test_rates_past_float64(self, capsys, lambda1, lambda2):
+        rc = run(["theory", "--lambda1", lambda1, "--lambda2", lambda2])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == "" and captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidParameter" and "float64" in err["message"]
+
+    def test_tol_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["theory", "--lambda1", "1", "--lambda2", "1", "--tol", "1e-12"])
+        assert exc.value.code == 2
+
+
 class TestKendallAndSelection:
     def test_kendall_estimate(self, sim_prefix, tmp_path, capsys):
         paired_path = tmp_path / "paired.csv"
@@ -420,6 +449,28 @@ class TestErrorContract:
         err = self.json_error(capsys, ["simulate", "--family", "gaussian", "--param", "0.3", *size,
                                        f"{option}={value}", "--out", tmp_path / "x"])
         assert err["error"] == "InvalidParameter" and option[2:] in err["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    def test_prices_past_float64(self, tmp_path, capsys):
+        # log prices near 1e150 at these rates: exp overflowed, and save_ticks wrote inf and 0
+        err = self.json_error(capsys, ["simulate", "--family", "clayton", "--tau", "0.5",
+                                       "--lambda1", "1e-300", "--lambda2", "1e-300", "--n1", "50",
+                                       "--n2", "50", "--out", tmp_path / "x"])
+        assert err["error"] == "InvalidParameter" and "tick 1 " in err["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--family", "gumbel", "--grid-hi", "0.99", "--k", "5", "--n-rep", "50",
+         "--n-ticks", "50"],
+        ["simulate", "--family", "gumbel", "--tau", "0.999999", "--n1", "300", "--n2", "300",
+         "--seed", "1"],
+    ], ids=["calibrate", "simulate"])
+    def test_gumbel_frailty_overflow(self, tmp_path, capsys, argv):
+        # the positive-stable frailty overflows at these thetas; the draws fail the tick checks
+        err = self.json_error(capsys, [*argv, "--out", tmp_path / "x"])
+        assert err["error"] == "MalformedInput" and "non-finite" in err["message"]
         assert not list(tmp_path.iterdir())
 
     def test_horizon_beyond_poisson_limit(self, tmp_path, capsys):

@@ -250,6 +250,13 @@ class TestSampling:
             for col in uv.T:
                 assert stats.kstest(col, "uniform").pvalue > 0.01
 
+    @pytest.mark.filterwarnings("error")
+    def test_gumbel_frailty_overflow_is_quiet(self):
+        # at tau = 0.999999 some frailties overflow or vanish: the draws hold
+        # 0, 1 or nan, which the tick checks reject, but nothing warns
+        uv = sample_uniform(param_of_tau("gumbel", 0.999999), 300, np.random.default_rng(1))
+        assert not ((uv > 0) & (uv < 1)).all()
+
     def test_elliptical_normal_scores_relation(self):
         # sample correlation of normal scores ~ sin(pi/2 * tau) on gaussian data
         m = CopulaModel("gaussian", 0.6)
@@ -276,6 +283,14 @@ class TestPseudoObservations:
 class TestFitAic:
     def _sim_uv(self, model, n, seed):
         return sample_uniform(model, n, np.random.default_rng(seed))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pseudo_observations(self, bad):
+        uv = pseudo_observations(*self._sim_uv(CopulaModel("gaussian", 0.3), 100, 9).T)
+        uv[17, 1] = bad
+        with pytest.raises(InvalidParameter, match="strictly inside"):
+            fit_aic(uv)
 
     def test_needs_thirty_points(self):
         uv = self._sim_uv(CopulaModel("gaussian", 0.3), 10, 0)

@@ -308,6 +308,17 @@ TICKS_SHA256 = {
 
 
 class TestSaveTicksBytes:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("log_price, row", [(800.0, 3), (-800.0, 2)], ids=["inf", "zero"])
+    def test_unwritable_price(self, tmp_path, log_price, row):
+        # exp(800) is inf and exp(-800) is 0: load_ticks would reject either
+        log_prices = np.zeros(5)
+        log_prices[row - 1:] = log_price
+        series = TickSeries(np.arange(5.0), log_prices)
+        with pytest.raises(InvalidParameter, match=f"tick {row} at time {row - 1.0!r}"):
+            save_ticks(series, tmp_path / "t.csv")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("n", [2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
     def test_frozen_digest(self, tmp_path, n):
         a, _ = seeded_day()
