@@ -131,7 +131,7 @@ def cdf(model: CopulaModel, u, v) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     u, v = np.broadcast_arrays(u, v)
-    if (u < 0).any() or (u > 1).any() or (v < 0).any() or (v > 1).any():
+    if not ((u >= 0).all() and (u <= 1).all() and (v >= 0).all() and (v <= 1).all()):  # nan fails them
         raise InvalidParameter("copula arguments must lie in [0, 1]")
     out = np.zeros(u.shape, dtype=float)
     interior = (u > 0) & (v > 0)
@@ -281,7 +281,7 @@ def log_pdf(model: CopulaModel, u, v) -> np.ndarray:
     """Log copula density, vectorized over points strictly inside (0,1)^2."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if (u <= 0).any() or (u >= 1).any() or (v <= 0).any() or (v >= 1).any():
+    if not ((u > 0).all() and (u < 1).all() and (v > 0).all() and (v < 1).all()):  # nan fails them
         raise InvalidParameter("density requires arguments strictly inside (0, 1)")
     tu = _coordinate_terms(model.family, model.df, u)
     tv = _coordinate_terms(model.family, model.df, v)

@@ -229,18 +229,6 @@ def _block_reps(n_events: int) -> int:
     return max(1, _BLOCK_EVENTS // n_events)
 
 
-_pool_block = None  # in a pool worker: the block function it was forked with
-
-
-def _init_pool_worker(block):
-    global _pool_block
-    _pool_block = block
-
-
-def _run_pool_block(i):
-    return _pool_block(i)
-
-
 def _fork_workers(n_tasks: int) -> int:
     """Processes for ``n_tasks`` blocks: one per CPU in this process's affinity mask, at most one per block.
 
@@ -255,32 +243,74 @@ def _fork_workers(n_tasks: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
-def _fork_map(block, n_tasks: int, workers: int) -> list:
-    """``[block(i) for i in range(n_tasks)]`` on ``workers`` forked processes, in task order.
+def _shares(costs, workers: int) -> list[range]:
+    """Cut tasks ``0 .. len(costs) - 1`` into at most ``workers`` contiguous, non-empty shares of about equal cost.
 
-    Each worker receives ``block`` through ``fork``, not ``pickle``, so a
-    task sends only its index and ``block`` may be a closure. Indices go out
-    in chunks of consecutive tasks, about six chunks per worker, to cut the
-    parent's dispatch work; chunks come back in order and each runs its
-    tasks in order, so the first failing task in index order raises its own
-    error, as in the loop. A worker killed from outside raises
-    :class:`CalibrationFailure`. Queued tasks are cancelled and every worker
-    has exited before this returns or raises.
+    Share ``k`` ends at the task whose running total of ``costs`` lies
+    nearest ``k / workers`` of the whole, so no share's cost is further than
+    one task's cost from an equal part.
+    """
+    ends = np.cumsum(costs)
+    cuts = {int(np.abs(ends - ends[-1] * k / workers).argmin()) + 1 for k in range(1, workers)}
+    bounds = sorted(cuts | {0, len(costs)})
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _run_share(block, share, writer) -> None:
+    """A worker's whole life: run ``share`` in order, stop at the first error, send ``(results, error)`` once."""
+    results, error = [], None
+    try:
+        for i in share:
+            results.append(block(i))
+    except Exception as exc:  # the parent raises it, caused by this traceback
+        from multiprocessing.pool import ExceptionWithTraceback
+
+        error = ExceptionWithTraceback(exc, exc.__traceback__)
+    writer.send((results, error))
+
+
+def _fork_map(block, costs, workers: int) -> list:
+    """``[block(i) for i in range(len(costs))]`` on up to ``workers`` forked processes, in task order.
+
+    The tasks are cut into contiguous shares of about equal total
+    ``costs`` (:func:`_shares`), and each share runs in its own forked
+    process, which sends its results back once through a one-way pipe.
+    ``block`` reaches the workers through ``fork``, not ``pickle``, so it may
+    be a closure. The parent runs no task and starts no thread: it receives
+    the shares in order, and as each share stops at its first error, the
+    first error received is that of the first failing task in index order,
+    as in the loop. A worker killed from outside raises
+    :class:`CalibrationFailure`. Every worker has exited before this returns
+    or raises.
     """
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
-    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_init_pool_worker, initargs=(block,))
+    context = multiprocessing.get_context("fork")
+    started = []
     try:
-        return list(executor.map(_run_pool_block, range(n_tasks),
-                                 chunksize=max(1, n_tasks // (6 * workers))))
-    except BrokenProcessPool:
-        raise CalibrationFailure("a worker process died before its replicate blocks finished "
-                                 "(killed from outside, for example for lack of memory)") from None
+        for share in _shares(costs, workers):
+            reader, writer = context.Pipe(duplex=False)
+            worker = context.Process(target=_run_share, args=(block, share, writer))
+            worker.start()
+            writer.close()  # a worker's death then reads as EOF; later workers never hold this end
+            started.append((worker, reader))
+        results = []
+        for _, reader in started:
+            try:
+                done, error = reader.recv()
+            except EOFError:
+                raise CalibrationFailure("a worker process died before its replicate blocks finished "
+                                         "(killed from outside, for example for lack of memory)") from None
+            if error is not None:
+                raise error
+            results += done
+        return results
     finally:
-        executor.shutdown(cancel_futures=True)
+        for worker, reader in started:
+            if worker.exitcode is None:
+                worker.kill()
+            worker.join()
+            reader.close()  # after the join: a worker still writing would see a broken pipe
 
 
 def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2, pool=False) -> np.ndarray:
@@ -297,14 +327,16 @@ def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2, pool=Fa
     Fewer than two replicates leave no spread to summarize and raise
     :class:`InvalidParameter`.
 
-    With ``pool=True`` the blocks run in a pool of forked processes, one per
-    CPU in the affinity mask and at most one per block; see
-    :func:`_fork_workers` for when it stays in-process. Blocks are
-    independent and collected in (cell, replicate) order, so the result is
-    the in-process result bit for bit, and a failure raises the error of the
-    first failing block in that order. ``estimate`` must then be a pure
-    function of its arguments: whatever it records in this process's memory
-    (spans, counters, caches) is lost with the worker that ran it.
+    With ``pool=True`` the blocks run in forked processes, one per CPU in
+    the affinity mask and at most one per block; see :func:`_fork_workers`
+    for when it stays in-process. Each worker takes a contiguous share of
+    the blocks of about equal cost, the block's replicates times its
+    simulated events. Blocks are independent and collected in (cell,
+    replicate) order, so the result is the in-process result bit for bit,
+    and a failure raises the error of the first failing block in that
+    order. ``estimate`` must then be a pure function of its arguments:
+    whatever it records in this process's memory (spans, counters, caches)
+    is lost with the worker that ran it.
     """
     _check_n_rep(n_rep)
     specs = [SimSpec(model=model, margins=margins, lambda1=lambda1, lambda2=lambda2, n1=n, n2=n)
@@ -321,7 +353,8 @@ def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2, pool=Fa
 
     workers = _fork_workers(len(tasks)) if pool else 1
     if workers > 1:
-        blocks = _fork_map(block, len(tasks), workers)
+        costs = [(min(first + sizes[c], n_rep) - first) * (specs[c].n1 + specs[c].n2) for c, first in tasks]
+        blocks = _fork_map(block, costs, workers)
     else:
         blocks = [block(i) for i in range(len(tasks))]
     return np.concatenate(blocks).reshape(len(cells), n_rep, -1)

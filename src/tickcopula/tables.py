@@ -69,7 +69,8 @@ def gaussian_estimator_study(
     """Mean/sd and MSE of the three estimators on Gaussian-copula data.
 
     One row per (rho, n) cell; the row carries both the moment summaries
-    and the mean squared errors against the true rho.
+    and the mean squared errors against the true rho. The replicates run in
+    the calling process, where perfbench's spans can time them.
     """
     ests = _run_cells(
         [(CopulaModel("gaussian", rho), STANDARD_NORMAL, n) for rho, n in cells],
@@ -91,7 +92,8 @@ def gaussian_estimator_study(
 def t_copula_margin_study(n_rep: int = 100, seed: int = 2) -> list[dict]:
     """Uncorrected vs corrected estimates under a t(8) copula at rho = -0.4, varied margins.
 
-    Each sample has 2000 ticks per asset.
+    Each sample has 2000 ticks per asset. The replicates run on the fork
+    pool of :func:`_run_cells`, with the in-process result bit for bit.
     """
     margin_rows = [
         ("t(5), t(7)", (_TMargin(5), _TMargin(7))),
@@ -100,7 +102,7 @@ def t_copula_margin_study(n_rep: int = 100, seed: int = 2) -> list[dict]:
     ]
     model = CopulaModel("student_t", -0.4, df=8)
     ests = _run_cells([(model, margins, 2000) for _, margins in margin_rows], n_rep, [seed],
-                      _per_sample(_uncorrected_and_corrected), lambda1=_RATE, lambda2=_RATE)
+                      _per_sample(_uncorrected_and_corrected), lambda1=_RATE, lambda2=_RATE, pool=True)
     rows = []
     for (label, _), cell in zip(margin_rows, ests):
         unc, cor = cell.T
@@ -156,7 +158,8 @@ def coverage_study(
     a miss, adds no length, and is counted in the row's
     ``n_fail_<method>``. The misspecified-elliptical method runs on the
     refresh-time synchronized series, the object a naive Gaussian analysis
-    would use.
+    would use. The curves and the per-sample replicates run on the fork
+    pool of :func:`_run_cells`.
     """
     _check_n_rep(n_rep)  # before the curves, the costly part
     arrival = PoissonPair(_RATE, _RATE)
@@ -174,7 +177,7 @@ def coverage_study(
         bounds = _run_cells(
             [(param_of_tau(family, tau), STANDARD_NORMAL, n_ticks) for tau in taus],
             n_rep, [seed, 17 + fi], _per_sample(lambda sim: _interval_bounds(sim, curve)),
-            lambda1=_RATE, lambda2=_RATE,
+            lambda1=_RATE, lambda2=_RATE, pool=True,
         ).reshape(len(taus), n_rep, len(_METHODS), 2)
         for tau_true, cell in zip(taus, bounds):
             lo, hi = cell[..., 0], cell[..., 1]

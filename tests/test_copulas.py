@@ -105,6 +105,12 @@ class TestCdf:
             assert cdf(m, 0.4, 1.0) == pytest.approx(0.4, abs=1e-12)
             assert cdf(m, 1.0, 1.0) == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u, v", [(np.nan, 0.5), (0.5, np.nan), ([0.2, np.nan], 0.5), (0.5, [np.nan, 0.3])])
+    def test_rejects_nan_arguments(self, u, v):
+        with pytest.raises(InvalidParameter, match=r"\[0, 1\]"):
+            cdf(CopulaModel("clayton", 1.0), u, v)
+
     def test_gaussian_independence_is_product(self):
         m = CopulaModel("gaussian", 0.0)
         u = np.linspace(0.05, 0.95, 7)
@@ -163,6 +169,12 @@ class TestDensity:
     def test_rejects_boundary_arguments(self):
         with pytest.raises(InvalidParameter):
             log_pdf(CopulaModel("clayton", 1.0), 0.0, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u, v", [(np.nan, 0.5), (0.5, np.nan), ([0.2, np.nan], 0.5), (0.5, [np.nan, 0.3])])
+    def test_rejects_nan_arguments(self, u, v):
+        with pytest.raises(InvalidParameter, match="strictly inside"):
+            log_pdf(CopulaModel("clayton", 1.0), u, v)
 
     _GRID = np.meshgrid(np.linspace(0.003, 0.997, 23), np.linspace(0.004, 0.995, 19))
 

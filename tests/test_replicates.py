@@ -9,6 +9,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import threading
 import time
 
 import numpy as np
@@ -32,7 +33,8 @@ from tickcopula import (
     param_of_tau,
     simulate,
 )
-from tickcopula.synthesis import _block_reps, _fork_workers, _per_sample, _run_cells
+from tickcopula import synthesis
+from tickcopula.synthesis import _block_reps, _fork_workers, _per_sample, _run_cells, _shares
 from tickcopula.tables import (
     STANDARD_NORMAL,
     coverage_study,
@@ -165,26 +167,50 @@ class TestForkPool:
         with pytest.raises(InsufficientData, match=f"^block 0, {self.BLOCK}$"):
             _run_cells(self.CELLS, 2 * self.BLOCK, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
 
-    @pytest.mark.parametrize("later", [(1, 0), (0, 2 * BLOCK)], ids=["other-chunk", "same-chunk"])
-    def test_earliest_failing_block_raises_in_chunks(self, monkeypatch, later):
+    @pytest.mark.parametrize("later", ["same-share", "other-share"])
+    def test_earliest_failing_block_raises_in_shares(self, monkeypatch, later):
+        shares, cut = synthesis._shares, []
+
+        def recorded_shares(costs, workers):
+            cut.extend(shares(costs, workers))
+            return cut
+
+        monkeypatch.setattr(synthesis, "_shares", recorded_shares)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        # cell 0 runs in 4 blocks and cell 1 in 6, of about equal cost but the last: two
+        # workers take blocks 0-4 and 5-9. Block 1, (0, BLOCK), fails late in the first share;
+        # block 2 fails in the same share, block 9 at once in the other
+        n_rep, b1 = 4 * self.BLOCK, _block_reps(2 * self.CELLS[1][2])
+        failing = {"same-share": (0, 2 * self.BLOCK), "other-share": (1, (n_rep - 1) // b1 * b1)}[later]
+
         def estimate(spec, seeds):
             c, r = seeds[0][-2:]
             if (c, r) == (0, self.BLOCK):
                 time.sleep(0.2)
                 raise InsufficientData(f"block {c}, {r}")
-            if (c, r) == later:
+            if (c, r) == failing:
                 raise InvalidParameter(f"block {c}, {r}")
             return [0.0] * len(seeds)
 
-        # cell 0 runs in 24 blocks and cell 1 in 33, which two workers take in chunks of
-        # 57 // 12 = 4: blocks 1 and 2, (0, BLOCK) and (0, 2 * BLOCK), share the first chunk;
-        # block 24, (1, 0), opens the seventh
-        n_rep = 24 * self.BLOCK
-        assert n_rep // self.BLOCK + -(-n_rep // _block_reps(2 * self.CELLS[1][2])) == 57
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(InsufficientData, match=f"^block 0, {self.BLOCK}$"):
             _run_cells(self.CELLS, n_rep, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
+        assert cut == [range(0, 5), range(5, 10)]
         assert multiprocessing.active_children() == []
+
+    def test_no_thread_in_the_parent(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def recorded_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = _run_cells(self.CELLS, 3 * self.BLOCK, [0], lambda spec, seeds: [os.getpid()] * len(seeds),
+                         lambda1=1.0, lambda2=1.0, pool=True)
+        assert os.getpid() not in out  # the blocks ran in workers
+        assert started == []
 
     def test_no_worker_outlives_the_call(self):
         def estimate(spec, seeds):
@@ -203,6 +229,35 @@ class TestForkPool:
         with pytest.raises(InvalidParameter, match="every block fails"):
             _run_cells(self.CELLS, 5 * self.BLOCK, [0], fail, lambda1=1.0, lambda2=1.0, pool=True)
         assert multiprocessing.active_children() == []
+
+
+class TestShares:
+    """The fork pool's cut of the blocks into one contiguous share per worker."""
+
+    @staticmethod
+    def check(costs, workers):
+        shares = _shares(costs, workers)
+        assert 1 <= len(shares) <= workers
+        assert [i for share in shares for i in share] == list(range(len(costs)))  # contiguous, in order
+        assert all(len(share) for share in shares)
+        return [sum(costs[i] for i in share) for share in shares]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_equal_costs_split_evenly(self, workers):
+        assert self.check([5] * 24, workers) == [5 * 24 // workers] * workers
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_each_share_within_one_task_of_an_equal_part(self, workers):
+        for seed in range(20):
+            costs = np.random.default_rng(seed).integers(1, 1000, 40).tolist()
+            shares = self.check(costs, workers)
+            assert len(shares) == workers
+            assert max(abs(cost - sum(costs) / workers) for cost in shares) <= max(costs)
+
+    def test_a_dominant_task_leaves_no_empty_share(self):
+        assert self.check([1, 1, 100, 1, 1], 4) == [2, 100, 2]
+        assert self.check([100, 1], 2) == [100, 1]
+        assert self.check([7], 2) == [7]
 
 
 def test_coverage_rows_count_calibration_failures():
