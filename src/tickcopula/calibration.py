@@ -50,8 +50,17 @@ __all__ = [
 def _check_grid(g: np.ndarray) -> None:
     if g.ndim != 1 or g.size < 5:
         raise InvalidParameter("calibration grid needs at least 5 tau values")
-    if not (np.diff(g) > 0).all():
-        raise InvalidParameter("grid_taus must be strictly increasing")
+    if not (np.isfinite(g).all() and (np.diff(g) > 0).all()):
+        raise InvalidParameter("grid_taus must be finite and strictly increasing")
+
+
+def _quad_fit(x: np.ndarray, y: np.ndarray) -> tuple[tuple[float, float, float], float]:
+    """Least-squares ``y ~ a + b*x + c*x^2``: the coefficients and the residual standard deviation."""
+    design = np.column_stack([np.ones_like(x), x, x * x])
+    coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coeffs
+    scale = float(np.sqrt(resid @ resid / max(y.size - 3, 1)))
+    return tuple(float(v) for v in coeffs), scale
 
 
 @dataclass(frozen=True)
@@ -59,7 +68,9 @@ class CorrectionCurve:
     """Simulated bias map for one copula family.
 
     ``estimates[k, r]`` is the r-th replicate uncorrected tau at true tau
-    ``grid_taus[k]``. ``quad_coeffs`` are (a, b, c) of the least-squares fit
+    ``grid_taus[k]``; every replicate must be finite. The fits are worked out
+    from these replicates on construction and cannot be set:
+    ``quad_coeffs`` are (a, b, c) of the least-squares fit
     ``estimate ~ a + b*tau + c*tau^2`` over all replicate points and
     ``resid_scale`` the residual standard deviation of that fit; point
     correction inverts this map. ``inverse_coeffs``/``inverse_resid_scale``
@@ -73,11 +84,11 @@ class CorrectionCurve:
     family: str
     grid_taus: np.ndarray
     estimates: np.ndarray
-    quad_coeffs: tuple[float, float, float]
-    resid_scale: float
-    inverse_coeffs: tuple[float, float, float]
-    inverse_resid_scale: float
     meta: dict
+    quad_coeffs: tuple[float, float, float] = field(init=False)
+    resid_scale: float = field(init=False)
+    inverse_coeffs: tuple[float, float, float] = field(init=False)
+    inverse_resid_scale: float = field(init=False)
     _bands: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -86,11 +97,19 @@ class CorrectionCurve:
         _check_grid(g)
         if e.ndim != 2 or e.shape[0] != g.size or e.shape[1] < 50:
             raise InvalidParameter("estimates need at least 50 replicates for each grid point")
+        bad = np.argwhere(~np.isfinite(e))
+        if bad.size:
+            k, r = bad[0]
+            raise InvalidParameter(f"replicate {r} at grid index {k} is {e[k, r]}; estimates must be finite")
         object.__setattr__(self, "grid_taus", g)
         object.__setattr__(self, "estimates", e)
-        a, b, c = (float(v) for v in self.quad_coeffs)
+        tt, yy = np.repeat(g, e.shape[1]), e.ravel()
+        (a, b, c), scale = _quad_fit(tt, yy)
         object.__setattr__(self, "quad_coeffs", (a, b, c))
-        object.__setattr__(self, "inverse_coeffs", tuple(float(v) for v in self.inverse_coeffs))
+        object.__setattr__(self, "resid_scale", scale)
+        inv_coeffs, inv_scale = _quad_fit(yy, tt)
+        object.__setattr__(self, "inverse_coeffs", inv_coeffs)
+        object.__setattr__(self, "inverse_resid_scale", inv_scale)
         # monotone mean fit over the grid span, else the inverse is ill-posed
         lo, hi = g[0], g[-1]
         if b + 2 * c * lo <= 0 or b + 2 * c * hi <= 0:
@@ -100,34 +119,6 @@ class CorrectionCurve:
         fit = self.predict(g)
         if not ((qlo <= fit + 1e-12) & (fit <= qhi + 1e-12)).all():
             raise CalibrationFailure("quantile bands do not bracket the mean fit")
-
-    @classmethod
-    def from_samples(cls, family, grid_taus, estimates, meta) -> "CorrectionCurve":
-        """Fit both quadratic maps from the replicate cloud."""
-        grid_taus = np.asarray(grid_taus, dtype=float)
-        estimates = np.asarray(estimates, dtype=float)
-        tt = np.repeat(grid_taus, estimates.shape[1])
-        yy = estimates.ravel()
-
-        def quad_fit(x, y):
-            design = np.column_stack([np.ones_like(x), x, x * x])
-            coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
-            resid = y - design @ coeffs
-            scale = float(np.sqrt(resid @ resid / max(y.size - 3, 1)))
-            return tuple(float(v) for v in coeffs), scale
-
-        fwd_coeffs, fwd_scale = quad_fit(tt, yy)
-        inv_coeffs, inv_scale = quad_fit(yy, tt)
-        return cls(
-            family=family,
-            grid_taus=grid_taus,
-            estimates=estimates,
-            quad_coeffs=fwd_coeffs,
-            resid_scale=fwd_scale,
-            inverse_coeffs=inv_coeffs,
-            inverse_resid_scale=inv_scale,
-            meta=meta,
-        )
 
     def predict(self, tau) -> np.ndarray:
         """Fitted mean uncorrected estimate at true tau."""
@@ -179,16 +170,16 @@ class CorrectionCurve:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorrectionCurve":
-        """The curve ``to_dict`` wrote; a missing or mistyped field raises :class:`InvalidParameter`."""
+        """The curve ``to_dict`` wrote, refitted from its replicates.
+
+        The four fit keys are ignored. A missing or mistyped field raises
+        :class:`InvalidParameter`.
+        """
         try:
             return cls(
                 family=d["family"],
                 grid_taus=np.asarray(d["grid_taus"], dtype=float),
                 estimates=np.asarray(d["estimates"], dtype=float),
-                quad_coeffs=tuple(d["quad_coeffs"]),
-                resid_scale=float(d["resid_scale"]),
-                inverse_coeffs=tuple(d["inverse_coeffs"]),
-                inverse_resid_scale=float(d["inverse_resid_scale"]),
                 meta=dict(d.get("meta", {})),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -309,7 +300,7 @@ def build_curve(
         "df": df,
         "rng": RNG_NAME,
     }
-    return CorrectionCurve.from_samples(family, grid, estimates, meta)
+    return CorrectionCurve(family, grid, estimates, meta)
 
 
 def _invert_fit(curve: CorrectionCurve, value: float) -> float:
@@ -366,7 +357,8 @@ def interval_quad(
     grid row regardless of how the replicate spread varies along the curve.
     The interval is intersected with the grid span; an observation too far
     outside the calibrated cloud raises :class:`CalibrationFailure`. The
-    point estimate stays the forward-curve inversion of ``correct_tau``.
+    point estimate is the forward-curve inversion ``correct_tau`` returns,
+    without its :class:`ExtrapolationWarning`.
     """
     if not 0.0 < level < 1.0:
         raise InvalidParameter(f"level must lie in (0, 1), got {level}")
@@ -381,9 +373,7 @@ def interval_quad(
         )
     lo = float(np.clip(center - z * s, span_lo, span_hi))
     hi = float(np.clip(center + z * s, span_lo, span_hi))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        point = correct_tau(curve, tau_uncorrected)
+    point = _invert_fit(curve, float(tau_uncorrected))
     return IntervalEstimate(
         point=float(np.clip(point, lo, hi)),
         lo=lo,

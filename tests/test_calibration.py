@@ -31,31 +31,19 @@ from tickcopula.calibration import _uncorrected_tau, _uncorrected_taus
 STD_MARGINS = (stats.norm(), stats.norm())
 
 
-def make_curve(coeffs, grid=None, resid_scale=0.03, n_rep=60, seed=0):
-    """A CorrectionCurve around a prescribed mean map with synthetic spread.
+def make_curve(coeffs, grid=None, noise=0.03, n_rep=60, seed=0):
+    """A CorrectionCurve whose replicates scatter around a prescribed mean map.
 
-    The forward coefficients are pinned exactly to ``coeffs`` so inversion
-    tests have closed-form answers; the inverse fit and the replicate cloud
-    come from simulated noise of scale ``resid_scale``.
+    The replicates are the quadratic ``coeffs`` at each grid tau plus normal
+    noise of scale ``noise``. With ``noise=0`` the fitted forward coefficients
+    equal ``coeffs`` up to rounding, so inversion tests have closed-form answers.
     """
     rng = np.random.default_rng(seed)
-    if grid is None:
-        grid = np.linspace(0.05, 0.7, 8)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(0.05, 0.7, 8) if grid is None else np.asarray(grid, dtype=float)
     a, b, c = coeffs
     mean = a + b * grid + c * grid**2
-    est = mean[:, None] + rng.standard_normal((grid.size, n_rep)) * resid_scale
-    fitted = CorrectionCurve.from_samples("clayton", grid, est, {"synthetic": True})
-    return CorrectionCurve(
-        family="clayton",
-        grid_taus=grid,
-        estimates=est,
-        quad_coeffs=(float(a), float(b), float(c)),
-        resid_scale=float(resid_scale),
-        inverse_coeffs=fitted.inverse_coeffs,
-        inverse_resid_scale=fitted.inverse_resid_scale,
-        meta={"synthetic": True},
-    )
+    est = mean[:, None] + rng.standard_normal((grid.size, n_rep)) * noise
+    return CorrectionCurve("clayton", grid, est, {"synthetic": True})
 
 
 class TestCorrectionCurveValidation:
@@ -79,16 +67,18 @@ class TestCorrectionCurveValidation:
         assert np.array_equal(loaded.estimates, curve.estimates)
         assert loaded.quad_coeffs == curve.quad_coeffs
         assert loaded.resid_scale == curve.resid_scale
+        assert loaded.inverse_coeffs == curve.inverse_coeffs
+        assert loaded.inverse_resid_scale == curve.inverse_resid_scale
         assert loaded.meta == curve.meta
 
 
 class TestCorrectTau:
     def test_identity_curve(self):
-        curve = make_curve((0.0, 1.0, 0.0))
+        curve = make_curve((0.0, 1.0, 0.0), noise=0.0)
         assert correct_tau(curve, 0.4) == pytest.approx(0.4, abs=1e-12)
 
     def test_hand_computed_quadratic_roots(self):
-        curve = make_curve((0.0, 0.6, 0.2), grid=np.linspace(0.05, 0.7, 8))
+        curve = make_curve((0.0, 0.6, 0.2), noise=0.0)
         # 0.6*(0.5) + 0.2*(0.5)^2 = 0.35, so 0.35 inverts to exactly 0.5
         assert correct_tau(curve, 0.35) == pytest.approx(0.5, abs=1e-10)
         # generic value: positive root of 0.2 t^2 + 0.6 t - 0.38 = 0
@@ -122,7 +112,7 @@ def test_non_finite_observation_rejected(invert, tau):
 
 class TestIntervalQuad:
     def test_contains_point_and_band_width(self):
-        curve = make_curve((0.0, 0.7, -0.1), resid_scale=0.02)
+        curve = make_curve((0.0, 0.7, -0.1), noise=0.02)
         iv = interval_quad(curve, 0.3, level=0.95)
         assert iv.lo <= iv.point <= iv.hi
         # band lives in tau units: width 2*z*inverse_resid_scale, unclipped
@@ -132,18 +122,18 @@ class TestIntervalQuad:
         assert curve.inverse_resid_scale == pytest.approx(0.02 / 0.65, rel=0.25)
 
     def test_zero_residual_collapses_to_point(self):
-        curve = make_curve((0.0, 1.0, 0.0), resid_scale=0.0)
+        curve = make_curve((0.0, 1.0, 0.0), noise=0.0)
         iv = interval_quad(curve, 0.4)
         assert iv.length == pytest.approx(0.0, abs=1e-9)
         assert iv.point == pytest.approx(0.4, abs=1e-9)
 
     def test_far_outside_band_fails(self):
-        curve = make_curve((0.0, 1.0, 0.0), resid_scale=0.01)
+        curve = make_curve((0.0, 1.0, 0.0), noise=0.01)
         with pytest.raises(CalibrationFailure):
             interval_quad(curve, 2.0)
 
     def test_interval_clipped_to_grid_span(self):
-        curve = make_curve((0.0, 1.0, 0.0), resid_scale=0.05)
+        curve = make_curve((0.0, 1.0, 0.0), noise=0.05)
         iv = interval_quad(curve, 0.06)
         assert iv.lo == pytest.approx(curve.grid_taus[0])
 
@@ -153,7 +143,7 @@ class TestIntervalQuantile:
         rng = np.random.default_rng(1)
         grid = np.linspace(0.05, 0.7, 10)
         est = grid[:, None] + rng.standard_normal((10, 200)) * 0.02
-        curve = CorrectionCurve.from_samples("clayton", grid, est, {})
+        curve = CorrectionCurve("clayton", grid, est, {})
         iv = interval_quantile(curve, 0.35, level=0.95)
         assert iv.lo <= 0.35 <= iv.hi
         # identity curve: tau interval ~ obs +/- 1.96 * 0.02
@@ -165,18 +155,18 @@ class TestIntervalQuantile:
         grid = np.linspace(0.05, 0.7, 10)
         est = grid[:, None] + rng.standard_normal((10, 200)) * 0.03
         est[4] = est[5] = 0.5 * (grid[4] + grid[5]) + rng.standard_normal(200) * 0.03
-        curve = CorrectionCurve.from_samples("clayton", grid, est, {})
+        curve = CorrectionCurve("clayton", grid, est, {})
         band_lo, band_hi = curve.band(0.95)
         assert interval_quantile(curve, float(band_lo[4])).hi == grid[5]
         assert interval_quantile(curve, float(band_hi[5])).lo == grid[4]
 
     def test_outside_all_bands_fails(self):
-        curve = make_curve((0.0, 0.7, 0.0), resid_scale=0.02)
+        curve = make_curve((0.0, 0.7, 0.0), noise=0.02)
         with pytest.raises(CalibrationFailure):
             interval_quantile(curve, 0.95)
 
     def test_band_computed_once_per_level(self):
-        curve = make_curve((0.01, 0.65, -0.05), resid_scale=0.03)
+        curve = make_curve((0.01, 0.65, -0.05), noise=0.03)
         band = curve.band(0.9)
         assert curve.band(0.9) is band and curve.band(0.95) is not band
         alpha = 1.0 - 0.9
@@ -185,7 +175,7 @@ class TestIntervalQuantile:
             assert b.tobytes() == np.maximum.accumulate(np.quantile(curve.estimates, q, axis=1)).tobytes()
 
     def test_point_inside_interval(self):
-        curve = make_curve((0.01, 0.65, -0.05), resid_scale=0.03)
+        curve = make_curve((0.01, 0.65, -0.05), noise=0.03)
         iv = interval_quantile(curve, 0.25)
         assert iv.lo <= iv.point <= iv.hi
 

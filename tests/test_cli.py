@@ -286,6 +286,20 @@ class TestCalibrateIntervals:
         iv2 = json.loads(capsys.readouterr().out)
         assert iv2["method"] == "quantile-inversion"
 
+    @pytest.mark.parametrize("method", ["quad", "quantile"])
+    def test_fit_keys_are_refitted_from_the_replicates(self, curve_path, tmp_path, capsys, method):
+        def intervals(path):
+            assert run(["intervals", "--method", method, "--curve", path, "--tau-hat", "0.2"]) == 0
+            return capsys.readouterr().out
+
+        expected = intervals(curve_path)
+        curve = json.loads(curve_path.read_text())
+        for tampered in ({"inverse_resid_scale": 0}, {"quad_coeffs": [0, 0.5, 0], "inverse_coeffs": [0.5, 0, 0]},
+                         {"inverse_coeffs": [np.nan] * 3}, {"inverse_resid_scale": -1.0}, {"resid_scale": None}):
+            path = tmp_path / "tampered.json"
+            path.write_text(json.dumps({**curve, **tampered}))
+            assert intervals(path) == expected, tampered
+
     def test_elliptical_interval_needs_paired(self, capsys):
         rc = run(["intervals", "--method", "elliptical", "--level", "0.9"])
         assert rc == 1
@@ -418,17 +432,29 @@ class TestErrorContract:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("damage, words", [
-        (lambda text: text.replace('"resid_scale"', '"resid"'), "resid_scale"),
+        (lambda text: text.replace('"grid_taus"', '"grid"'), "grid_taus"),
         (lambda text: text[:-10], "not a curve JSON"),
         (lambda text: json.dumps({**json.loads(text), "estimates": [0.1] * 300}), "estimates"),
         (lambda text: b"\xff\xfe" + text.encode(), "not a curve JSON"),
-    ], ids=["missing-key", "invalid-json", "1d-estimates", "not-utf8"])
+        (lambda text: json.dumps({**json.loads(text), "grid_taus": [0.1, 0.2, 0.3, 0.4, 0.5, float("inf")]}),
+         "finite"),
+    ], ids=["missing-key", "invalid-json", "1d-estimates", "not-utf8", "infinite-grid"])
     def test_malformed_curve(self, curve_path, tmp_path, capsys, damage, words):
         bad = tmp_path / "bad.json"
         text = damage(curve_path.read_text())
         bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         err = self.json_error(capsys, ["intervals", "--method", "quad", "--curve", bad, "--tau-hat", "0.3"])
         assert err["error"] == "InvalidParameter" and words in err["message"]
+
+    @pytest.mark.parametrize("method", ["quad", "quantile"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_replicate(self, curve_path, tmp_path, capsys, method, value):
+        curve = json.loads(curve_path.read_text())
+        curve["estimates"][2][3] = value  # written as NaN, Infinity or -Infinity
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(curve))
+        err = self.json_error(capsys, ["intervals", "--method", method, "--curve", bad, "--tau-hat", "0.2"])
+        assert err["error"] == "InvalidParameter" and "replicate 3 at grid index 2" in err["message"]
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--family", "gaussian", "--param", "0.3", "--n1", "50", "--n2", "50", "--seed", "-1"],
