@@ -52,6 +52,8 @@ def _check_grid(g: np.ndarray) -> None:
         raise InvalidParameter("calibration grid needs at least 5 tau values")
     if not (np.isfinite(g).all() and (np.diff(g) > 0).all()):
         raise InvalidParameter("grid_taus must be finite and strictly increasing")
+    if not (-1.0 < g[0] and g[-1] < 1.0):
+        raise InvalidParameter(f"grid_taus must lie in (-1, 1), got {g[0]} to {g[-1]}")
 
 
 def _quad_fit(x: np.ndarray, y: np.ndarray) -> tuple[tuple[float, float, float], float]:

@@ -97,12 +97,6 @@ def corrected_correlation(p: PairedSeries, level: float = 0.95) -> CorrectedCorr
 MAX_KENDALL_RETURNS = 10_000_000
 
 
-def _tied_pairs(changes: np.ndarray) -> int:
-    """Pairs within runs of equal values of a sorted ``a``, given ``np.diff(a) != 0``."""
-    runs = np.diff(np.flatnonzero(np.r_[True, changes, True]))
-    return int((runs * (runs - 1) // 2).sum())
-
-
 def _runs(s: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where the run of equal values holding each entry of sorted rows ``s``
     starts, and each row's tied pairs. Row ``r`` counts its first ``m[r]``
@@ -127,22 +121,6 @@ def _min_ranks(v: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, tied
 
 
-def _kendall_counts(x: np.ndarray, y: np.ndarray) -> tuple[int, int]:
-    """(concordant - discordant, untied pair count), from scipy's tau-b."""
-    n0 = x.size * (x.size - 1) // 2
-    order = np.lexsort((y, x))
-    x_changes = np.diff(x[order]) != 0
-    tx = _tied_pairs(x_changes)
-    ty = _tied_pairs(np.diff(np.sort(y)) != 0)
-    txy = _tied_pairs(x_changes | (np.diff(y[order]) != 0))
-    untied = n0 - tx - ty + txy
-    if untied == 0:
-        return 0, 0  # scipy returns NaN when one side is all ties
-    tau_b = float(stats.kendalltau(x, y).statistic)
-    # exact while the float error, about n^2 * 1e-16, stays far below 0.5
-    return round(tau_b * math.sqrt((n0 - tx) * (n0 - ty))), untied
-
-
 # Rows of up to this many returns are counted by direct comparison, longer
 # ones by scipy. Per row in blocks of 10 on a 2-core host: 0.05 against
 # 0.45 ms at 200 returns, 0.12 against 0.50 ms at 400. The direct count
@@ -160,52 +138,65 @@ def _kendall_rows(rx: np.ndarray, ry: np.ndarray, n: np.ndarray) -> tuple[np.nda
     """(concordant - discordant, untied pair count) of each row of returns.
 
     Row ``r`` holds ``n[r]`` finite returns, then padding of any value up to
-    the common width. A row of up to ``_DENSE_MAX_RETURNS`` returns is
-    counted on the min-ranks of x and y, from which come ``tx``, ``ty`` and
-    ``txy``, its pairs tied in x, in y and in both. Its padding is first
-    overwritten with +inf, which sorts after every return, and ``_runs``
-    counts no tie past a row's first ``n[r]`` entries; x and y are ranked in
-    one stacked pass. The key ``x_rank * width + y_rank`` puts the row in
-    (x, y) lexicographic order, with the padding last. In that order, one
-    int16 comparison per pair over the strict upper triangle counts ``G``,
-    the pairs ``i < j`` with ``y_j > y_i``; the padding's y-rank is -1, so
-    it counts for nothing. Pairs tied in x come out in ascending y, so
-    ``tx - txy`` of them fall in ``G``, and ``G - tx + txy`` pairs are
-    concordant. Every pair with ``y_j < y_i`` is discordant, and there are
-    ``n0 - G - ty`` of them, ``n0`` being all ``n (n - 1) / 2`` pairs.
+    the common width. Every row of at least two returns is ranked in one
+    stacked pass, which gives ``tx``, ``ty`` and ``txy``, its pairs tied in
+    x, in y and in both, and so its ``n0 - tx - ty + txy`` untied pairs,
+    ``n0`` being all ``n (n - 1) / 2``. The padding is first overwritten
+    with +inf, which sorts after every return, and ``_runs`` counts no tie
+    past a row's first ``n[r]`` entries. The key ``x_rank * width +
+    y_rank`` puts the row in (x, y) lexicographic order, padding last.
+
+    A row of up to ``_DENSE_MAX_RETURNS`` returns is counted in that order:
+    one int16 comparison per pair over the strict upper triangle counts
+    ``G``, the pairs ``i < j`` with ``y_j > y_i``; the padding's y-rank is
+    -1, so it counts for nothing. Pairs tied in x come out in ascending y,
+    so ``tx - txy`` of them fall in ``G``, and ``G - tx + txy`` pairs are
+    concordant. The other ``n0 - G - ty`` untied pairs are discordant. A
+    longer row rounds concordant minus discordant back from the tau-b of
+    ``scipy.stats.kendalltau`` as ``tau_b * sqrt((n0 - tx) (n0 - ty))``,
+    unless every pair is tied, where scipy returns NaN.
     """
     cmd = np.zeros(n.size, dtype=np.int64)
     untied = np.zeros(n.size, dtype=np.int64)
-    dense = np.flatnonzero((n >= 2) & (n <= _DENSE_MAX_RETURNS))  # shorter rows have no pair
-    if dense.size:
-        m = n[dense]
-        width = int(m.max())
-        pos = np.arange(width)
-        pad = pos >= m[:, None]
-        xy = np.stack([rx[dense, :width], ry[dense, :width]])
-        np.copyto(xy, np.inf, where=pad)  # argsort runs ~3x slower on rows holding NaN
-        ranks, tied = _min_ranks(xy.reshape(2 * dense.size, width), np.tile(m, 2))
-        (xr, yr), (tx, ty) = ranks.reshape(xy.shape), tied.reshape(2, -1)
-        key = xr * width + yr
-        order = np.argsort(key, axis=1)
-        _, txy = _runs(np.take_along_axis(key, order, axis=1), m)
-        ys = np.take_along_axis(yr, order, axis=1).astype(np.int16)
-        ys[pad] = -1
-        upper = pos[:, None] < pos  # [i, j]: j > i
-        step = max(1, _DENSE_BYTES // (width * width))
-        greater = np.empty((min(step, dense.size), width, width), dtype=bool)
-        g_count = np.empty(dense.size, dtype=np.int64)
-        for lo in range(0, dense.size, step):
+    rows = np.flatnonzero(n >= 2)  # shorter rows have no pair
+    if not rows.size:
+        return cmd, untied
+    m = n[rows]
+    width = int(m.max())
+    pos = np.arange(width)
+    pad = pos >= m[:, None]
+    xy = np.stack([rx[rows, :width], ry[rows, :width]])
+    np.copyto(xy, np.inf, where=pad)  # argsort runs ~3x slower on rows holding NaN
+    ranks, tied = _min_ranks(xy.reshape(2 * rows.size, width), np.tile(m, 2))
+    (xr, yr), (tx, ty) = ranks.reshape(xy.shape), tied.reshape(2, -1)
+    key = xr * width + yr
+    order = np.argsort(key, axis=1)
+    _, txy = _runs(np.take_along_axis(key, order, axis=1), m)
+    n0 = m * (m - 1) // 2
+    untied[rows] = n0 - tx - ty + txy
+    dense = m <= _DENSE_MAX_RETURNS
+    if dense.any():
+        d_width = int(m[dense].max())
+        # padding can sort to an index past d_width, so gather at full width
+        ys = np.take_along_axis(yr[dense], order[dense], axis=1)[:, :d_width].astype(np.int16)
+        ys[pad[dense, :d_width]] = -1
+        d_pos = pos[:d_width]
+        upper = d_pos[:, None] < d_pos  # [i, j]: j > i
+        step = max(1, _DENSE_BYTES // (d_width * d_width))
+        greater = np.empty((min(step, ys.shape[0]), d_width, d_width), dtype=bool)
+        g_count = np.empty(ys.shape[0], dtype=np.int64)
+        for lo in range(0, ys.shape[0], step):
             chunk = ys[lo: lo + step]
             g = greater[: chunk.shape[0]]
             np.greater(chunk[:, None, :], chunk[:, :, None], out=g)
             g &= upper
             g_count[lo: lo + step] = [np.count_nonzero(row) for row in g]
-        n0 = m * (m - 1) // 2
-        cmd[dense] = 2 * g_count - tx + txy - n0 + ty
-        untied[dense] = n0 - tx - ty + txy
-    for r in np.flatnonzero(n > _DENSE_MAX_RETURNS):
-        cmd[r], untied[r] = _kendall_counts(rx[r, : n[r]], ry[r, : n[r]])
+        cmd[rows[dense]] = 2 * g_count - (tx - txy - ty + n0)[dense]
+    # (n0 - tx) * (n0 - ty) passes the int64 range near 78k returns: take it in Python ints
+    for i in np.flatnonzero(~dense & (untied[rows] > 0)):
+        r, k = rows[i], m[i]
+        tau_b = float(stats.kendalltau(rx[r, :k], ry[r, :k]).statistic)
+        cmd[r] = round(tau_b * math.sqrt(int(n0[i] - tx[i]) * int(n0[i] - ty[i])))
     return cmd, untied
 
 
@@ -227,12 +218,13 @@ def kendall_tau(p: PairedSeries, basis: str = "all-pairs") -> TauEstimate:
     ``basis="same-config"`` compares only returns that share an ordering
     configuration label, within each of the nested configurations 1 and 4.
 
-    Each group is counted by :func:`_kendall_rows`. Beyond
-    ``_DENSE_MAX_RETURNS`` returns, concordant minus discordant is rounded
-    back from the tau-b of ``scipy.stats.kendalltau`` (Knight's O(n log n)
-    count). That is exact only while n^2 * 1e-16 is far below 0.5, so more
-    than ``MAX_KENDALL_RETURNS`` (10^7) returns raise ``InvalidParameter``,
-    as do non-finite returns.
+    Each group is a row of :func:`_kendall_rows`, whose one rank pass gives
+    every group's tied pairs. Only the concordance of a group of more than
+    ``_DENSE_MAX_RETURNS`` returns comes from scipy: concordant minus
+    discordant is rounded back from the tau-b of ``scipy.stats.kendalltau``.
+    That is exact only while n^2 * 1e-16 is far below 0.5, so more than
+    ``MAX_KENDALL_RETURNS`` (10^7) returns raise ``InvalidParameter``, as do
+    non-finite returns.
     """
     if basis not in ("all-pairs", "same-config"):
         raise InvalidParameter(f"unknown basis {basis!r}")

@@ -57,6 +57,13 @@ class TestCorrectionCurveValidation:
         with pytest.raises(InvalidParameter):
             make_curve((0.0, 1.0, 0.0), n_rep=10)
 
+    @pytest.mark.parametrize("scale", [2.5, -2.5])
+    def test_grid_taus_outside_the_tau_range_rejected(self, scale):
+        d = make_curve((0.01, 0.7, -0.1)).to_dict()
+        d["grid_taus"] = sorted(scale * t for t in d["grid_taus"])
+        with pytest.raises(InvalidParameter, match=r"\(-1, 1\)"):
+            CorrectionCurve.from_dict(d)
+
     def test_json_round_trip(self, tmp_path):
         curve = make_curve((0.01, 0.7, -0.1))
         path = tmp_path / "curve.json"

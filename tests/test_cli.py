@@ -438,7 +438,9 @@ class TestErrorContract:
         (lambda text: b"\xff\xfe" + text.encode(), "not a curve JSON"),
         (lambda text: json.dumps({**json.loads(text), "grid_taus": [0.1, 0.2, 0.3, 0.4, 0.5, float("inf")]}),
          "finite"),
-    ], ids=["missing-key", "invalid-json", "1d-estimates", "not-utf8", "infinite-grid"])
+        (lambda text: json.dumps({**json.loads(text), "grid_taus": [2.5 * t for t in json.loads(text)["grid_taus"]]}),
+         "(-1, 1)"),
+    ], ids=["missing-key", "invalid-json", "1d-estimates", "not-utf8", "infinite-grid", "grid-past-one"])
     def test_malformed_curve(self, curve_path, tmp_path, capsys, damage, words):
         bad = tmp_path / "bad.json"
         text = damage(curve_path.read_text())

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,7 +287,6 @@ def return_pairs(draw):
 def test_kendall_counts_match_sign_count(pair):
     rx, ry = pair
     num, untied, _ = sign_counts(rx, ry)
-    assert estimators._kendall_counts(rx, ry) == (num, untied)
     cmd, untied_rows = estimators._kendall_rows(rx[None], ry[None], np.array([rx.size]))
     assert (cmd[0], untied_rows[0]) == (num, untied)
 
@@ -295,8 +296,41 @@ def test_kendall_counts_exact_past_int64_products():
     n = 100_000
     n0 = n * (n - 1) // 2
     x = np.arange(n, dtype=float)
-    assert estimators._kendall_counts(x, x) == (n0, n0)
-    assert estimators._kendall_counts(x, -x) == (-n0, n0)
+    cmd, untied = estimators._kendall_rows(np.stack([x, x]), np.stack([x, -x]), np.array([n, n]))
+    assert cmd.tolist() == [n0, -n0]
+    assert untied.tolist() == [n0, n0]
+
+
+def test_kendall_rows_exact_with_ties_past_int64_products():
+    # 90k returns on 101 integer levels: (n0 - tx) * (n0 - ty) is past the int64 range
+    n = 90_000
+    rng = np.random.default_rng(5)
+    x = rng.integers(-50, 51, n).astype(float)
+    y = np.clip(x + rng.integers(-20, 21, n), -50, 50)
+    n0 = n * (n - 1) // 2
+
+    def tie_pairs(values):
+        _, c = np.unique(values, axis=0, return_counts=True)
+        return sum(k * (k - 1) // 2 for k in c.tolist())
+
+    tx, ty, txy = tie_pairs(x), tie_pairs(y), tie_pairs(np.column_stack([x, y]))
+    assert (n0 - tx) * (n0 - ty) > np.iinfo(np.int64).max
+    tau_b = float(stats.kendalltau(x, y).statistic)
+    expected = (round(tau_b * math.sqrt((n0 - tx) * (n0 - ty))), n0 - tx - ty + txy)
+    cmd, untied = estimators._kendall_rows(x[None], y[None], np.array([n]))
+    assert (cmd[0], untied[0]) == expected
+
+
+def test_dense_comparison_sized_by_the_dense_rows():
+    # a 10-return row beside a 3000-return one: a comparison matrix as wide as the block traces 9 MB
+    rx, ry = np.random.default_rng(0).standard_normal((2, 2, 3000))
+    tracemalloc.start()
+    try:
+        estimators._kendall_rows(rx, ry, np.array([3000, 10]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 class TestDependenceChecks:
@@ -392,7 +426,6 @@ def test_block_kendall_counts_match_scipy_and_brute_force(rows):
         x, y = rx[r, :n], ry[r, :n]
         num, n_untied, _ = sign_counts(x, y)
         assert (cmd[r], untied[r]) == (num, n_untied)
-        assert (cmd[r], untied[r]) == estimators._kendall_counts(x, y)
         if untied[r]:
             assert cmd[r] / untied[r] == kendall_tau_brute(x, y)
 
