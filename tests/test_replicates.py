@@ -28,13 +28,22 @@ from tickcopula import (
     interval_quad,
     interval_quantile,
     kendall_tau,
+    pair_previous_tick,
     pair_refresh_time,
     pair_ticks,
     param_of_tau,
     simulate,
 )
 from tickcopula import synthesis
-from tickcopula.synthesis import _block_reps, _fork_workers, _per_sample, _run_cells, _shares
+from tickcopula.synthesis import (
+    _block_reps,
+    _fork_workers,
+    _NormalMargin,
+    _per_sample,
+    _run_cells,
+    _shares,
+    _TMargin,
+)
 from tickcopula.tables import (
     STANDARD_NORMAL,
     coverage_study,
@@ -50,6 +59,10 @@ def sha256(payload) -> str:
     if isinstance(payload, bytes):
         return hashlib.sha256(payload).hexdigest()
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def arrays_sha256(*arrays) -> str:
+    return sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
 
 
 class TestFrozenOutputs:
@@ -86,6 +99,47 @@ class TestFrozenOutputs:
         assert sha256([{k: row[k] for k in COVERAGE_KEYS} for row in rows]) == (
             "aac0c9c428c9ef78ba193c89d16bc88bcc48e87a1c2b0b4855470a55df686b92"
         )
+
+
+class TestFrozenSimulator:
+    """``simulate`` and the pairings pinned bit for bit, below the studies built on them.
+
+    Both margins of the simulator are used, a scaled and shifted normal and a
+    t; tau 0.5 gives Clayton and Gumbel exponents of -0.5, 0.5, 1 and 2.
+    """
+
+    MARGINS = (_NormalMargin(0.1, 2.0), _TMargin(5.0))
+
+    @pytest.mark.parametrize("family, tau, mode, digest", [
+        ("gaussian", 0.4, "count", "543760c0e48b5fdcc4c7d96a101897c0ecf44826b62be28a04d2cc49541ad938"),
+        ("gaussian", 0.4, "horizon", "8d5149b8e03877f9f952c6ae24ccb277a85e88c0bf891c344fb0bc4437014b30"),
+        ("student_t", 0.4, "count", "4cd3995c140f3899762688287d45f29a2e606fda466c3b63ab70a836c197e12c"),
+        ("student_t", 0.4, "horizon", "055de238fca4654a4cf1cea9560637a89beb6290d24e1d57d16bd8da51944e69"),
+        ("clayton", 0.4, "count", "35693bccd8ab7e38609c1ceac7799a5a922dfdc4312829bf4f439a3026b2d79f"),
+        ("clayton", 0.4, "horizon", "96ba9eb464734399f008ca72d71c785a3ae6897f31eb1045317b218b11ed9e8b"),
+        ("clayton", 0.5, "count", "25c84eb99b083db26534c673ead953d3a4c2cd6e2c6b5843e5ef120b9df00d31"),
+        ("clayton", 0.5, "horizon", "ace4dfe2e85aa22447b7a2f33c74c2b0243d3bc34c96d004261c9d606e0b8aff"),
+        ("gumbel", 0.4, "count", "e4ef0fac0e78099c9dfb5cf9304660c96d2a12245540fdbc5dd373f5dca95cdb"),
+        ("gumbel", 0.4, "horizon", "659778d77d28449a0e494bba26a21f9fd665feeab81ae5dbaf9954c7c204ac70"),
+        ("gumbel", 0.5, "count", "6e3b5a39fd70a97bf500e70a120b4b603b3dbcae527720385e09678a3e848ecd"),
+        ("gumbel", 0.5, "horizon", "12ac5b69f86592f7ef2466b64e37742535b0d0944b4ce6c71ffc6b156452d834"),
+    ])
+    def test_simulate(self, family, tau, mode, digest):
+        size = {"count": {"n1": 300, "n2": 200}, "horizon": {"horizon": 250.0}}[mode]
+        model = param_of_tau(family, tau, df=5 if family == "student_t" else None)
+        sim = simulate(SimSpec(model=model, margins=self.MARGINS, lambda1=1.0, lambda2=2.0, seed=11, **size))
+        assert arrays_sha256(sim.a.times, sim.a.log_prices, sim.b.times, sim.b.log_prices) == digest
+
+    @pytest.mark.parametrize("pairing, digest", [
+        (pair_ticks, "61e78df9f4f806b0afd1c376dc258b2892d0ae6749c4a28b10c99f3844aca706"),
+        (lambda a, b: pair_previous_tick(a, b, 0.7),
+         "b7a6f9d238984c1c3d6af4349d25154049183759cee2963ee100ff5899eaa570"),
+    ], ids=["pair_ticks", "pair_previous_tick"])
+    def test_pairings(self, pairing, digest):
+        sim = simulate(SimSpec(model=param_of_tau("clayton", 0.4), margins=self.MARGINS, lambda1=1.0,
+                               lambda2=2.0, n1=2000, n2=3000, seed=5))
+        p = pairing(sim.a, sim.b)
+        assert arrays_sha256(p.t1, p.x, p.t2, p.y) == digest
 
 
 class TestRunCells:
