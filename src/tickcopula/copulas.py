@@ -298,34 +298,53 @@ def pdf(model: CopulaModel, u, v) -> np.ndarray:
 
 
 def _positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Positive alpha-stable draws with Laplace transform exp(-t**alpha)."""
+    """Positive alpha-stable draws with Laplace transform exp(-t**alpha).
+
+    The draws are (sin(alpha v) / sin(v)**(1/alpha)) * (sin((1-alpha) v) / w)**((1-alpha)/alpha),
+    evaluated in three arrays of n.
+    """
     v = rng.uniform(0.0, math.pi, n)
     w = rng.standard_exponential(n)
-    return (np.sin(alpha * v) / np.sin(v) ** (1.0 / alpha)) * (
-        np.sin((1.0 - alpha) * v) / w
-    ) ** ((1.0 - alpha) / alpha)
+    right = np.multiply(v, 1.0 - alpha)
+    np.sin(right, out=right)
+    right /= w
+    right **= (1.0 - alpha) / alpha
+    left = np.multiply(v, alpha, out=w)
+    np.sin(left, out=left)
+    np.sin(v, out=v)
+    v **= 1.0 / alpha
+    left /= v
+    left *= right
+    return left
 
 
 def sample_uniform(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws (U, V) from the copula as an (n, 2) array."""
+    """n draws (U, V) from the copula as an (n, 2) array, transformed in the array of the draws."""
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
     if model.family in ("gaussian", "student_t"):
         rho = model.param
         g = rng.standard_normal((n, 2))
-        z1 = g[:, 0]
-        z2 = rho * g[:, 0] + math.sqrt(1.0 - rho * rho) * g[:, 1]
+        z2 = g[:, 1]
+        z2 *= math.sqrt(1.0 - rho * rho)
+        z2 += rho * g[:, 0]
         if model.family == "gaussian":
-            return np.column_stack([special.ndtr(z1), special.ndtr(z2)])
-        scale = np.sqrt(rng.chisquare(model.df, n) / model.df)
-        return np.column_stack(
-            [special.stdtr(model.df, z1 / scale), special.stdtr(model.df, z2 / scale)]
-        )
+            return special.ndtr(g, out=g)
+        scale = rng.chisquare(model.df, n)
+        scale /= model.df
+        np.sqrt(scale, out=scale)
+        for z in g.T:  # a column at a time: a broadcast divide would buffer
+            z /= scale
+        return special.stdtr(model.df, g, out=g)
     if model.family == "clayton":
         th = model.param
         frailty = rng.gamma(1.0 / th, 1.0, n)
         e = rng.standard_exponential((n, 2))
-        return (1.0 + e / frailty[:, None]) ** (-1.0 / th)
+        for col in e.T:  # a column at a time: a broadcast divide would buffer
+            col /= frailty
+        e += 1.0
+        e **= -1.0 / th
+        return e
     # gumbel: positive-stable frailty
     th = model.param
     if th == 1.0:
@@ -335,7 +354,11 @@ def sample_uniform(model: CopulaModel, n: int, rng: np.random.Generator) -> np.n
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         frailty = _positive_stable(1.0 / th, n, rng)
         e = rng.standard_exponential((n, 2))
-        return np.exp(-((e / frailty[:, None]) ** (1.0 / th)))
+        for col in e.T:
+            col /= frailty
+        e **= 1.0 / th
+        np.negative(e, out=e)
+        return np.exp(e, out=e)
 
 
 # ---------------------------------------------------------------------------

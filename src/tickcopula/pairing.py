@@ -123,6 +123,14 @@ def _check_overlap(a: TickSeries, b: TickSeries) -> None:
         )
 
 
+def _merged(a: TickSeries, b: TickSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Both series' tick times in one nondecreasing array, and the mask of asset 1's ticks in it."""
+    t = np.concatenate([a.times, b.times])
+    order = np.argsort(t, kind="stable")  # a merge of two sorted runs
+    t = t[order]
+    return t, order < len(a)
+
+
 def _tick_pairs(t: np.ndarray, from_a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tick-retaining pairs of each row of merged tick streams.
 
@@ -152,17 +160,24 @@ def _tick_pairs(t: np.ndarray, from_a: np.ndarray) -> tuple[np.ndarray, np.ndarr
     keep[:, 1:-1] = ~tied  # ... which is then dropped
     event = np.flatnonzero(keep)  # kept events, as flat indices into the (k, m + 1) layout
     label = label[keep]
+    del tied, keep
     starts = np.flatnonzero(np.r_[True, (label[1:] != label[:-1]) | (label[1:] == 0)])
+    event = event[starts]  # the first event of each run
     run_joint = label[starts] == 0
-    run_len = np.diff(np.r_[starts, label.size])
+    run_len = np.diff(starts, append=label.size)
+    del label, starts
     skip = np.r_[~run_joint[1:] & (run_joint[:-1] | (run_len[:-1] == 1)), False]
-    run = np.arange(starts.size)
-    anchor = np.maximum.accumulate(np.where(np.r_[True, ~skip[:-1]], run, 0))
-    row, col = np.divmod(event[starts], m + 1)
-    refresh = ((run - anchor) % 2 == 0) & (col > 0)
+    del run_joint, run_len
+    run = np.arange(skip.size)
+    run -= np.maximum.accumulate(np.where(np.r_[True, ~skip[:-1]], run, 0))  # runs since the last r+1 step
+    row, col = np.divmod(event[run % 2 == 0], m + 1)
+    del event, run
+    refresh = col > 0
     row, col = row[refresh], col[refresh]
-    # ticks of asset 1 among the row's first ``col`` ticks; the rest are asset 2's
-    n_a = np.cumsum(from_a, axis=1)[row, col - 1]
+    # ticks of asset 1 among the row's first ``col`` ticks, the rest being asset 2's;
+    # counted in the narrowest unsigned dtype that holds m, then cast back to
+    # intp, so that n_a - 1 cannot wrap
+    n_a = np.cumsum(from_a, axis=1, dtype=np.min_scalar_type(m))[row, col - 1].astype(np.intp)
     return row, n_a - 1, col - n_a - 1
 
 
@@ -179,9 +194,9 @@ def pair_ticks(a: TickSeries, b: TickSeries) -> PairedSeries:
         If the series' time supports are disjoint.
     """
     _check_overlap(a, b)
-    times = np.concatenate([a.times, b.times])
-    order = np.argsort(times, kind="stable")  # a merge of two sorted runs
-    _, i1, i2 = _tick_pairs(times[order][None], (order < len(a))[None])
+    t, from_a = _merged(a, b)
+    _, i1, i2 = _tick_pairs(t[None], from_a[None])
+    del t, from_a
     return PairedSeries(
         t1=a.times[i1],
         x=a.log_prices[i1],
@@ -221,9 +236,7 @@ def pair_previous_tick(a: TickSeries, b: TickSeries, delta: float) -> PairedSeri
         raise InvalidParameter(f"delta must be positive, got {delta}")
     _check_overlap(a, b)
     end = max(a.times[-1], b.times[-1])
-    times = np.concatenate([a.times, b.times])
-    order = np.argsort(times, kind="stable")  # a merge of two sorted runs
-    t = times[order]
+    t, from_a = _merged(a, b)
     # grid point k is delta + k * delta, as in np.arange(delta, stop, delta);
     # indices stay floats, since they pass 2**63 for a tiny delta
     with np.errstate(over="ignore"):
@@ -234,18 +247,35 @@ def pair_previous_tick(a: TickSeries, b: TickSeries, delta: float) -> PairedSeri
             raise InvalidParameter(f"delta {delta} is too small for a session ending at {end}")
         else:
             # index of the first grid point at or after each tick
-            k = np.maximum(np.ceil((t - delta) / delta), 0.0)
-            # undo the division's rounding, one step either way
-            k += delta + k * delta < t
-            k -= (k >= 1) & (delta + (k - 1) * delta >= t)
+            k = t - delta
+            k /= delta
+            np.ceil(k, out=k)
+            np.maximum(k, 0.0, out=k)
+            # undo the division's rounding, one step either way: up where
+            # delta + k * delta < t, down where k >= 1 and delta + (k - 1) * delta >= t
+            point = k * delta
+            point += delta
+            k += point < t
+            np.subtract(k, 1, out=point)
+            point *= delta
+            point += delta
+            k -= (k >= 1) & (point >= t)
+            del point
+    del t
     # the sampled pair changes only at the first grid point after a tick, so
     # only those points are evaluated: the work grows with the ticks, not with
     # session / delta. Such a point closes the run of ticks sharing its k and
     # samples every tick up to there, n_a of them from asset a, the rest from b
     closes = np.append(k[1:] != k[:-1], True) & (k < n)
-    n_a = np.cumsum(order < len(a))[closes]
-    i1 = n_a - 1
-    i2 = np.flatnonzero(closes) - n_a
+    del k
+    # n_a is counted in the narrowest unsigned dtype that holds the tick count,
+    # then cast back to intp, so that n_a - 1 cannot wrap
+    i1 = np.cumsum(from_a, dtype=np.min_scalar_type(from_a.size))[closes].astype(np.intp)  # n_a
+    del from_a
+    i2 = np.flatnonzero(closes)
+    del closes
+    i2 -= i1
+    i1 -= 1
     ok = (i1 >= 0) & (i2 >= 0)
     i1, i2 = i1[ok], i2[ok]
     if i1.size == 0:

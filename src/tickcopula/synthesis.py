@@ -43,7 +43,10 @@ class _NormalMargin:
     scale: float
 
     def ppf(self, q):
-        return special.ndtri(q) * self.scale + self.loc
+        x = special.ndtri(q)
+        x *= self.scale
+        x += self.loc
+        return x
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,9 @@ class _TMargin:
 
     def ppf(self, q):
         q = np.asarray(q, dtype=float)
-        # stdtrit maps q = 0 to +inf; the quantile there is -inf
-        return np.where(q == 0.0, -np.inf, special.stdtrit(self.df, q))[()]
+        x = np.asarray(special.stdtrit(self.df, q))
+        x[q == 0.0] = -np.inf  # stdtrit maps q = 0 to +inf
+        return x[()]
 
 
 @dataclass(frozen=True)
@@ -138,16 +142,27 @@ class _Events:
 
 
 def _events(spec: SimSpec, times: np.ndarray, to_b: np.ndarray, uv: np.ndarray) -> _Events:
-    """Price the ``(k, n)`` event rows: one ``ppf`` per margin, one cumulative sum per lattice."""
-    gaps = np.diff(times, axis=1, prepend=0.0)
-    m1, m2 = spec.margins
-    # margins see 1-d draws, as their ppf contract promises
-    innov_x = np.asarray(m1.ppf(uv[..., 0].ravel()), dtype=float).reshape(times.shape)
-    innov_y = np.asarray(m2.ppf(uv[..., 1].ravel()), dtype=float).reshape(times.shape)
-    scale = np.sqrt(gaps)
-    log_x = _LOG_P0 + np.cumsum(scale * innov_x, axis=1)
-    log_y = _LOG_P0 + np.cumsum(scale * innov_y, axis=1)
+    """Price the ``(k, n)`` event rows from the ``(2, k, n)`` copula draws ``uv``.
+
+    One ``ppf`` per margin, one cumulative sum per lattice. Each margin's
+    draws are read once, by its ``ppf``, so a ``ppf`` may return its input.
+    """
+    scale = np.empty_like(times)
+    scale[:, 0] = times[:, 0]  # the gap from time 0
+    np.subtract(times[:, 1:], times[:, :-1], out=scale[:, 1:])
+    np.sqrt(scale, out=scale)
+    log_x, log_y = (_lattice(margin, draws, scale) for margin, draws in zip(spec.margins, uv))
     return _Events(times, to_b, log_x, log_y)
+
+
+def _lattice(margin, draws: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """One log-price lattice: the margin's innovations, scaled by ``scale``, summed along each row."""
+    # margins see 1-d draws, as their ppf contract promises
+    log_p = np.asarray(margin.ppf(draws.ravel()), dtype=float).reshape(scale.shape)
+    log_p *= scale
+    np.cumsum(log_p, axis=1, out=log_p)
+    log_p += _LOG_P0
+    return log_p
 
 
 def _simulate_counts(spec: SimSpec, seeds) -> _Events:
@@ -159,15 +174,16 @@ def _simulate_counts(spec: SimSpec, seeds) -> _Events:
     """
     n = spec.n1 + spec.n2
     lam_total = spec.lambda1 + spec.lambda2
-    gaps0 = np.empty((len(seeds), n))
+    times = np.empty((len(seeds), n))
     to_b = np.zeros((len(seeds), n), dtype=bool)
-    uv = np.empty((len(seeds), n, 2))
+    uv = np.empty((2, len(seeds), n))
     for row, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        gaps0[row] = rng.exponential(1.0 / lam_total, n)
+        times[row] = rng.exponential(1.0 / lam_total, n)
         to_b[row, rng.permutation(n)[: spec.n2]] = True
-        uv[row] = sample_uniform(spec.model, n, rng)
-    return _events(spec, np.cumsum(gaps0, axis=1), to_b, uv)
+        uv[:, row] = sample_uniform(spec.model, n, rng).T
+    np.cumsum(times, axis=1, out=times)  # the gaps' running sums
+    return _events(spec, times, to_b, uv)
 
 
 def _simulate_horizon(spec: SimSpec) -> _Events:
@@ -179,8 +195,8 @@ def _simulate_horizon(spec: SimSpec) -> _Events:
         raise InsufficientData(f"horizon {spec.horizon} produced only {n_events} events")
     times = np.sort(rng.uniform(0.0, spec.horizon, n_events))
     to_b = rng.random(n_events) < spec.lambda2 / lam_total
-    uv = sample_uniform(spec.model, n_events, rng)
-    return _events(spec, times[None], to_b[None], uv[None])
+    uv = np.ascontiguousarray(sample_uniform(spec.model, n_events, rng).T)
+    return _events(spec, times[None], to_b[None], uv[:, None])
 
 
 def simulate(spec: SimSpec) -> SimResult:
@@ -192,9 +208,9 @@ def simulate(spec: SimSpec) -> SimResult:
     """
     ev = _simulate_horizon(spec) if spec.horizon is not None else _simulate_counts(spec, [spec.seed])
     times, to_b, log_x, log_y = ev.times[0], ev.to_b[0], ev.log_x[0], ev.log_y[0]
-    idx_a = np.flatnonzero(~to_b)
-    idx_b = np.flatnonzero(to_b)
-    if idx_a.size < 2 or idx_b.size < 2:
+    from_a = ~to_b
+    n_b = int(np.count_nonzero(to_b))
+    if n_b < 2 or to_b.size - n_b < 2:
         raise InsufficientData("random split left an asset with fewer than 2 ticks")
     truth = GroundTruth(
         family=spec.model.family,
@@ -203,8 +219,8 @@ def simulate(spec: SimSpec) -> SimResult:
         df=spec.model.df,
     )
     return SimResult(
-        a=TickSeries(times[idx_a], log_x[idx_a]),
-        b=TickSeries(times[idx_b], log_y[idx_b]),
+        a=TickSeries(times[from_a], log_x[from_a]),
+        b=TickSeries(times[to_b], log_y[to_b]),
         truth=truth,
     )
 

@@ -7,6 +7,7 @@ expectation unchanged, while adding the contamination shrinks the absolute
 expectation without flipping its sign.
 """
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,16 @@ import pytest
 from scipy import stats
 
 from tickcopula import CopulaModel, InvalidParameter, TickSeries, sample_uniform
+
+
+def traced_peak(fn, *args):
+    """Peak bytes tracemalloc sees allocated during ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_series(times, log_prices=None):

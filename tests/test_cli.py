@@ -28,7 +28,7 @@ from tickcopula.cli import _write_json, main, parse_margin, read_paired_csv, wri
 from tickcopula.market_data import _CHUNK_ROWS, load_ticks
 from tickcopula.synthesis import _fork_workers
 
-from conftest import poisson_ticks, seeded_day
+from conftest import poisson_ticks, seeded_day, traced_peak
 
 
 def run(args):
@@ -715,16 +715,6 @@ class TestPairedCsvFormat:
         back = read_paired_csv(path)
         assert back.scheme == "refresh" and back.delta is None
         assert back.x.tolist() == [1.0, 1.25] and back.n_raw1 == 2
-
-
-def traced_peak(fn, *args):
-    """Peak bytes tracemalloc sees allocated during ``fn(*args)``."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def synthetic_pairs(n):

@@ -387,6 +387,7 @@ def test_block_pairing_matches_oracle_row_by_row(rows):
     t, from_a, ta, tb = zip(*rows)
     row, i1, i2 = _tick_pairs(np.array(t), np.array(from_a))
     assert np.array_equal(row, np.sort(row))
+    assert row.dtype == i1.dtype == i2.dtype == np.intp  # no tick count left in a narrow dtype
     for r in range(len(rows)):
         pairs = list(zip(i1[row == r].tolist(), i2[row == r].tolist()))
         assert pairs == [(int(i), int(j)) for i, j in refresh_pairs_oracle(ta[r], tb[r])]

@@ -32,9 +32,11 @@ from tickcopula import (
     pair_refresh_time,
     pair_ticks,
     param_of_tau,
+    sample_uniform,
     simulate,
 )
 from tickcopula import synthesis
+from tickcopula.calibration import _uncorrected_taus
 from tickcopula.synthesis import (
     _block_reps,
     _fork_workers,
@@ -51,6 +53,9 @@ from tickcopula.tables import (
     t_copula_margin_study,
 )
 
+from conftest import traced_peak
+
+FAMILIES = ("gaussian", "student_t", "clayton", "gumbel")
 COVERAGE_KEYS = ("family", "tau", "n_rep", "cp_quad", "len_quad", "cp_quantile",
                  "len_quantile", "cp_elliptical", "len_elliptical")
 
@@ -140,6 +145,42 @@ class TestFrozenSimulator:
                                lambda2=2.0, n1=2000, n2=3000, seed=5))
         p = pairing(sim.a, sim.b)
         assert arrays_sha256(p.t1, p.x, p.t2, p.y) == digest
+
+
+class TestBoundedMemory:
+    """Traced peaks of the replicate path, which allocates each full-length array once."""
+
+    @staticmethod
+    def model(family):
+        return param_of_tau(family, 0.4, df=5 if family == "student_t" else None)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sample_uniform_peak_follows_its_output(self, family):
+        n = 10_000
+        peak = traced_peak(sample_uniform, self.model(family), n, np.random.default_rng(1))
+        assert peak <= 1.6 * (16 * n)  # the (n, 2) float64 draws
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("size", [{"n1": 5000, "n2": 5000}, {"horizon": 5000.0}], ids=["count", "horizon"])
+    def test_simulate_peak_per_event(self, family, size):
+        spec = SimSpec(model=self.model(family), margins=TestFrozenSimulator.MARGINS, lambda1=1.0,
+                       lambda2=1.0, seed=1, **size)
+        sim = simulate(spec)
+        assert traced_peak(simulate, spec) <= 64 * (len(sim.a) + len(sim.b))
+
+    def test_replicate_block_peak_per_event(self):
+        # the calibration default: 350 ticks per asset, one block of 50 replicates
+        n, seeds = 350, [[0, 0, r] for r in range(_block_reps(700))]
+        spec = SimSpec(model=self.model("clayton"), margins=STANDARD_NORMAL, lambda1=1.0, lambda2=1.0,
+                       n1=n, n2=n)
+        assert traced_peak(_uncorrected_taus, spec, seeds) <= 64 * len(seeds) * 2 * n
+
+    @pytest.mark.parametrize("pairing", [pair_ticks, lambda a, b: pair_previous_tick(a, b, 2.0)],
+                             ids=["pair_ticks", "pair_previous_tick"])
+    def test_pairing_peak_per_tick(self, pairing):
+        sim = simulate(SimSpec(model=self.model("gaussian"), margins=STANDARD_NORMAL, lambda1=1.0,
+                               lambda2=1.0, n1=5000, n2=5000, seed=1))
+        assert traced_peak(pairing, sim.a, sim.b) <= 40 * 10_000
 
 
 class TestRunCells:

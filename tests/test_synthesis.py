@@ -188,3 +188,26 @@ def test_block_rows_equal_simulate_per_seed(model, margins):
         assert np.array_equal(ev.times[r][a], sim.a.times) and np.array_equal(ev.times[r][b], sim.b.times)
         assert np.array_equal(ev.log_x[r][a], sim.a.log_prices)
         assert np.array_equal(ev.log_y[r][b], sim.b.log_prices)
+
+
+class _IdentityMargin:
+    """Uniform innovations from a ``ppf`` that hands back the very array it was given."""
+
+    def ppf(self, q):
+        return q
+
+
+class _CopyingMargin:
+    def ppf(self, q):
+        return np.array(q)
+
+
+@pytest.mark.parametrize("size", [{"n1": 40, "n2": 65}, {"horizon": 30.0}], ids=["count", "horizon"])
+def test_margin_may_return_its_input(size):
+    def sim(margin):
+        return simulate(SimSpec(model=CopulaModel("clayton", 2.0), margins=(margin, margin), lambda1=0.7,
+                                lambda2=2.5, seed=5, **size))
+
+    ref, own = sim(_CopyingMargin()), sim(_IdentityMargin())
+    assert np.array_equal(own.a.log_prices, ref.a.log_prices)
+    assert np.array_equal(own.b.log_prices, ref.b.log_prices)
