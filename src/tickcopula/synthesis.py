@@ -208,9 +208,9 @@ def simulate(spec: SimSpec) -> SimResult:
     """
     ev = _simulate_horizon(spec) if spec.horizon is not None else _simulate_counts(spec, [spec.seed])
     times, to_b, log_x, log_y = ev.times[0], ev.to_b[0], ev.log_x[0], ev.log_y[0]
-    from_a = ~to_b
-    n_b = int(np.count_nonzero(to_b))
-    if n_b < 2 or to_b.size - n_b < 2:
+    idx_a = np.flatnonzero(~to_b)
+    idx_b = np.flatnonzero(to_b)
+    if idx_a.size < 2 or idx_b.size < 2:
         raise InsufficientData("random split left an asset with fewer than 2 ticks")
     truth = GroundTruth(
         family=spec.model.family,
@@ -219,8 +219,8 @@ def simulate(spec: SimSpec) -> SimResult:
         df=spec.model.df,
     )
     return SimResult(
-        a=TickSeries(times[from_a], log_x[from_a]),
-        b=TickSeries(times[to_b], log_y[to_b]),
+        a=TickSeries(times[idx_a], log_x[idx_a]),
+        b=TickSeries(times[idx_b], log_y[idx_b]),
         truth=truth,
     )
 
