@@ -233,10 +233,10 @@ def _check_n_rep(n_rep: int) -> None:
 # A block simulates about this many events in one pass, and at least one
 # replicate: 50 replicates at 350 ticks per asset, 8 at 2k, 1 from 17.5k up.
 # At 350 ticks a 12-cell curve ran 5-19 % faster than in blocks of 10, and
-# no slower at 2k or 20k, on one CPU and on two. A block peaks at about 90
-# bytes per event (traced), so a worker holds about 3 MB below 17.5k ticks
-# and one replicate's arrays above it: 34 MB at 200k, where blocks of 10
-# would need about 340 MB.
+# no slower at 2k or 20k, on one CPU and on two. A block peaks at about 49
+# bytes per event (traced), so a worker holds about 1.6 MiB below 17.5k ticks
+# and one replicate's arrays above it: 18.7 MiB at 200k, where blocks of 10
+# would need about 190 MiB.
 _BLOCK_EVENTS = 35_000
 
 

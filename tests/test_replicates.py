@@ -70,6 +70,10 @@ def arrays_sha256(*arrays) -> str:
     return sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
 
 
+def copula(family, tau=0.4):
+    return param_of_tau(family, tau, df=5 if family == "student_t" else None)
+
+
 class TestFrozenOutputs:
     def test_build_curve(self):
         curve = build_curve("clayton", PoissonPair(1, 1), STANDARD_NORMAL,
@@ -131,8 +135,8 @@ class TestFrozenSimulator:
     ])
     def test_simulate(self, family, tau, mode, digest):
         size = {"count": {"n1": 300, "n2": 200}, "horizon": {"horizon": 250.0}}[mode]
-        model = param_of_tau(family, tau, df=5 if family == "student_t" else None)
-        sim = simulate(SimSpec(model=model, margins=self.MARGINS, lambda1=1.0, lambda2=2.0, seed=11, **size))
+        sim = simulate(SimSpec(model=copula(family, tau), margins=self.MARGINS, lambda1=1.0, lambda2=2.0,
+                               seed=11, **size))
         assert arrays_sha256(sim.a.times, sim.a.log_prices, sim.b.times, sim.b.log_prices) == digest
 
     @pytest.mark.parametrize("pairing, digest", [
@@ -150,20 +154,17 @@ class TestFrozenSimulator:
 class TestBoundedMemory:
     """Traced peaks of the replicate path, which allocates each full-length array once."""
 
-    @staticmethod
-    def model(family):
-        return param_of_tau(family, 0.4, df=5 if family == "student_t" else None)
-
     @pytest.mark.parametrize("family", FAMILIES)
     def test_sample_uniform_peak_follows_its_output(self, family):
         n = 10_000
-        peak = traced_peak(sample_uniform, self.model(family), n, np.random.default_rng(1))
+        peak = traced_peak(sample_uniform, copula(family), n, np.random.default_rng(1))
         assert peak <= 1.6 * (16 * n)  # the (n, 2) float64 draws
 
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("size", [{"n1": 5000, "n2": 5000}, {"horizon": 5000.0}], ids=["count", "horizon"])
+    @pytest.mark.parametrize("size", [{"n1": 5000, "n2": 5000}, {"horizon": 5000.0}],
+                             ids=["count", "horizon"])
     def test_simulate_peak_per_event(self, family, size):
-        spec = SimSpec(model=self.model(family), margins=TestFrozenSimulator.MARGINS, lambda1=1.0,
+        spec = SimSpec(model=copula(family), margins=TestFrozenSimulator.MARGINS, lambda1=1.0,
                        lambda2=1.0, seed=1, **size)
         sim = simulate(spec)
         assert traced_peak(simulate, spec) <= 64 * (len(sim.a) + len(sim.b))
@@ -171,14 +172,14 @@ class TestBoundedMemory:
     def test_replicate_block_peak_per_event(self):
         # the calibration default: 350 ticks per asset, one block of 50 replicates
         n, seeds = 350, [[0, 0, r] for r in range(_block_reps(700))]
-        spec = SimSpec(model=self.model("clayton"), margins=STANDARD_NORMAL, lambda1=1.0, lambda2=1.0,
+        spec = SimSpec(model=copula("clayton"), margins=STANDARD_NORMAL, lambda1=1.0, lambda2=1.0,
                        n1=n, n2=n)
         assert traced_peak(_uncorrected_taus, spec, seeds) <= 64 * len(seeds) * 2 * n
 
     @pytest.mark.parametrize("pairing", [pair_ticks, lambda a, b: pair_previous_tick(a, b, 2.0)],
                              ids=["pair_ticks", "pair_previous_tick"])
     def test_pairing_peak_per_tick(self, pairing):
-        sim = simulate(SimSpec(model=self.model("gaussian"), margins=STANDARD_NORMAL, lambda1=1.0,
+        sim = simulate(SimSpec(model=copula("gaussian"), margins=STANDARD_NORMAL, lambda1=1.0,
                                lambda2=1.0, n1=5000, n2=5000, seed=1))
         assert traced_peak(pairing, sim.a, sim.b) <= 40 * 10_000
 
