@@ -15,7 +15,6 @@ from .calibration import (
     CorrectionCurve,
     IntervalEstimate,
     build_curve,
-    correct_tau,
     interval_misspecified,
     interval_quad,
     interval_quantile,
@@ -30,7 +29,6 @@ from .copulas import (
     fit_aic,
     log_pdf,
     param_of_tau,
-    pdf,
     plugin_copula,
     pseudo_observations,
     sample_uniform,
@@ -39,7 +37,6 @@ from .copulas import (
 from .errors import (
     CalibrationFailure,
     DegeneratePairing,
-    ExtrapolationWarning,
     FitFailure,
     InsufficientData,
     InvalidParameter,

@@ -6,7 +6,7 @@ value, and for non-elliptical copulas the shrinkage is not proportional.
 it simulates nonsynchronous data, pairs it, and records the uncorrected
 estimates; a quadratic least-squares fit of estimate-on-truth summarizes the
 relation. Correcting an observed estimate then means inverting the fitted
-curve (``correct_tau``).
+curve; that inversion is the point estimate of ``interval_quad``.
 
 Three interval estimators are provided:
 
@@ -23,15 +23,14 @@ Three interval estimators are provided:
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 from scipy import special
 
-from .copulas import param_of_tau
-from .errors import CalibrationFailure, ExtrapolationWarning, InvalidParameter
+from .copulas import FAMILIES, param_of_tau
+from .errors import CalibrationFailure, InvalidParameter
 from .estimators import _kendall_rows, corrected_correlation, kendall_tau
 from .pairing import PairedSeries, _tick_pairs, pair_ticks
 from .synthesis import RNG_NAME, _run_cells, _simulate_counts, simulate
@@ -40,7 +39,6 @@ __all__ = [
     "CorrectionCurve",
     "IntervalEstimate",
     "build_curve",
-    "correct_tau",
     "interval_quad",
     "interval_quantile",
     "interval_misspecified",
@@ -94,6 +92,8 @@ class CorrectionCurve:
     _bands: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise InvalidParameter(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         g = np.asarray(self.grid_taus, dtype=float)
         e = np.asarray(self.estimates, dtype=float)
         _check_grid(g)
@@ -333,25 +333,6 @@ def _check_observation(tau_uncorrected: float) -> None:
         raise InvalidParameter(f"observed tau must be finite, got {tau_uncorrected}")
 
 
-def correct_tau(curve: CorrectionCurve, tau_uncorrected: float) -> float:
-    """Invert the fitted curve at an observed uncorrected tau.
-
-    Outside the fitted output range the nearest boundary solution is
-    returned and an :class:`ExtrapolationWarning` is emitted. A non-finite
-    observation raises :class:`InvalidParameter`.
-    """
-    _check_observation(tau_uncorrected)
-    f_lo, f_hi = curve.fitted_range
-    if not f_lo <= tau_uncorrected <= f_hi:
-        warnings.warn(
-            f"uncorrected tau {tau_uncorrected:.4f} outside fitted range "
-            f"[{f_lo:.4f}, {f_hi:.4f}]; returning boundary solution",
-            ExtrapolationWarning,
-            stacklevel=2,
-        )
-    return _invert_fit(curve, float(tau_uncorrected))
-
-
 def interval_quad(
     curve: CorrectionCurve, tau_uncorrected: float, level: float = 0.95
 ) -> IntervalEstimate:
@@ -362,8 +343,7 @@ def interval_quad(
     grid row regardless of how the replicate spread varies along the curve.
     The interval is intersected with the grid span; an observation too far
     outside the calibrated cloud raises :class:`CalibrationFailure`. The
-    point estimate is the forward-curve inversion ``correct_tau`` returns,
-    without its :class:`ExtrapolationWarning`.
+    point estimate inverts the forward curve, clipped to the interval.
     """
     if not 0.0 < level < 1.0:
         raise InvalidParameter(f"level must lie in (0, 1), got {level}")

@@ -288,11 +288,6 @@ def log_pdf(model: CopulaModel, u, v) -> np.ndarray:
     return _log_density(model.family, model.param, model.df, _features(model.family, model.df, tu, tv))
 
 
-def pdf(model: CopulaModel, u, v) -> np.ndarray:
-    """Copula density c(u, v)."""
-    return np.exp(log_pdf(model, u, v))
-
-
 # ---------------------------------------------------------------------------
 # sampling
 

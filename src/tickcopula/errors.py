@@ -40,7 +40,3 @@ class FitFailure(TickCopulaError):
 
 class CalibrationFailure(TickCopulaError):
     """Calibration curve unusable (non-monotone fit or empty inversion)."""
-
-
-class ExtrapolationWarning(UserWarning):
-    """An estimate fell outside the calibrated range; boundary value returned."""

@@ -8,14 +8,12 @@ from scipy import stats
 from tickcopula import (
     CalibrationFailure,
     CorrectionCurve,
-    ExtrapolationWarning,
     InvalidParameter,
     PoissonPair,
     SimSpec,
     TickCopulaError,
     TickSeries,
     build_curve,
-    correct_tau,
     interval_misspecified,
     interval_quad,
     interval_quantile,
@@ -26,7 +24,7 @@ from tickcopula import (
     sample_uniform,
     simulate,
 )
-from tickcopula.calibration import _uncorrected_tau, _uncorrected_taus
+from tickcopula.calibration import _invert_fit, _uncorrected_tau, _uncorrected_taus
 
 STD_MARGINS = (stats.norm(), stats.norm())
 
@@ -64,6 +62,12 @@ class TestCorrectionCurveValidation:
         with pytest.raises(InvalidParameter, match=r"\(-1, 1\)"):
             CorrectionCurve.from_dict(d)
 
+    @pytest.mark.parametrize("family", ["banana", 5])
+    def test_unknown_family_rejected(self, family):
+        d = make_curve((0.01, 0.7, -0.1)).to_dict()
+        with pytest.raises(InvalidParameter, match="unknown family"):
+            CorrectionCurve.from_dict({**d, "family": family})
+
     def test_json_round_trip(self, tmp_path):
         curve = make_curve((0.01, 0.7, -0.1))
         path = tmp_path / "curve.json"
@@ -80,38 +84,36 @@ class TestCorrectionCurveValidation:
 
 
 class TestCorrectTau:
+    """The tau correction: `_invert_fit`, the point estimate of `interval_quad`."""
+
     def test_identity_curve(self):
         curve = make_curve((0.0, 1.0, 0.0), noise=0.0)
-        assert correct_tau(curve, 0.4) == pytest.approx(0.4, abs=1e-12)
+        assert _invert_fit(curve, 0.4) == pytest.approx(0.4, abs=1e-12)
 
     def test_hand_computed_quadratic_roots(self):
         curve = make_curve((0.0, 0.6, 0.2), noise=0.0)
         # 0.6*(0.5) + 0.2*(0.5)^2 = 0.35, so 0.35 inverts to exactly 0.5
-        assert correct_tau(curve, 0.35) == pytest.approx(0.5, abs=1e-10)
+        assert _invert_fit(curve, 0.35) == pytest.approx(0.5, abs=1e-10)
         # generic value: positive root of 0.2 t^2 + 0.6 t - 0.38 = 0
         root = (-0.6 + np.sqrt(0.36 + 4 * 0.2 * 0.38)) / (2 * 0.2)
-        assert correct_tau(curve, 0.38) == pytest.approx(root, abs=1e-10)
+        assert _invert_fit(curve, 0.38) == pytest.approx(root, abs=1e-10)
 
-    def test_extrapolation_warns_and_returns_boundary(self):
+    def test_extrapolation_returns_boundary(self):
         curve = make_curve((0.0, 0.6, 0.2))
         f_lo, f_hi = curve.fitted_range
-        with pytest.warns(ExtrapolationWarning):
-            out = correct_tau(curve, f_hi + 0.05)
-        assert out == pytest.approx(curve.grid_taus[-1])
-        with pytest.warns(ExtrapolationWarning):
-            out = correct_tau(curve, f_lo - 0.05)
-        assert out == pytest.approx(curve.grid_taus[0])
+        assert _invert_fit(curve, f_hi + 0.05) == pytest.approx(curve.grid_taus[-1])
+        assert _invert_fit(curve, f_lo - 0.05) == pytest.approx(curve.grid_taus[0])
 
     def test_concave_curve_root_selection(self):
         # negative curvature like real nonsynchronous shrinkage maps
         curve = make_curve((0.0, 0.72, -0.23))
         for tau_true in (0.1, 0.3, 0.6):
             obs = curve.predict(tau_true)
-            assert correct_tau(curve, float(obs)) == pytest.approx(tau_true, abs=1e-9)
+            assert _invert_fit(curve, float(obs)) == pytest.approx(tau_true, abs=1e-9)
 
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("invert", [correct_tau, interval_quad, interval_quantile])
+@pytest.mark.parametrize("invert", [interval_quad, interval_quantile])
 def test_non_finite_observation_rejected(invert, tau):
     with pytest.raises(InvalidParameter, match="finite"):
         invert(make_curve((0.0, 1.0, 0.0)), tau)
@@ -143,6 +145,23 @@ class TestIntervalQuad:
         curve = make_curve((0.0, 1.0, 0.0), noise=0.05)
         iv = interval_quad(curve, 0.06)
         assert iv.lo == pytest.approx(curve.grid_taus[0])
+
+    @pytest.mark.parametrize("family", ["clayton", "gumbel"])
+    def test_point_is_the_inverted_fit(self, family):
+        curve = build_curve(family, PoissonPair(1.0, 1.0), STD_MARGINS, grid=np.linspace(0.05, 0.7, 6),
+                            n_rep=50, n_ticks=200, seed=5)
+        f_lo, f_hi = curve.fitted_range
+        checked = 0
+        for obs in np.linspace(f_lo - 0.1, f_hi + 0.1, 201):
+            try:
+                iv = interval_quad(curve, float(obs))
+            except CalibrationFailure:
+                continue
+            inverted = _invert_fit(curve, float(obs))
+            if iv.lo <= inverted <= iv.hi:
+                assert iv.point == inverted
+                checked += 1
+        assert checked > 150
 
 
 class TestIntervalQuantile:
@@ -252,13 +271,8 @@ class TestBuildCurve:
         assert curve.meta["n_ticks"] == 200
         # calibration consistency: inverting the fit at a grid point's mean
         # estimate recovers the grid point within 2 residual scales
-        import warnings
-
         for k, tau in enumerate(curve.grid_taus):
-            mean_est = float(curve.estimates[k].mean())
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ExtrapolationWarning)
-                back = correct_tau(curve, mean_est)
+            back = _invert_fit(curve, float(curve.estimates[k].mean()))
             assert abs(back - tau) <= 2 * curve.resid_scale
 
     @pytest.mark.parametrize("grid, message", [

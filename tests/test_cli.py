@@ -344,6 +344,7 @@ class TestErrorContract:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1  # one JSON line
         return json.loads(captured.err)
 
     def test_missing_input_file(self, tmp_path, capsys):
@@ -440,7 +441,10 @@ class TestErrorContract:
          "finite"),
         (lambda text: json.dumps({**json.loads(text), "grid_taus": [2.5 * t for t in json.loads(text)["grid_taus"]]}),
          "(-1, 1)"),
-    ], ids=["missing-key", "invalid-json", "1d-estimates", "not-utf8", "infinite-grid", "grid-past-one"])
+        (lambda text: json.dumps({**json.loads(text), "family": "banana"}), "unknown family 'banana'"),
+        (lambda text: json.dumps({**json.loads(text), "family": 5}), "unknown family 5"),
+    ], ids=["missing-key", "invalid-json", "1d-estimates", "not-utf8", "infinite-grid", "grid-past-one",
+            "unknown-family", "numeric-family"])
     def test_malformed_curve(self, curve_path, tmp_path, capsys, damage, words):
         bad = tmp_path / "bad.json"
         text = damage(curve_path.read_text())

@@ -14,7 +14,6 @@ from tickcopula import (
     fit_aic,
     log_pdf,
     param_of_tau,
-    pdf,
     plugin_copula,
     pseudo_observations,
     sample_uniform,
@@ -144,7 +143,7 @@ class TestCdf:
             lo, hi = 0.15, 0.85
             mass_cdf = cdf(m, hi, hi) - cdf(m, lo, hi) - cdf(m, hi, lo) + cdf(m, lo, lo)
             mass_pdf, err = integrate.dblquad(
-                lambda v, u: pdf(m, u, v), lo, hi, lo, hi, epsabs=1e-8, epsrel=1e-8
+                lambda v, u: np.exp(log_pdf(m, u, v)), lo, hi, lo, hi, epsabs=1e-8, epsrel=1e-8
             )
             assert mass_pdf == pytest.approx(float(mass_cdf), abs=5e-6)
 
@@ -153,18 +152,18 @@ class TestDensity:
     def test_integrates_to_one(self):
         # 200-node Gauss-Legendre rule on [-8, 8] in normal-score space,
         # u = Phi(x), so the corner peaks of Clayton and Gumbel are resolved;
-        # one vectorized pdf call on the tensor grid
+        # one vectorized density call on the tensor grid
         x, w = np.polynomial.legendre.leggauss(200)
-        x, w = 8.0 * x, 8.0 * w * stats.norm.pdf(8.0 * x)
+        x, w = 8.0 * x, 8.0 * w * np.exp(stats.norm.logpdf(8.0 * x))
         u = special.ndtr(x)
         for m in ALL_MODELS:
-            total = w @ pdf(m, u[:, None], u[None, :]) @ w
+            total = w @ np.exp(log_pdf(m, u[:, None], u[None, :])) @ w
             assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_gumbel_independence_at_theta_one(self):
         m = CopulaModel("gumbel", 1.0)
         u = np.linspace(0.1, 0.9, 5)
-        assert np.allclose(pdf(m, u, u[::-1]), 1.0, atol=1e-10)
+        assert np.allclose(np.exp(log_pdf(m, u, u[::-1])), 1.0, atol=1e-10)
 
     def test_rejects_boundary_arguments(self):
         with pytest.raises(InvalidParameter):

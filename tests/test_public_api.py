@@ -2,16 +2,16 @@ import tickcopula
 
 PUBLIC_NAMES = [
     "CalibrationFailure", "CopulaFit", "CopulaModel", "CorrectedCorrelation", "CorrectionCurve",
-    "DegeneratePairing", "EmpiricalMargin", "ExtrapolationWarning",
+    "DegeneratePairing", "EmpiricalMargin",
     "FAMILIES", "FitFailure", "GroundTruth", "InsufficientData", "IntervalEstimate",
     "InvalidParameter", "MalformedInput", "NoOverlap", "PairDiagnostics", "PairedSeries",
     "PluginCopula", "PoissonPair", "SimResult", "SimSpec", "TauEstimate", "TheoryReport",
     "TickCopulaError", "TickSeries", "arrival_theory", "build_curve", "calibration", "cdf",
-    "configuration_labels", "copulas", "correct_tau", "corrected_correlation",
+    "configuration_labels", "copulas", "corrected_correlation",
     "diagnostics", "errors", "estimate_rates", "estimators", "fit_aic",
     "interval_misspecified", "interval_quad", "interval_quantile", "kendall_tau", "load_ticks",
     "log_pdf", "market_data", "overlap_intervals", "pair_previous_tick", "pair_refresh_time",
-    "pair_ticks", "pairing", "param_of_tau", "pdf", "plugin_copula", "pq_terms",
+    "pair_ticks", "pairing", "param_of_tau", "plugin_copula", "pq_terms",
     "pseudo_observations", "sample_uniform", "save_ticks", "simulate", "synthesis", "tau_of",
     "theory_report",
 ]
