@@ -230,18 +230,20 @@ def _check_n_rep(n_rep: int) -> None:
         raise InvalidParameter(f"n_rep must be at least 2, got {n_rep}")
 
 
-# A block simulates about this many events in one pass, and at least one
-# replicate: 50 replicates at 350 ticks per asset, 8 at 2k, 1 from 17.5k up.
-# At 350 ticks a 12-cell curve ran 5-19 % faster than in blocks of 10, and
-# no slower at 2k or 20k, on one CPU and on two. A block peaks at about 49
-# bytes per event (traced), so a worker holds about 1.6 MiB below 17.5k ticks
-# and one replicate's arrays above it: 18.7 MiB at 200k, where blocks of 10
-# would need about 190 MiB.
+# A block simulates at most this many events in one pass, and at least one
+# replicate: a cell's replicates are cut into the fewest blocks within this
+# budget, of sizes that differ by at most one. That is 2 blocks of 50 at 350
+# ticks per asset and 100 replicates, 13 blocks of 7 or 8 at 2k, and blocks
+# of 1 from 17.5k up. At 350 ticks a 12-cell curve ran 5-19 % faster than in
+# blocks of 10, and no slower at 2k or 20k, on one CPU and on two. A block
+# peaks at about 49 bytes per event (traced), so a worker holds about 1.6 MiB
+# below 17.5k ticks and one replicate's arrays above it: 18.7 MiB at 200k,
+# where blocks of 10 would need about 190 MiB.
 _BLOCK_EVENTS = 35_000
 
 
 def _block_reps(n_events: int) -> int:
-    """Replicates per block of a cell whose replicates simulate ``n_events`` events each."""
+    """Most replicates in one block of a cell whose replicates simulate ``n_events`` events each."""
     return max(1, _BLOCK_EVENTS // n_events)
 
 
@@ -259,19 +261,6 @@ def _fork_workers(n_tasks: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
-def _shares(costs, workers: int) -> list[range]:
-    """Cut tasks ``0 .. len(costs) - 1`` into at most ``workers`` contiguous, non-empty shares of about equal cost.
-
-    Share ``k`` ends at the task whose running total of ``costs`` lies
-    nearest ``k / workers`` of the whole, so no share's cost is further than
-    one task's cost from an equal part.
-    """
-    ends = np.cumsum(costs)
-    cuts = {int(np.abs(ends - ends[-1] * k / workers).argmin()) + 1 for k in range(1, workers)}
-    bounds = sorted(cuts | {0, len(costs)})
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
 def _run_share(block, share, writer) -> None:
     """A worker's whole life: run ``share`` in order, stop at the first error, send ``(results, error)`` once."""
     results, error = [], None
@@ -285,41 +274,44 @@ def _run_share(block, share, writer) -> None:
     writer.send((results, error))
 
 
-def _fork_map(block, costs, workers: int) -> list:
-    """``[block(i) for i in range(len(costs))]`` on up to ``workers`` forked processes, in task order.
+def _fork_map(block, n_tasks: int, workers: int) -> list:
+    """``[block(i) for i in range(n_tasks)]`` on ``workers`` forked processes, in task order.
 
-    The tasks are cut into contiguous shares of about equal total
-    ``costs`` (:func:`_shares`), and each share runs in its own forked
-    process, which sends its results back once through a one-way pipe.
-    ``block`` reaches the workers through ``fork``, not ``pickle``, so it may
-    be a closure. The parent runs no task and starts no thread: it receives
-    the shares in order, and as each share stops at its first error, the
-    first error received is that of the first failing task in index order,
-    as in the loop. A worker killed from outside raises
-    :class:`CalibrationFailure`. Every worker has exited before this returns
-    or raises.
+    Worker ``w`` is dealt tasks ``w, w + workers, ...``, so share lengths
+    differ by at most one and every share draws from every part of the task
+    list. Each share runs in its own forked process, which sends its results
+    back once through a one-way pipe. ``block`` reaches the workers through
+    ``fork``, not ``pickle``, so it may be a closure. The parent runs no task
+    and starts no thread. It reads every share, and as each share stops at
+    its first error, it raises the error of the lowest failing task index:
+    the first failing task in index order, as in the loop. A worker killed
+    from outside raises :class:`CalibrationFailure`. Every worker has exited
+    before this returns or raises.
     """
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
     started = []
     try:
-        for share in _shares(costs, workers):
+        for w in range(workers):
             reader, writer = context.Pipe(duplex=False)
-            worker = context.Process(target=_run_share, args=(block, share, writer))
+            worker = context.Process(target=_run_share, args=(block, range(w, n_tasks, workers), writer))
             worker.start()
             writer.close()  # a worker's death then reads as EOF; later workers never hold this end
             started.append((worker, reader))
-        results = []
-        for _, reader in started:
+        results, errors = [None] * n_tasks, {}
+        for w, (_, reader) in enumerate(started):
             try:
                 done, error = reader.recv()
             except EOFError:
                 raise CalibrationFailure("a worker process died before its replicate blocks finished "
                                          "(killed from outside, for example for lack of memory)") from None
-            if error is not None:
-                raise error
-            results += done
+            if error is None:
+                results[w::workers] = done
+            else:
+                errors[w + len(done) * workers] = error  # the task that failed
+        if errors:
+            raise errors[min(errors)]
         return results
     finally:
         for worker, reader in started:
@@ -335,9 +327,12 @@ def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2, pool=Fa
     ``cells`` is a list of ``(model, margins, n)``, each simulated with
     ``n`` ticks per asset at rates ``lambda1``/``lambda2``. Replicate ``r``
     of cell ``c`` uses seed ``[*seed_prefix, c, r]``, so each value depends
-    only on the prefix and its own indices. ``estimate(spec, seeds)`` gets
-    the cell's seedless :class:`SimSpec` and a block of up to
-    ``_block_reps(2 * n)`` consecutive replicate seeds, and returns one
+    only on the prefix and its own indices. A cell's replicates are cut into
+    ``k = ceil(n_rep / _block_reps(2 * n))`` blocks of consecutive seeds,
+    block ``b`` holding replicates ``b * n_rep // k`` up to
+    ``(b + 1) * n_rep // k``: no block exceeds the event budget, and sizes
+    within a cell differ by at most one. ``estimate(spec, seeds)`` gets the
+    cell's seedless :class:`SimSpec` and one block's seeds, and returns one
     float or k floats per seed; :func:`_per_sample` adapts an estimator of
     one :class:`SimResult`. The result has shape ``(len(cells), n_rep, k)``.
     Fewer than two replicates leave no spread to summarize and raise
@@ -345,11 +340,11 @@ def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2, pool=Fa
 
     With ``pool=True`` the blocks run in forked processes, one per CPU in
     the affinity mask and at most one per block; see :func:`_fork_workers`
-    for when it stays in-process. Each worker takes a contiguous share of
-    the blocks of about equal cost, the block's replicates times its
-    simulated events. Blocks are independent and collected in (cell,
-    replicate) order, so the result is the in-process result bit for bit,
-    and a failure raises the error of the first failing block in that
+    for when it stays in-process. The blocks, in (cell, replicate) order,
+    are dealt round-robin to the workers (:func:`_fork_map`), which balances
+    cells of mixed sizes without a cost model. Blocks are independent and
+    collected in that order, so the result is the in-process result bit for
+    bit, and a failure raises the error of the first failing block in that
     order. ``estimate`` must then be a pure function of its arguments:
     whatever it records in this process's memory (spans, counters, caches)
     is lost with the worker that ran it.
@@ -357,22 +352,18 @@ def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2, pool=Fa
     _check_n_rep(n_rep)
     specs = [SimSpec(model=model, margins=margins, lambda1=lambda1, lambda2=lambda2, n1=n, n2=n)
              for model, margins, n in cells]
-    sizes = [_block_reps(spec.n1 + spec.n2) for spec in specs]
-    tasks = [(c, first) for c, size in enumerate(sizes) for first in range(0, n_rep, size)]
+    n_blocks = [-(-n_rep // _block_reps(spec.n1 + spec.n2)) for spec in specs]
+    tasks = [(c, range(b * n_rep // k, (b + 1) * n_rep // k)) for c, k in enumerate(n_blocks) for b in range(k)]
     if not tasks:
         return np.zeros((0, n_rep, 0))
 
     def block(i):
-        c, first = tasks[i]
-        seeds = [[*seed_prefix, c, r] for r in range(first, min(first + sizes[c], n_rep))]
+        c, reps = tasks[i]
+        seeds = [[*seed_prefix, c, r] for r in reps]
         return np.asarray(estimate(specs[c], seeds), dtype=float).reshape(len(seeds), -1)
 
     workers = _fork_workers(len(tasks)) if pool else 1
-    if workers > 1:
-        costs = [(min(first + sizes[c], n_rep) - first) * (specs[c].n1 + specs[c].n2) for c, first in tasks]
-        blocks = _fork_map(block, costs, workers)
-    else:
-        blocks = [block(i) for i in range(len(tasks))]
+    blocks = _fork_map(block, len(tasks), workers) if workers > 1 else [block(i) for i in range(len(tasks))]
     return np.concatenate(blocks).reshape(len(cells), n_rep, -1)
 
 

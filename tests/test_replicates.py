@@ -35,15 +35,14 @@ from tickcopula import (
     sample_uniform,
     simulate,
 )
-from tickcopula import synthesis
 from tickcopula.calibration import _uncorrected_taus
 from tickcopula.synthesis import (
     _block_reps,
+    _fork_map,
     _fork_workers,
     _NormalMargin,
     _per_sample,
     _run_cells,
-    _shares,
     _TMargin,
 )
 from tickcopula.tables import (
@@ -212,8 +211,7 @@ class TestRunCells:
 
     def test_blocks_keep_the_seed_tree(self):
         b0, b1 = (_block_reps(2 * n) for _, _, n in self.CELLS)
-        n_rep = 2 * b0 + 3
-        assert b1 < b0 and n_rep % b1  # the cells' blocks differ, and each ends short
+        n_rep = 3 * b1 + 1
         sizes = []
 
         def estimate(spec, seeds):
@@ -221,7 +219,10 @@ class TestRunCells:
             return [[spec.n1, spec.lambda2, *seed] for seed in seeds]
 
         out = _run_cells(self.CELLS, n_rep, [9, 4], estimate, lambda1=1.0, lambda2=2.0)
-        assert sizes == [b0, b0, 3] + [b1] * (n_rep // b1) + [n_rep % b1]
+        # the fewest blocks within each cell's budget, of sizes that differ by at most one: the
+        # budgets differ and neither divides n_rep
+        assert (b0, b1, n_rep) == (583, 437, 1312)
+        assert sizes == [437, 437, 438] + [328] * 4
         for c, (_, _, n) in enumerate(self.CELLS):
             assert out[c].tolist() == [[n, 2.0, 9, 4, c, r] for r in range(n_rep)]
 
@@ -250,6 +251,17 @@ class TestForkPool:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert curve_bytes() == pooled
 
+    @pytest.mark.parametrize("study", [
+        lambda: t_copula_margin_study(n_rep=20),  # 3 cells of 3 blocks at 2000 ticks
+        # 60 replicates at 350 ticks are 2 blocks of 30 in the row's one cell
+        lambda: coverage_study(families=("clayton",), taus=(0.3,), n_rep=60, curve_n_rep=50),
+    ], ids=["t_copula_margin_study", "coverage_study"])
+    def test_study_matches_one_cpu(self, monkeypatch, study):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pooled = study()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert json.dumps(study()) == json.dumps(pooled)
+
     def test_earliest_failing_block_raises(self):
         def estimate(spec, seeds):
             c, r = seeds[0][-2:]
@@ -265,19 +277,14 @@ class TestForkPool:
 
     @pytest.mark.parametrize("later", ["same-share", "other-share"])
     def test_earliest_failing_block_raises_in_shares(self, monkeypatch, later):
-        shares, cut = synthesis._shares, []
-
-        def recorded_shares(costs, workers):
-            cut.extend(shares(costs, workers))
-            return cut
-
-        monkeypatch.setattr(synthesis, "_shares", recorded_shares)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        # cell 0 runs in 4 blocks and cell 1 in 6, of about equal cost but the last: two
-        # workers take blocks 0-4 and 5-9. Block 1, (0, BLOCK), fails late in the first share;
-        # block 2 fails in the same share, block 9 at once in the other
-        n_rep, b1 = 4 * self.BLOCK, _block_reps(2 * self.CELLS[1][2])
-        failing = {"same-share": (0, 2 * self.BLOCK), "other-share": (1, (n_rep - 1) // b1 * b1)}[later]
+        # cell 0 runs in 2 blocks and cell 1 in 3, dealt to two workers: blocks 0, 2 and 4
+        # to the first and 1 and 3 to the second. Block 1, (0, BLOCK), fails late in the
+        # second share; block 3 fails in the same share, block 2 at once in the first
+        n_rep = 2 * self.BLOCK
+        k1 = -(-n_rep // _block_reps(2 * self.CELLS[1][2]))
+        assert k1 == 3
+        failing = {"same-share": (1, n_rep // k1), "other-share": (1, 0)}[later]
 
         def estimate(spec, seeds):
             c, r = seeds[0][-2:]
@@ -290,7 +297,6 @@ class TestForkPool:
 
         with pytest.raises(InsufficientData, match=f"^block 0, {self.BLOCK}$"):
             _run_cells(self.CELLS, n_rep, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
-        assert cut == [range(0, 5), range(5, 10)]
         assert multiprocessing.active_children() == []
 
     def test_no_thread_in_the_parent(self, monkeypatch):
@@ -328,32 +334,21 @@ class TestForkPool:
 
 
 class TestShares:
-    """The fork pool's cut of the blocks into one contiguous share per worker."""
-
-    @staticmethod
-    def check(costs, workers):
-        shares = _shares(costs, workers)
-        assert 1 <= len(shares) <= workers
-        assert [i for share in shares for i in share] == list(range(len(costs)))  # contiguous, in order
-        assert all(len(share) for share in shares)
-        return [sum(costs[i] for i in share) for share in shares]
+    """The fork pool's deal of the tasks into one share per worker."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_equal_costs_split_evenly(self, workers):
-        assert self.check([5] * 24, workers) == [5 * 24 // workers] * workers
-
-    @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_each_share_within_one_task_of_an_equal_part(self, workers):
-        for seed in range(20):
-            costs = np.random.default_rng(seed).integers(1, 1000, 40).tolist()
-            shares = self.check(costs, workers)
-            assert len(shares) == workers
-            assert max(abs(cost - sum(costs) / workers) for cost in shares) <= max(costs)
-
-    def test_a_dominant_task_leaves_no_empty_share(self):
-        assert self.check([1, 1, 100, 1, 1], 4) == [2, 100, 2]
-        assert self.check([100, 1], 2) == [100, 1]
-        assert self.check([7], 2) == [7]
+        # a cell's blocks differ by at most one replicate, so they cost about the same;
+        # a deal gives each worker a share whose length is within one of the others'
+        for n_tasks in (24, 25):
+            out = _fork_map(lambda i: (i, os.getpid()), n_tasks, workers)
+            assert multiprocessing.active_children() == []
+            assert [i for i, _ in out] == list(range(n_tasks))  # every task once, in task order
+            pids = [pid for _, pid in out]
+            shares = [[i for i in range(n_tasks) if pids[i] == pid] for pid in dict.fromkeys(pids)]
+            assert shares == [list(range(w, n_tasks, workers)) for w in range(workers)]
+            assert os.getpid() not in pids
+            assert max(map(len, shares)) - min(map(len, shares)) <= 1
 
 
 def test_coverage_rows_count_calibration_failures():
