@@ -61,6 +61,6 @@ from .pairing import (
     pair_refresh_time,
     pair_ticks,
 )
-from .synthesis import GroundTruth, SimResult, SimSpec, simulate
+from .synthesis import SimResult, SimSpec, simulate
 
 __all__ = [name for name in dir() if not name.startswith("_")]

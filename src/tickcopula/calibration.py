@@ -33,7 +33,7 @@ from .copulas import FAMILIES, param_of_tau
 from .errors import CalibrationFailure, InvalidParameter
 from .estimators import _kendall_rows, corrected_correlation, kendall_tau
 from .pairing import PairedSeries, _tick_pairs, pair_ticks
-from .synthesis import RNG_NAME, _run_cells, _simulate_counts, simulate
+from .synthesis import RNG_NAME, SimSpec, _run_cells, _simulate_counts, simulate
 
 __all__ = [
     "CorrectionCurve",
@@ -277,10 +277,14 @@ def build_curve(
 ) -> CorrectionCurve:
     """Simulate the bias map of the uncorrected tau for one family.
 
-    For each true tau on ``grid``, ``n_rep`` nonsynchronous samples of
-    ``n_ticks`` ticks per asset are generated at the ``arrival`` rates
-    (a :class:`~tickcopula.arrival_theory.PoissonPair`), paired, and their
-    all-pairs Kendall tau recorded. Cell seeds derive from
+    For each true tau on ``grid``, ``n_rep`` nonsynchronous samples are
+    generated at the ``arrival`` rates (a
+    :class:`~tickcopula.arrival_theory.PoissonPair`), paired, and their
+    all-pairs Kendall tau recorded. Each sample has ``n_ticks`` ticks of
+    asset 1 and ``round(n_ticks * lambda2 / lambda1)`` of asset 2, the
+    counts the rates give over one session; ``meta`` records both. A rate
+    ratio that leaves asset 2 no finite count, or fewer than 2 ticks, raises
+    :class:`InvalidParameter`. Cell seeds derive from
     ``(seed, grid index, replicate)`` so the curve is a pure function of
     ``seed`` regardless of evaluation order. The replicate blocks run on
     every CPU in the process's affinity mask, with the same result as on one.
@@ -291,15 +295,21 @@ def build_curve(
     if n_rep < 50:
         raise InvalidParameter(f"n_rep must be at least 50, got {n_rep}")
     _check_grid(grid)
-    cells = [(param_of_tau(family, float(tau), df=df), margins, n_ticks) for tau in grid]
-    estimates = _run_cells(cells, n_rep, [seed], _uncorrected_taus, lambda1=arrival.lambda1,
-                           lambda2=arrival.lambda2, pool=True).reshape(grid.size, n_rep)
+    n_ticks2 = n_ticks * (arrival.lambda2 / arrival.lambda1)
+    if not np.isfinite(n_ticks2):
+        raise InvalidParameter(f"rates lambda1={arrival.lambda1}, lambda2={arrival.lambda2} give asset 2 "
+                               f"{n_ticks2} ticks for {n_ticks} of asset 1")
+    n_ticks2 = round(n_ticks2)
+    specs = [SimSpec(model=param_of_tau(family, float(tau), df=df), margins=margins, lambda1=arrival.lambda1,
+                     lambda2=arrival.lambda2, n1=n_ticks, n2=n_ticks2) for tau in grid]
+    estimates = _run_cells(specs, n_rep, [seed], _uncorrected_taus, pool=True).reshape(grid.size, n_rep)
 
     meta = {
         "family": family,
         "lambda1": arrival.lambda1,
         "lambda2": arrival.lambda2,
         "n_ticks": n_ticks,
+        "n_ticks2": n_ticks2,
         "n_rep": n_rep,
         "seed": seed,
         "df": df,

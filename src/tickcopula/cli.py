@@ -187,7 +187,9 @@ def _cmd_simulate(args) -> int:
     sim = simulate(spec)
     save_ticks(sim.a, f"{args.out}_a.csv")
     save_ticks(sim.b, f"{args.out}_b.csv")
-    truth = sim.truth.as_dict()
+    truth = {"family": model.family, "param": model.param, "tau": tau_of(model)}
+    if model.df is not None:
+        truth["df"] = model.df
     truth["meta"] = _meta(args, lambda1=args.lambda1, lambda2=args.lambda2,
                           margin1=args.margin1, margin2=args.margin2)
     _write_json(f"{args.out}_truth.json", truth)

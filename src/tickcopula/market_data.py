@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +65,6 @@ class TickSeries:
     def span(self) -> float:
         """Observed time span in seconds."""
         return float(self.times[-1] - self.times[0])
-
-
-_BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
-_ASCII_SPACES = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"  # str.isspace() minus "\n"
 
 
 def _read_columns(path, names, error, checks=None):
@@ -127,10 +122,7 @@ def _reread_columns(path, names, error, checks):
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
     fh = io.StringIO(text)
     meta = _read_head(fh, path, names, error)
-    data_text = fh.read()
-    if not data_text.isascii() or any(c in data_text for c in _ASCII_SPACES):
-        data_text = _BLANK_LINE.sub("", data_text)  # loadtxt skips only empty lines
-    lines = data_text.split("\n")
+    lines = ["" if line.isspace() else line for line in fh.read().split("\n")]  # loadtxt skips only empty lines
     k = len(names)
     fault = None
     try:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .copulas import CopulaModel, sample_uniform, tau_of
+from .copulas import CopulaModel, sample_uniform
 from .errors import CalibrationFailure, InsufficientData, InvalidParameter
 from .market_data import TickSeries
 
@@ -104,26 +104,11 @@ class SimSpec:
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    """True dependence parameters behind a simulated pair of series."""
-
-    family: str
-    param: float
-    tau: float
-    df: int | None = None
-
-    def as_dict(self) -> dict:
-        out = {"family": self.family, "param": self.param, "tau": self.tau}
-        if self.df is not None:
-            out["df"] = self.df
-        return out
-
-
-@dataclass(frozen=True)
 class SimResult:
+    """The two tick series of one simulated sample; its :class:`SimSpec` describes the rest."""
+
     a: TickSeries
     b: TickSeries
-    truth: GroundTruth
 
 
 @dataclass(frozen=True)
@@ -212,17 +197,7 @@ def simulate(spec: SimSpec) -> SimResult:
     idx_b = np.flatnonzero(to_b)
     if idx_a.size < 2 or idx_b.size < 2:
         raise InsufficientData("random split left an asset with fewer than 2 ticks")
-    truth = GroundTruth(
-        family=spec.model.family,
-        param=spec.model.param,
-        tau=tau_of(spec.model),
-        df=spec.model.df,
-    )
-    return SimResult(
-        a=TickSeries(times[idx_a], log_x[idx_a]),
-        b=TickSeries(times[idx_b], log_y[idx_b]),
-        truth=truth,
-    )
+    return SimResult(a=TickSeries(times[idx_a], log_x[idx_a]), b=TickSeries(times[idx_b], log_y[idx_b]))
 
 
 def _check_n_rep(n_rep: int) -> None:
@@ -321,20 +296,20 @@ def _fork_map(block, n_tasks: int, workers: int) -> list:
             reader.close()  # after the join: a worker still writing would see a broken pipe
 
 
-def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2, pool=False) -> np.ndarray:
+def _run_cells(specs, n_rep, seed_prefix, estimate, *, pool=False) -> np.ndarray:
     """The simulate -> estimate replicate loop behind every Monte Carlo study.
 
-    ``cells`` is a list of ``(model, margins, n)``, each simulated with
-    ``n`` ticks per asset at rates ``lambda1``/``lambda2``. Replicate ``r``
-    of cell ``c`` uses seed ``[*seed_prefix, c, r]``, so each value depends
-    only on the prefix and its own indices. A cell's replicates are cut into
-    ``k = ceil(n_rep / _block_reps(2 * n))`` blocks of consecutive seeds,
-    block ``b`` holding replicates ``b * n_rep // k`` up to
-    ``(b + 1) * n_rep // k``: no block exceeds the event budget, and sizes
-    within a cell differ by at most one. ``estimate(spec, seeds)`` gets the
-    cell's seedless :class:`SimSpec` and one block's seeds, and returns one
-    float or k floats per seed; :func:`_per_sample` adapts an estimator of
-    one :class:`SimResult`. The result has shape ``(len(cells), n_rep, k)``.
+    ``specs`` lists the cells, each a seedless count-mode :class:`SimSpec`
+    that fixes everything a replicate simulates but its seed. Replicate
+    ``r`` of cell ``c`` uses seed ``[*seed_prefix, c, r]``, so each value
+    depends only on the prefix and its own indices. A cell's replicates are
+    cut into ``k = ceil(n_rep / _block_reps(spec.n1 + spec.n2))`` blocks of
+    consecutive seeds, block ``b`` holding replicates ``b * n_rep // k`` up
+    to ``(b + 1) * n_rep // k``: no block exceeds the event budget, and
+    sizes within a cell differ by at most one. ``estimate(spec, seeds)``
+    gets the cell's spec and one block's seeds, and returns one float or k
+    floats per seed; :func:`_per_sample` adapts an estimator of one
+    :class:`SimResult`. The result has shape ``(len(specs), n_rep, k)``.
     Fewer than two replicates leave no spread to summarize and raise
     :class:`InvalidParameter`.
 
@@ -350,8 +325,6 @@ def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2, pool=Fa
     is lost with the worker that ran it.
     """
     _check_n_rep(n_rep)
-    specs = [SimSpec(model=model, margins=margins, lambda1=lambda1, lambda2=lambda2, n1=n, n2=n)
-             for model, margins, n in cells]
     n_blocks = [-(-n_rep // _block_reps(spec.n1 + spec.n2)) for spec in specs]
     tasks = [(c, range(b * n_rep // k, (b + 1) * n_rep // k)) for c, k in enumerate(n_blocks) for b in range(k)]
     if not tasks:
@@ -364,7 +337,7 @@ def _run_cells(cells, n_rep, seed_prefix, estimate, *, lambda1, lambda2, pool=Fa
 
     workers = _fork_workers(len(tasks)) if pool else 1
     blocks = _fork_map(block, len(tasks), workers) if workers > 1 else [block(i) for i in range(len(tasks))]
-    return np.concatenate(blocks).reshape(len(cells), n_rep, -1)
+    return np.concatenate(blocks).reshape(len(specs), n_rep, -1)
 
 
 def _per_sample(estimate):

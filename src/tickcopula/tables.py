@@ -22,6 +22,7 @@ from .errors import InsufficientData
 from .estimators import corrected_correlation, kendall_tau
 from .pairing import _refresh_stamped, pair_previous_tick, pair_ticks
 from .synthesis import (  # noqa: F401 (perfbench tests the tables.simulate binding)
+    SimSpec,
     _NormalMargin,
     _TMargin,
     _check_n_rep,
@@ -36,6 +37,11 @@ STANDARD_NORMAL = (_NormalMargin(0.0, 1.0), _NormalMargin(0.0, 1.0))
 _RATE = 1.0
 # grid spacing for the previous-tick baseline, in units of 1/lambda
 PREV_TICK_DELTA_FACTOR = 2.0
+
+
+def _at_rate(model, margins, n_ticks: int) -> SimSpec:
+    """The seedless spec of ``n_ticks`` ticks per asset, both assets at ``_RATE``."""
+    return SimSpec(model=model, margins=margins, lambda1=_RATE, lambda2=_RATE, n1=n_ticks, n2=n_ticks)
 
 
 def _uncorrected_and_corrected(sim):
@@ -72,10 +78,8 @@ def gaussian_estimator_study(
     and the mean squared errors against the true rho. The replicates run in
     the calling process, where perfbench's spans can time them.
     """
-    ests = _run_cells(
-        [(CopulaModel("gaussian", rho), STANDARD_NORMAL, n) for rho, n in cells],
-        n_rep, [seed], _per_sample(_one_replicate), lambda1=_RATE, lambda2=_RATE,
-    )
+    ests = _run_cells([_at_rate(CopulaModel("gaussian", rho), STANDARD_NORMAL, n) for rho, n in cells],
+                      n_rep, [seed], _per_sample(_one_replicate))
     rows = []
     for (rho, n), cell in zip(cells, ests):
         prev, refresh, corrected = cell.T
@@ -101,8 +105,8 @@ def t_copula_margin_study(n_rep: int = 100, seed: int = 2) -> list[dict]:
         ("t(4), N(0,3)", (_TMargin(4), _NormalMargin(0, 3))),
     ]
     model = CopulaModel("student_t", -0.4, df=8)
-    ests = _run_cells([(model, margins, 2000) for _, margins in margin_rows], n_rep, [seed],
-                      _per_sample(_uncorrected_and_corrected), lambda1=_RATE, lambda2=_RATE, pool=True)
+    ests = _run_cells([_at_rate(model, margins, 2000) for _, margins in margin_rows], n_rep, [seed],
+                      _per_sample(_uncorrected_and_corrected), pool=True)
     rows = []
     for (label, _), cell in zip(margin_rows, ests):
         unc, cor = cell.T
@@ -175,9 +179,8 @@ def coverage_study(
             seed=[seed, fi],
         )
         bounds = _run_cells(
-            [(param_of_tau(family, tau), STANDARD_NORMAL, n_ticks) for tau in taus],
-            n_rep, [seed, 17 + fi], _per_sample(lambda sim: _interval_bounds(sim, curve)),
-            lambda1=_RATE, lambda2=_RATE, pool=True,
+            [_at_rate(param_of_tau(family, tau), STANDARD_NORMAL, n_ticks) for tau in taus],
+            n_rep, [seed, 17 + fi], _per_sample(lambda sim: _interval_bounds(sim, curve)), pool=True,
         ).reshape(len(taus), n_rep, len(_METHODS), 2)
         for tau_true, cell in zip(taus, bounds):
             lo, hi = cell[..., 0], cell[..., 1]

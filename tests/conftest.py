@@ -27,6 +27,13 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def rows_apart_in_se(x, y) -> float:
+    """How many standard errors of their difference the means of ``x`` and ``y`` lie apart."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    se = np.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
+    return float(abs(x.mean() - y.mean()) / se)
+
+
 def make_series(times, log_prices=None):
     times = np.asarray(times, dtype=float)
     if log_prices is None:

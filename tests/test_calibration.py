@@ -26,6 +26,8 @@ from tickcopula import (
 )
 from tickcopula.calibration import _invert_fit, _uncorrected_tau, _uncorrected_taus
 
+from conftest import rows_apart_in_se
+
 STD_MARGINS = (stats.norm(), stats.norm())
 
 
@@ -274,6 +276,32 @@ class TestBuildCurve:
         for k, tau in enumerate(curve.grid_taus):
             back = _invert_fit(curve, float(curve.estimates[k].mean()))
             assert abs(back - tau) <= 2 * curve.resid_scale
+
+    def test_asset_two_ticks_at_its_own_rate(self):
+        # at lambda2 = 3 lambda1 a sample holds 350 ticks of asset 1 and 1050 of asset 2,
+        # which pair into more returns and shrink tau less than 350 of each
+        kw = dict(grid=np.linspace(0.1, 0.5, 5), n_rep=50, n_ticks=350, seed=0)
+        faster = build_curve("clayton", PoissonPair(1.0, 3.0), STD_MARGINS, **kw)
+        equal = build_curve("clayton", PoissonPair(1.0, 1.0), STD_MARGINS, **kw)
+        assert (faster.meta["n_ticks"], faster.meta["n_ticks2"]) == (350, 1050)
+        assert (equal.meta["n_ticks"], equal.meta["n_ticks2"]) == (350, 350)
+        assert not np.array_equal(faster.estimates, equal.estimates)
+        spec = SimSpec(model=param_of_tau("clayton", 0.5), margins=STD_MARGINS, lambda1=1.0, lambda2=3.0,
+                       n1=350, n2=1050)
+        direct = [_uncorrected_tau(simulate(replace(spec, seed=[71, r]))) for r in range(50)]
+        assert rows_apart_in_se(faster.estimates[-1], direct) < 4
+        assert rows_apart_in_se(equal.estimates[-1], direct) > 4
+
+    @pytest.mark.parametrize("lambda1, lambda2", [(1e-300, 1e300), (1.0, 1e-3)],
+                             ids=["no-finite-count", "fewer-than-two"])
+    def test_rate_ratio_without_a_count_rejected_before_simulating(self, lambda1, lambda2, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a curve without a tick count for asset 2 was simulated")
+
+        monkeypatch.setattr("tickcopula.calibration._run_cells", unreachable)
+        with pytest.raises(InvalidParameter, match="lambda2|at least 2"):
+            build_curve("clayton", PoissonPair(lambda1, lambda2), STD_MARGINS, grid=np.linspace(0.1, 0.5, 5),
+                        n_rep=50)
 
     @pytest.mark.parametrize("grid, message", [
         ([0.1, 0.2, 0.3], "at least 5 tau values"),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,18 +18,21 @@ from hypothesis import strategies as st
 from tickcopula import (
     InvalidParameter,
     PairedSeries,
+    SimSpec,
     TickSeries,
     calibration,
     cli,
     configuration_labels,
     pair_ticks,
+    param_of_tau,
     save_ticks,
+    simulate,
 )
 from tickcopula.cli import _write_json, main, parse_margin, read_paired_csv, write_paired_csv
 from tickcopula.market_data import _CHUNK_ROWS, load_ticks
 from tickcopula.synthesis import _fork_workers
 
-from conftest import poisson_ticks, seeded_day, traced_peak
+from conftest import poisson_ticks, rows_apart_in_se, seeded_day, traced_peak
 
 
 def run(args):
@@ -73,6 +77,36 @@ class TestSimulateCommand:
             assert rc == 0
         assert (tmp_path / "r1_a.csv").read_bytes() == (tmp_path / "r2_a.csv").read_bytes()
         assert (tmp_path / "r1_b.csv").read_bytes() == (tmp_path / "r2_b.csv").read_bytes()
+
+    # SHA-256 of the _a.csv, _b.csv and _truth.json files, recorded before the truth
+    # file was written from the command's model; tau and df are pinned only here
+    @pytest.mark.parametrize("argv, digests", [
+        (["--family", "clayton", "--tau", "0.4"],
+         ("dec9f8b8f278907563e087fdae7d51ec9c7e04b85606eb5fda8fad7d153167a7",
+          "cd40a3b37328e7332da8a03f0fa6714dc5c51fbf29a62c85858e112c477791c0",
+          "de1d7fcda85ecc59e578dff362f8c687c18411669c1de2fecc0585a4b30c22e9")),
+        (["--family", "gumbel", "--tau", "0.4"],
+         ("490ae90a6ee88baab2f0216d68a88c8aee776c7b2cbbfdd7d8757c5cc96bde72",
+          "9216ae59775de313805415fb5262163dfd88976dce605a8e10b096f29e8fb6bb",
+          "041e3648436e720cd87058755138774263f6e191d54e6908a536792687cfe315")),
+        (["--family", "gaussian", "--tau", "0.4"],
+         ("97bd68f8028cd205a8ce66bd9563c22ade2193cfe0c1dba6b53132d7b09becfa",
+          "fce27405b2027f6dc4aac3d03aaf6658ea39218838173e3e53a6703ab85f40f1",
+          "a5cf0d0ef97eb9f25c65ab282c4ddf34b46e0724f4b805c3415f551d805b1774")),
+        (["--family", "student_t", "--tau", "0.4", "--df", "5"],
+         ("790230ae28f904fcefa940be46c974a3c3123358135ebba8f6ec0f4a5c32ff40",
+          "a93fc01ce6321cc03dbb0f53aeae6c7764b341d4ed169a5afde714cea0ce37d8",
+          "72b5389bf265ceccc08117b633b5f6e44736bb69b40f1f5fd9a192fb9b86db40")),
+        (["--family", "clayton", "--tau", "0.4", "--horizon", "300", "--lambda2", "1.5"],
+         ("ee831c8afb58186a927f3a7e168baa162fbd7824f3f1929c2ebb887c602ef46f",
+          "7b322a94039706bd2723be5532dbbbb1dc1c10fbcc1e076a6c224d05bbe420ac",
+          "42a151d98658d275c19d849e666bb6daace0b3cd2fef2d61fddb19ae72074bb0")),
+    ], ids=["clayton", "gumbel", "gaussian", "student_t", "horizon"])
+    def test_frozen_digests(self, tmp_path, argv, digests):
+        size = [] if "--horizon" in argv else ["--n1", "300", "--n2", "300"]
+        assert run(["simulate", *argv, *size, "--out", tmp_path / "sim"]) == 0
+        files = [tmp_path / f"sim_{part}" for part in ("a.csv", "b.csv", "truth.json")]
+        assert tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files) == digests
 
     def test_tau_param_exclusivity_error(self, tmp_path, capsys):
         rc = run(["simulate", "--family", "gaussian", "--n1", "50", "--n2", "50",
@@ -286,6 +320,22 @@ class TestCalibrateIntervals:
         iv2 = json.loads(capsys.readouterr().out)
         assert iv2["method"] == "quantile-inversion"
 
+    def test_calibrate_at_the_callers_rates(self, tmp_path):
+        # --lambda2 3 calibrates on samples of 350 and 1050 ticks, as simulate draws them
+        curves = {}
+        for lambda2 in ("1", "3"):
+            path = tmp_path / f"curve_{lambda2}.json"
+            assert run(["calibrate", "--family", "clayton", "--seed", "0", "--k", "5", "--n-rep", "50",
+                        "--grid-lo", "0.1", "--grid-hi", "0.5", "--lambda2", lambda2, "--out", path]) == 0
+            curves[lambda2] = json.loads(path.read_text())
+        assert curves["3"]["meta"]["n_ticks2"] == 1050
+        assert curves["3"]["estimates"] != curves["1"]["estimates"]
+        spec = SimSpec(model=param_of_tau("clayton", 0.5), margins=(cli.parse_margin("normal"),) * 2,
+                       lambda1=1.0, lambda2=3.0, n1=350, n2=1050)
+        direct = [calibration._uncorrected_tau(simulate(dataclasses.replace(spec, seed=[72, r])))
+                  for r in range(50)]
+        assert rows_apart_in_se(curves["3"]["estimates"][-1], direct) < 4
+
     @pytest.mark.parametrize("method", ["quad", "quantile"])
     def test_fit_keys_are_refitted_from_the_replicates(self, curve_path, tmp_path, capsys, method):
         def intervals(path):
@@ -414,6 +464,12 @@ class TestErrorContract:
         err = self.json_error(capsys, ["calibrate", "--family", "clayton", "--n-ticks", "2", "--out",
                                        tmp_path / "curve.json"])
         assert err["error"] == "InsufficientData" and "comparable" in err["message"]
+        assert not list(tmp_path.iterdir())
+
+    def test_calibrate_rate_ratio_past_float64(self, tmp_path, capsys):
+        err = self.json_error(capsys, ["calibrate", "--family", "clayton", "--lambda1", "1e-300",
+                                       "--lambda2", "1e300", "--out", tmp_path / "curve.json"])
+        assert err["error"] == "InvalidParameter" and "lambda2" in err["message"]
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.skipif(_fork_workers(25) == 1, reason="the blocks would run, and die, in this process")

@@ -3,7 +3,7 @@ import tickcopula
 PUBLIC_NAMES = [
     "CalibrationFailure", "CopulaFit", "CopulaModel", "CorrectedCorrelation", "CorrectionCurve",
     "DegeneratePairing", "EmpiricalMargin",
-    "FAMILIES", "FitFailure", "GroundTruth", "InsufficientData", "IntervalEstimate",
+    "FAMILIES", "FitFailure", "InsufficientData", "IntervalEstimate",
     "InvalidParameter", "MalformedInput", "NoOverlap", "PairDiagnostics", "PairedSeries",
     "PluginCopula", "PoissonPair", "SimResult", "SimSpec", "TauEstimate", "TheoryReport",
     "TickCopulaError", "TickSeries", "arrival_theory", "build_curve", "calibration", "cdf",

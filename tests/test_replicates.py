@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,25 +185,26 @@ class TestBoundedMemory:
 
 
 class TestRunCells:
-    CELLS = [(CopulaModel("gaussian", 0.5), STANDARD_NORMAL, 30),
-             (CopulaModel("clayton", 2.0), (stats.t(5), stats.norm(0, 2)), 40)]
+    CELLS = [SimSpec(model=CopulaModel("gaussian", 0.5), margins=STANDARD_NORMAL, lambda1=1.0, lambda2=2.0,
+                     n1=30, n2=30),
+             SimSpec(model=CopulaModel("clayton", 2.0), margins=(stats.t(5), stats.norm(0, 2)), lambda1=1.0,
+                     lambda2=2.0, n1=40, n2=40)]
 
     def test_replicate_seeds_and_shape(self):
         def estimate(sim):
             return sim.a.log_prices[-1], sim.b.times[-1]
 
-        out = _run_cells(self.CELLS, 3, [9, 4], _per_sample(estimate), lambda1=1.0, lambda2=2.0)
+        out = _run_cells(self.CELLS, 3, [9, 4], _per_sample(estimate))
         assert out.shape == (2, 3, 2)
-        for c, (model, margins, n) in enumerate(self.CELLS):
+        for c, spec in enumerate(self.CELLS):
             for r in range(3):
-                sim = simulate(SimSpec(model=model, margins=margins, lambda1=1.0, lambda2=2.0,
-                                       n1=n, n2=n, seed=[9, 4, c, r]))
+                sim = simulate(replace(spec, seed=[9, 4, c, r]))
                 assert out[c, r].tolist() == list(estimate(sim))
 
     def test_scalar_estimate_and_no_cells(self):
-        out = _run_cells(self.CELLS, 2, [0], _per_sample(lambda sim: len(sim.a)), lambda1=1.0, lambda2=1.0)
+        out = _run_cells(self.CELLS, 2, [0], _per_sample(lambda sim: len(sim.a)))
         assert out.shape == (2, 2, 1) and (out[0] == 30).all() and (out[1] == 40).all()
-        assert _run_cells([], 2, [0], len, lambda1=1.0, lambda2=1.0).shape == (0, 2, 0)
+        assert _run_cells([], 2, [0], len).shape == (0, 2, 0)
 
     def test_block_reps_follow_the_event_budget(self):
         # about 35k events a block: 50 replicates at 350 ticks per asset, 8 at 2k, 1 at 20k and 200k
@@ -210,7 +212,7 @@ class TestRunCells:
             50, 8, 1, 1, 1, 1]
 
     def test_blocks_keep_the_seed_tree(self):
-        b0, b1 = (_block_reps(2 * n) for _, _, n in self.CELLS)
+        b0, b1 = (_block_reps(spec.n1 + spec.n2) for spec in self.CELLS)
         n_rep = 3 * b1 + 1
         sizes = []
 
@@ -218,18 +220,18 @@ class TestRunCells:
             sizes.append(len(seeds))
             return [[spec.n1, spec.lambda2, *seed] for seed in seeds]
 
-        out = _run_cells(self.CELLS, n_rep, [9, 4], estimate, lambda1=1.0, lambda2=2.0)
+        out = _run_cells(self.CELLS, n_rep, [9, 4], estimate)
         # the fewest blocks within each cell's budget, of sizes that differ by at most one: the
         # budgets differ and neither divides n_rep
         assert (b0, b1, n_rep) == (583, 437, 1312)
         assert sizes == [437, 437, 438] + [328] * 4
-        for c, (_, _, n) in enumerate(self.CELLS):
-            assert out[c].tolist() == [[n, 2.0, 9, 4, c, r] for r in range(n_rep)]
+        for c, spec in enumerate(self.CELLS):
+            assert out[c].tolist() == [[spec.n1, 2.0, 9, 4, c, r] for r in range(n_rep)]
 
     @pytest.mark.parametrize("n_rep", [1, 0, -1])
     def test_fewer_than_two_replicates_rejected(self, n_rep):
         with pytest.raises(InvalidParameter, match="n_rep"):
-            _run_cells(self.CELLS, n_rep, [0], len, lambda1=1.0, lambda2=1.0)
+            _run_cells(self.CELLS, n_rep, [0], len)
         with pytest.raises(InvalidParameter, match="n_rep"):
             gaussian_estimator_study(n_rep=n_rep)
         with pytest.raises(InvalidParameter, match="n_rep"):
@@ -240,7 +242,7 @@ class TestForkPool:
     """``pool=True`` runs the blocks in forked workers, with the in-process results and errors."""
 
     CELLS = TestRunCells.CELLS
-    BLOCK = _block_reps(2 * CELLS[0][2])  # replicates per block of cell 0
+    BLOCK = _block_reps(CELLS[0].n1 + CELLS[0].n2)  # replicates per block of cell 0
 
     def test_build_curve_matches_one_cpu(self, monkeypatch):
         def curve_bytes():
@@ -273,7 +275,7 @@ class TestForkPool:
             return [0.0] * len(seeds)
 
         with pytest.raises(InsufficientData, match=f"^block 0, {self.BLOCK}$"):
-            _run_cells(self.CELLS, 2 * self.BLOCK, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
+            _run_cells(self.CELLS, 2 * self.BLOCK, [0], estimate, pool=True)
 
     @pytest.mark.parametrize("later", ["same-share", "other-share"])
     def test_earliest_failing_block_raises_in_shares(self, monkeypatch, later):
@@ -282,7 +284,7 @@ class TestForkPool:
         # to the first and 1 and 3 to the second. Block 1, (0, BLOCK), fails late in the
         # second share; block 3 fails in the same share, block 2 at once in the first
         n_rep = 2 * self.BLOCK
-        k1 = -(-n_rep // _block_reps(2 * self.CELLS[1][2]))
+        k1 = -(-n_rep // _block_reps(self.CELLS[1].n1 + self.CELLS[1].n2))
         assert k1 == 3
         failing = {"same-share": (1, n_rep // k1), "other-share": (1, 0)}[later]
 
@@ -296,7 +298,7 @@ class TestForkPool:
             return [0.0] * len(seeds)
 
         with pytest.raises(InsufficientData, match=f"^block 0, {self.BLOCK}$"):
-            _run_cells(self.CELLS, n_rep, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
+            _run_cells(self.CELLS, n_rep, [0], estimate, pool=True)
         assert multiprocessing.active_children() == []
 
     def test_no_thread_in_the_parent(self, monkeypatch):
@@ -310,7 +312,7 @@ class TestForkPool:
         monkeypatch.setattr(threading.Thread, "start", recorded_start)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         out = _run_cells(self.CELLS, 3 * self.BLOCK, [0], lambda spec, seeds: [os.getpid()] * len(seeds),
-                         lambda1=1.0, lambda2=1.0, pool=True)
+                         pool=True)
         assert os.getpid() not in out  # the blocks ran in workers
         assert started == []
 
@@ -319,7 +321,7 @@ class TestForkPool:
             return [[os.getpid(), _fork_workers(99)] for _ in seeds]
 
         cpus = len(os.sched_getaffinity(0))
-        out = _run_cells(self.CELLS, 5 * self.BLOCK, [0], estimate, lambda1=1.0, lambda2=1.0, pool=True)
+        out = _run_cells(self.CELLS, 5 * self.BLOCK, [0], estimate, pool=True)
         assert multiprocessing.active_children() == []
         pids = set(out[..., 0].ravel())
         assert len(pids) <= cpus and (os.getpid() in pids) == (cpus == 1)
@@ -329,7 +331,7 @@ class TestForkPool:
             raise InvalidParameter("every block fails")
 
         with pytest.raises(InvalidParameter, match="every block fails"):
-            _run_cells(self.CELLS, 5 * self.BLOCK, [0], fail, lambda1=1.0, lambda2=1.0, pool=True)
+            _run_cells(self.CELLS, 5 * self.BLOCK, [0], fail, pool=True)
         assert multiprocessing.active_children() == []
 
 

@@ -112,14 +112,6 @@ class TestSimulate:
         share = np.mean([c / t for c, t in counts])
         assert share == pytest.approx(0.5, abs=0.02)
 
-    def test_ground_truth_carries_param_and_tau(self):
-        r = simulate(gaussian_spec(rho=0.5, seed=3))
-        assert r.truth.family == "gaussian"
-        assert r.truth.param == 0.5
-        assert r.truth.tau == pytest.approx(1 / 3, abs=1e-12)
-        d = r.truth.as_dict()
-        assert set(d) == {"family", "param", "tau"}
-
     def test_normalized_returns_match_margin(self):
         # asset-1 log-returns over their interarrivals, scaled by 1/sqrt(dt),
         # are standard normal draws for normal margins
