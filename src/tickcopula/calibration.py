@@ -33,7 +33,7 @@ from .copulas import FAMILIES, param_of_tau
 from .errors import CalibrationFailure, InvalidParameter
 from .estimators import _kendall_rows, corrected_correlation, kendall_tau
 from .pairing import PairedSeries, _tick_pairs, pair_ticks
-from .synthesis import RNG_NAME, SimSpec, _run_cells, _simulate_counts, simulate
+from .synthesis import RNG_NAME, SimSpec, _run_cells, _simulate, simulate
 
 __all__ = [
     "CorrectionCurve",
@@ -232,13 +232,13 @@ def _uncorrected_tau(sim) -> float:
 def _uncorrected_taus(spec, seeds) -> np.ndarray:
     """``_uncorrected_tau`` of each seed's sample, the block simulated, paired and counted at once.
 
-    A row that a replicate's own checks might reject (a non-finite or tied
-    tick time or price, an infinite return, no comparable return pair) is
-    replayed alone through ``_uncorrected_tau``. Rows replay in seed order,
-    so the first failing replicate raises its own error, as in a loop over
-    the seeds.
+    The events come from one ``_simulate(spec, seeds)``. A row that a
+    replicate's own checks might reject (a non-finite or tied tick time or
+    price, an infinite return, no comparable return pair) is replayed alone
+    through ``_uncorrected_tau``. Rows replay in seed order, so the first
+    failing replicate raises its own error, as in a loop over the seeds.
     """
-    ev = _simulate_counts(spec, seeds)
+    ev = _simulate(spec, seeds)
     k = len(seeds)
     ok = (np.isfinite(ev.times) & np.isfinite(ev.log_x) & np.isfinite(ev.log_y)).all(axis=1)
     ok &= (ev.times[:, 1:] > ev.times[:, :-1]).all(axis=1)

@@ -1,21 +1,20 @@
-"""Nonsynchronous two-asset data generator.
+"""Nonsynchronous two-asset data generator: draw an event stream, then price it.
 
-The construction: a single combined stream of Poisson event times carries
-jointly drawn return innovations; each innovation pair is scaled by the
-square root of its interarrival so that log-price increments have variance
-proportional to elapsed time (stationary independent increments). The events
-are then split between the two assets - each asset keeps the log-price of
-the common lattice at its own event times only - producing two tick series
-that never share a timestamp but ride on dependent price paths.
-
-With target counts ``n1``/``n2`` the split is an exact random partition
-(n2 indices drawn without replacement); with a time ``horizon`` each event
-is assigned to asset 2 independently with probability lambda2/(lambda1+
-lambda2), which is the standard marking of a merged Poisson stream.
+The stream step draws a replicate's merged event times and marks asset 2's
+events: with target counts ``n1``/``n2``, exponential gaps at the total rate
+and an exact random split (n2 events drawn without replacement); with a time
+``horizon``, a Poisson number of uniform times, each asset 2's independently
+with probability lambda2/(lambda1+lambda2), the standard marking of a merged
+Poisson stream. The pricing step scales jointly drawn return innovations by
+the square root of each interarrival, so that log-price increments have
+variance proportional to elapsed time. Each asset keeps the log-price of the
+common lattice at its own event times only: two tick series that never share
+a timestamp but ride on dependent price paths.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -87,20 +86,27 @@ class SimSpec:
             if value is not None and not (np.isfinite(value) and value > 0):
                 raise InvalidParameter(f"{name} must be positive and finite, got {value}")
         count_mode = self.n1 is not None or self.n2 is not None
-        if self.horizon is not None and count_mode:
-            raise InvalidParameter("give either horizon or target counts, not both")
-        if self.horizon is None and not count_mode:
-            raise InvalidParameter("one of horizon or (n1, n2) is required")
+        if (self.horizon is not None) == count_mode:
+            raise InvalidParameter("give exactly one of horizon or target counts (n1, n2)")
         if count_mode:
             if self.n1 is None or self.n2 is None:
                 raise InvalidParameter("n1 and n2 must be given together")
+            for name in ("n1", "n2"):
+                try:
+                    operator.index(getattr(self, name))
+                except TypeError:
+                    raise InvalidParameter(f"{name} must be an integer, got {getattr(self, name)!r}") from None
             if self.n1 < 2 or self.n2 < 2:
                 raise InvalidParameter("target counts must be at least 2")
-        n_events = self.n1 + self.n2 if count_mode else (self.lambda1 + self.lambda2) * self.horizon
-        if n_events > _MAX_EVENTS:
-            raise InvalidParameter(f"{n_events:.3g} events are more than an array can hold")
+        if self.n_events > _MAX_EVENTS:
+            raise InvalidParameter(f"{self.n_events:.3g} events are more than an array can hold")
         if len(self.margins) != 2:
             raise InvalidParameter("margins must be a pair")
+
+    @property
+    def n_events(self):
+        """Events in one replicate's stream: exactly ``n1 + n2``, or the mean Poisson count over the horizon."""
+        return int(self.n1) + int(self.n2) if self.horizon is None else (self.lambda1 + self.lambda2) * self.horizon
 
 
 @dataclass(frozen=True)
@@ -150,38 +156,38 @@ def _lattice(margin, draws: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return log_p
 
 
-def _simulate_counts(spec: SimSpec, seeds) -> _Events:
-    """Count-mode events of ``spec`` for a block of replicates, one per seed.
-
-    Replicate ``r`` draws its gaps, split and copula sample from its own
-    ``default_rng(seeds[r])``, so a row does not depend on the others in its
-    block; the pricing then runs once over the stacked rows.
-    """
-    n = spec.n1 + spec.n2
+def _stream(spec: SimSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One replicate's merged event times, increasing, and its mask ``to_b`` of asset 2's events."""
     lam_total = spec.lambda1 + spec.lambda2
-    times = np.empty((len(seeds), n))
-    to_b = np.zeros((len(seeds), n), dtype=bool)
-    uv = np.empty((2, len(seeds), n))
+    if spec.horizon is None:
+        n = spec.n_events
+        times = rng.exponential(1.0 / lam_total, n)
+        np.cumsum(times, out=times)  # the gaps' running sums
+        to_b = np.zeros(n, dtype=bool)
+        to_b[rng.permutation(n)[: spec.n2]] = True
+        return times, to_b
+    n = int(rng.poisson(lam_total * spec.horizon))
+    if n < 4:
+        raise InsufficientData(f"horizon {spec.horizon} produced only {n} events")
+    return np.sort(rng.uniform(0.0, spec.horizon, n)), rng.random(n) < spec.lambda2 / lam_total
+
+
+def _simulate(spec: SimSpec, seeds) -> _Events:
+    """Events of ``spec``, one replicate per seed; a horizon spec, of random length, takes one seed.
+
+    Row ``r`` draws its stream, then its copula sample, from its own ``default_rng(seeds[r])``, so
+    it does not depend on the others; the pricing then runs once over the stacked rows.
+    """
     for row, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        times[row] = rng.exponential(1.0 / lam_total, n)
-        to_b[row, rng.permutation(n)[: spec.n2]] = True
-        uv[:, row] = sample_uniform(spec.model, n, rng).T
-    np.cumsum(times, axis=1, out=times)  # the gaps' running sums
+        row_times, row_to_b = _stream(spec, rng)
+        if row == 0:  # the block's arrays, allocated once; rows share the first stream's length
+            shape = (len(seeds), row_times.size)
+            times, to_b, uv = np.empty(shape), np.empty(shape, dtype=bool), np.empty((2, *shape))
+        times[row], to_b[row] = row_times, row_to_b
+        del row_times, row_to_b  # held through sampling, they lift simulate's traced peak from 54 to 58 B/event
+        uv[:, row] = sample_uniform(spec.model, times.shape[1], rng).T
     return _events(spec, times, to_b, uv)
-
-
-def _simulate_horizon(spec: SimSpec) -> _Events:
-    """Horizon-mode events of ``spec``: a Poisson number of them, marked independently."""
-    rng = np.random.default_rng(spec.seed)
-    lam_total = spec.lambda1 + spec.lambda2
-    n_events = int(rng.poisson(lam_total * spec.horizon))
-    if n_events < 4:
-        raise InsufficientData(f"horizon {spec.horizon} produced only {n_events} events")
-    times = np.sort(rng.uniform(0.0, spec.horizon, n_events))
-    to_b = rng.random(n_events) < spec.lambda2 / lam_total
-    uv = np.ascontiguousarray(sample_uniform(spec.model, n_events, rng).T)
-    return _events(spec, times[None], to_b[None], uv[:, None])
 
 
 def simulate(spec: SimSpec) -> SimResult:
@@ -191,7 +197,7 @@ def simulate(spec: SimSpec) -> SimResult:
     :class:`InsufficientData` when the random split leaves either asset with
     fewer than two ticks (only possible for tiny sizes).
     """
-    ev = _simulate_horizon(spec) if spec.horizon is not None else _simulate_counts(spec, [spec.seed])
+    ev = _simulate(spec, [spec.seed])
     times, to_b, log_x, log_y = ev.times[0], ev.to_b[0], ev.log_x[0], ev.log_y[0]
     idx_a = np.flatnonzero(~to_b)
     idx_b = np.flatnonzero(to_b)
@@ -205,15 +211,15 @@ def _check_n_rep(n_rep: int) -> None:
         raise InvalidParameter(f"n_rep must be at least 2, got {n_rep}")
 
 
-# A block simulates at most this many events in one pass, and at least one
-# replicate: a cell's replicates are cut into the fewest blocks within this
-# budget, of sizes that differ by at most one. That is 2 blocks of 50 at 350
-# ticks per asset and 100 replicates, 13 blocks of 7 or 8 at 2k, and blocks
-# of 1 from 17.5k up. At 350 ticks a 12-cell curve ran 5-19 % faster than in
-# blocks of 10, and no slower at 2k or 20k, on one CPU and on two. A block
-# peaks at about 49 bytes per event (traced), so a worker holds about 1.6 MiB
-# below 17.5k ticks and one replicate's arrays above it: 18.7 MiB at 200k,
-# where blocks of 10 would need about 190 MiB.
+# A block simulates at most this many events (``SimSpec.n_events`` each) in
+# one pass, and at least one replicate: a cell's replicates are cut into the
+# fewest blocks within this budget, of sizes that differ by at most one. That
+# is 2 blocks of 50 at 350 ticks per asset and 100 replicates, 13 blocks of 7
+# or 8 at 2k, and blocks of 1 from 17.5k up. At 350 ticks a 12-cell curve ran
+# 5-19 % faster than in blocks of 10, and no slower at 2k or 20k, on one CPU
+# and on two. A block peaks at about 49 bytes per event (traced), so a worker
+# holds about 1.6 MiB below 17.5k ticks and one replicate's arrays above it:
+# 18.7 MiB at 200k, where blocks of 10 would need about 190 MiB.
 _BLOCK_EVENTS = 35_000
 
 
@@ -303,7 +309,7 @@ def _run_cells(specs, n_rep, seed_prefix, estimate, *, pool=False) -> np.ndarray
     that fixes everything a replicate simulates but its seed. Replicate
     ``r`` of cell ``c`` uses seed ``[*seed_prefix, c, r]``, so each value
     depends only on the prefix and its own indices. A cell's replicates are
-    cut into ``k = ceil(n_rep / _block_reps(spec.n1 + spec.n2))`` blocks of
+    cut into ``k = ceil(n_rep / _block_reps(spec.n_events))`` blocks of
     consecutive seeds, block ``b`` holding replicates ``b * n_rep // k`` up
     to ``(b + 1) * n_rep // k``: no block exceeds the event budget, and
     sizes within a cell differ by at most one. ``estimate(spec, seeds)``
@@ -325,7 +331,7 @@ def _run_cells(specs, n_rep, seed_prefix, estimate, *, pool=False) -> np.ndarray
     is lost with the worker that ran it.
     """
     _check_n_rep(n_rep)
-    n_blocks = [-(-n_rep // _block_reps(spec.n1 + spec.n2)) for spec in specs]
+    n_blocks = [-(-n_rep // _block_reps(spec.n_events)) for spec in specs]
     tasks = [(c, range(b * n_rep // k, (b + 1) * n_rep // k)) for c, k in enumerate(n_blocks) for b in range(k)]
     if not tasks:
         return np.zeros((0, n_rep, 0))

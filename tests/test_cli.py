@@ -408,6 +408,16 @@ class TestErrorContract:
         assert err["error"] == "InvalidParameter" and margin in err["message"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("size, message", [
+        (["--horizon", "1e-300"], "produced only 0 events"),
+        (["--horizon", "10", "--lambda2", "0.001"], "random split left an asset with fewer than 2 ticks"),
+    ], ids=["no-events", "one-sided-split"])
+    def test_horizon_stream_too_short(self, tmp_path, capsys, size, message):
+        err = self.json_error(capsys, ["simulate", "--family", "gaussian", "--param", "0.3", *size, "--seed", "0",
+                                       "--out", tmp_path / "x"])
+        assert err["error"] == "InsufficientData" and message in err["message"]
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("table, n_rep", [("table1", 1), ("table2", 0), ("table3", 1), ("coverage", 1)])
     def test_too_few_replicates(self, tmp_path, capsys, table, n_rep):
         err = self.json_error(capsys, ["reproduce", table, "--n-rep", n_rep, "--out", tmp_path / "t.csv"])

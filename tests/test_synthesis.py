@@ -10,7 +10,7 @@ from tickcopula import (
     SimSpec,
     simulate,
 )
-from tickcopula.synthesis import _NormalMargin, _TMargin, _simulate_counts
+from tickcopula.synthesis import _NormalMargin, _TMargin, _simulate
 
 
 def gaussian_spec(rho=0.5, n=1000, seed=0, **kw):
@@ -56,10 +56,23 @@ class TestSpecValidation:
             gaussian_spec(**{**size, field: value})
 
     @pytest.mark.parametrize("size", [{"horizon": 1e300}, {"horizon": 1e9, "lambda1": 1e9},
-                                      {"n1": 10**18, "n2": 5}], ids=["horizon", "rate", "counts"])
+                                      {"n1": 10**18, "n2": 5}, {"n1": np.int64(2**62), "n2": np.int64(2**62)}],
+                             ids=["horizon", "rate", "counts", "int64-sum-overflows"])
     def test_event_count_beyond_any_array_rejected(self, size):
         with pytest.raises(InvalidParameter, match="events"):
             gaussian_spec(**{"n1": None, "n2": None, **size})
+
+    @pytest.mark.parametrize("field", ["n1", "n2"])
+    @pytest.mark.parametrize("value", [300.5, 300.0, "300", np.float64(300.0)], ids=repr)
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(InvalidParameter, match=f"{field} must be an integer"):
+            gaussian_spec(**{field: value})
+
+    @pytest.mark.parametrize("n1, n2", [(40, 65), (np.int64(40), np.int32(65))], ids=["int", "numpy"])
+    def test_n_events(self, n1, n2):
+        assert gaussian_spec(n1=n1, n2=n2).n_events == 105
+        horizon = gaussian_spec(n1=None, n2=None, horizon=30.0, lambda1=0.7, lambda2=2.5)
+        assert horizon.n_events == (0.7 + 2.5) * 30.0
 
 
 _ORACLE_Q = np.r_[np.random.default_rng(0).random(100_000), 0.0, 1.0, 0.5, 1e-300]
@@ -165,21 +178,38 @@ class TestSimulate:
         assert share_b == pytest.approx(0.75, abs=0.03)
 
 
-@pytest.mark.parametrize("model", [CopulaModel("gaussian", -0.4), CopulaModel("student_t", 0.6, df=4),
-                                   CopulaModel("clayton", 2.0), CopulaModel("gumbel", 1.7)],
-                         ids=lambda m: m.family)
+_MODELS = [CopulaModel("gaussian", -0.4), CopulaModel("student_t", 0.6, df=4), CopulaModel("clayton", 2.0),
+           CopulaModel("gumbel", 1.7)]
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.family)
 @pytest.mark.parametrize("margins", [(stats.norm(), stats.norm(0, 2)), (stats.t(4), stats.t(7))],
                          ids=["normal", "t"])
 def test_block_rows_equal_simulate_per_seed(model, margins):
     spec = SimSpec(model=model, margins=margins, lambda1=0.7, lambda2=2.5, n1=40, n2=65)
     seeds = [[3, r] for r in range(7)]
-    ev = _simulate_counts(spec, seeds)
+    ev = _simulate(spec, seeds)
     for r, seed in enumerate(seeds):
-        sim = simulate(replace(spec, seed=seed))
-        a, b = ~ev.to_b[r], ev.to_b[r]
-        assert np.array_equal(ev.times[r][a], sim.a.times) and np.array_equal(ev.times[r][b], sim.b.times)
-        assert np.array_equal(ev.log_x[r][a], sim.a.log_prices)
-        assert np.array_equal(ev.log_y[r][b], sim.b.log_prices)
+        _assert_row_is_sample(ev, r, simulate(replace(spec, seed=seed)))
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.family)
+def test_horizon_rows_equal_simulate_per_seed(model):
+    # a horizon stream has a random length, so each seed is its own one-row block
+    spec = SimSpec(model=model, margins=(stats.norm(), stats.t(4)), lambda1=0.7, lambda2=2.5, horizon=30.0)
+    lengths = set()
+    for seed in [[3, r] for r in range(7)]:
+        ev = _simulate(spec, [seed])
+        _assert_row_is_sample(ev, 0, simulate(replace(spec, seed=seed)))
+        lengths.add(ev.times.shape[1])
+    assert len(lengths) > 1
+
+
+def _assert_row_is_sample(ev, r, sim):
+    a, b = ~ev.to_b[r], ev.to_b[r]
+    assert np.array_equal(ev.times[r][a], sim.a.times) and np.array_equal(ev.times[r][b], sim.b.times)
+    assert np.array_equal(ev.log_x[r][a], sim.a.log_prices)
+    assert np.array_equal(ev.log_y[r][b], sim.b.log_prices)
 
 
 class _IdentityMargin:
