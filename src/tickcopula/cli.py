@@ -222,6 +222,8 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if not 0.0 < args.level < 1.0:  # refused for kendall too, which has no interval
+        raise InvalidParameter(f"level must lie in (0, 1), got {args.level}")
     paired = read_paired_csv(args.paired)
     if args.method == "corrected-corr":
         cc = corrected_correlation(paired, level=args.level)

@@ -17,6 +17,11 @@ Three schemes are provided:
     pairs repeating a single tick are kept (their return is zero), which is
     what makes this scheme degrade fastest at high sampling frequency.
 
+The schemes share one core: ``_merged`` checks that the time supports overlap
+and merges the ticks into one stream, each scheme picks the stream positions
+that close its pairs, ``_last_ticks`` maps those to each asset's last tick at
+or before them, and ``_paired`` builds the ``PairedSeries``.
+
 ``diagnostics`` computes the per-pair overlap intervals, the four-way
 ordering configuration of consecutive pairs, interarrival means and the
 fraction of raw ticks lost to the synchronization.
@@ -125,6 +130,7 @@ def _check_overlap(a: TickSeries, b: TickSeries) -> None:
 
 def _merged(a: TickSeries, b: TickSeries) -> tuple[np.ndarray, np.ndarray]:
     """Both series' tick times in one nondecreasing array, and the mask of asset 1's ticks in it."""
+    _check_overlap(a, b)  # NoOverlap if the time supports are disjoint
     t = np.concatenate([a.times, b.times])
     order = np.argsort(t, kind="stable")  # a merge of two sorted runs
     t = t[order]
@@ -174,11 +180,27 @@ def _tick_pairs(t: np.ndarray, from_a: np.ndarray) -> tuple[np.ndarray, np.ndarr
     del event, run
     refresh = col > 0
     row, col = row[refresh], col[refresh]
-    # ticks of asset 1 among the row's first ``col`` ticks, the rest being asset 2's;
-    # counted in the narrowest unsigned dtype that holds m, then cast back to
-    # intp, so that n_a - 1 cannot wrap
-    n_a = np.cumsum(from_a, axis=1, dtype=np.min_scalar_type(m))[row, col - 1].astype(np.intp)
-    return row, n_a - 1, col - n_a - 1
+    return (row, *_last_ticks(from_a, row, col - 1))  # col counts the sentinel
+
+
+def _last_ticks(from_a: np.ndarray, row: np.ndarray | int,
+                pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each asset's last tick at or before merged position ``pos`` of row ``row``.
+
+    ``from_a`` marks asset 1's ticks. Returns ``(i1, i2)``, each tick's index within
+    its own asset, -1 where that asset has none.
+    """
+    # asset 1's ticks up to pos, counted in the narrowest unsigned dtype that holds
+    # the row length, then cast back to intp, so that n_a - 1 cannot wrap
+    n_a = np.cumsum(from_a, axis=1, dtype=np.min_scalar_type(from_a.shape[1]))[row, pos].astype(np.intp)
+    return n_a - 1, pos - n_a
+
+
+def _paired(a: TickSeries, b: TickSeries, i1: np.ndarray, i2: np.ndarray, scheme: str,
+            delta: float | None = None) -> PairedSeries:
+    """The pairs of tick ``i1`` of ``a`` with tick ``i2`` of ``b``, counting the source ticks."""
+    return PairedSeries(t1=a.times[i1], x=a.log_prices[i1], t2=b.times[i2], y=b.log_prices[i2],
+                        scheme=scheme, n_raw1=len(a), n_raw2=len(b), delta=delta)
 
 
 def pair_ticks(a: TickSeries, b: TickSeries) -> PairedSeries:
@@ -193,19 +215,10 @@ def pair_ticks(a: TickSeries, b: TickSeries) -> PairedSeries:
     NoOverlap
         If the series' time supports are disjoint.
     """
-    _check_overlap(a, b)
     t, from_a = _merged(a, b)
     _, i1, i2 = _tick_pairs(t[None], from_a[None])
     del t, from_a
-    return PairedSeries(
-        t1=a.times[i1],
-        x=a.log_prices[i1],
-        t2=b.times[i2],
-        y=b.log_prices[i2],
-        scheme=SCHEME_PAIRED,
-        n_raw1=len(a),
-        n_raw2=len(b),
-    )
+    return _paired(a, b, i1, i2, SCHEME_PAIRED)
 
 
 def _refresh_stamped(p: PairedSeries) -> PairedSeries:
@@ -234,9 +247,8 @@ def pair_previous_tick(a: TickSeries, b: TickSeries, delta: float) -> PairedSeri
     """
     if not np.isfinite(delta) or delta <= 0:
         raise InvalidParameter(f"delta must be positive, got {delta}")
-    _check_overlap(a, b)
-    end = max(a.times[-1], b.times[-1])
     t, from_a = _merged(a, b)
+    end = t[-1]
     # grid point k is delta + k * delta, as in np.arange(delta, stop, delta);
     # indices stay floats, since they pass 2**63 for a tiny delta
     with np.errstate(over="ignore"):
@@ -264,32 +276,17 @@ def pair_previous_tick(a: TickSeries, b: TickSeries, delta: float) -> PairedSeri
     del t
     # the sampled pair changes only at the first grid point after a tick, so
     # only those points are evaluated: the work grows with the ticks, not with
-    # session / delta. Such a point closes the run of ticks sharing its k and
-    # samples every tick up to there, n_a of them from asset a, the rest from b
-    closes = np.append(k[1:] != k[:-1], True) & (k < n)
+    # session / delta. Such a point closes the run of ticks sharing its k, at
+    # the run's last merged position, and samples each asset's last tick there
+    closes = np.flatnonzero(np.append(k[1:] != k[:-1], True) & (k < n))
     del k
-    # n_a is counted in the narrowest unsigned dtype that holds the tick count,
-    # then cast back to intp, so that n_a - 1 cannot wrap
-    i1 = np.cumsum(from_a, dtype=np.min_scalar_type(from_a.size))[closes].astype(np.intp)  # n_a
-    del from_a
-    i2 = np.flatnonzero(closes)
-    del closes
-    i2 -= i1
-    i1 -= 1
+    i1, i2 = _last_ticks(from_a[None], 0, closes)
+    del from_a, closes
     ok = (i1 >= 0) & (i2 >= 0)
     i1, i2 = i1[ok], i2[ok]
     if i1.size == 0:
         raise NoOverlap("no grid point has an eligible tick in both assets")
-    return PairedSeries(
-        t1=a.times[i1],
-        x=a.log_prices[i1],
-        t2=b.times[i2],
-        y=b.log_prices[i2],
-        scheme=SCHEME_PREV_TICK,
-        n_raw1=len(a),
-        n_raw2=len(b),
-        delta=float(delta),
-    )
+    return _paired(a, b, i1, i2, SCHEME_PREV_TICK, float(delta))
 
 
 def overlap_intervals(p: PairedSeries) -> np.ndarray:

@@ -448,6 +448,16 @@ class TestErrorContract:
         err = self.json_error(capsys, [*argv, "--paired", paired])
         assert err["error"] == "InsufficientData"
 
+    @pytest.mark.parametrize("level", ["nan", "0", "1.5"])
+    @pytest.mark.parametrize("method", ["corrected-corr", "kendall"])
+    def test_level_outside_unit_interval(self, sim_prefix, tmp_path, capsys, method, level):
+        # kendall reports no interval, yet an impossible level is refused for it too
+        paired = tmp_path / "paired.csv"
+        assert run(["pair", f"{sim_prefix}_a.csv", f"{sim_prefix}_b.csv", "--out", paired]) == 0
+        capsys.readouterr()
+        err = self.json_error(capsys, ["estimate", "--paired", paired, "--method", method, "--level", level])
+        assert err == {"error": "InvalidParameter", "message": f"level must lie in (0, 1), got {float(level)}"}
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"], ids=["bare", "blank-lines", "crlf"])
     @pytest.mark.parametrize("command", ["pair", "estimate"])

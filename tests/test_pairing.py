@@ -327,8 +327,8 @@ def tick_streams(draw):
 def test_pairing_invariants(streams):
     a, b, delta = streams
     if a.times[0] > b.times[-1] or b.times[0] > a.times[-1]:
-        for pair in (pair_ticks, pair_refresh_time):
-            with pytest.raises(NoOverlap):
+        for pair in (pair_ticks, pair_refresh_time, lambda a, b: pair_previous_tick(a, b, delta)):
+            with pytest.raises(NoOverlap, match="time supports are disjoint"):
                 pair(a, b)
         return
     a0 = pair_ticks(a, b)
