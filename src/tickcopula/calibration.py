@@ -232,11 +232,13 @@ def _uncorrected_tau(sim) -> float:
 def _uncorrected_taus(spec, seeds) -> np.ndarray:
     """``_uncorrected_tau`` of each seed's sample, the block simulated, paired and counted at once.
 
-    The events come from one ``_simulate(spec, seeds)``. A row that a
-    replicate's own checks might reject (a non-finite or tied tick time or
-    price, an infinite return, no comparable return pair) is replayed alone
-    through ``_uncorrected_tau``. Rows replay in seed order, so the first
-    failing replicate raises its own error, as in a loop over the seeds.
+    The events come from one ``_simulate(spec, seeds)``; the pair prices
+    fill one NaN-padded ``(2, seeds, width)`` array, whose differences along
+    the rows :func:`_kendall_rows` counts. A row that a replicate's own
+    checks might reject (a non-finite or tied tick time or price, an
+    infinite return, no comparable return pair) is replayed alone through
+    ``_uncorrected_tau``. Rows replay in seed order, so the first failing
+    replicate raises its own error, as in a loop over the seeds.
     """
     ev = _simulate(spec, seeds)
     k = len(seeds)
@@ -246,17 +248,15 @@ def _uncorrected_taus(spec, seeds) -> np.ndarray:
     row, i1, i2 = _tick_pairs(ev.times, from_a)
     n_pairs = np.bincount(row, minlength=k)
     col = np.arange(row.size) - (np.cumsum(n_pairs) - n_pairs)[row]
-    x = np.full((k, n_pairs.max()), np.nan)
-    y = np.full_like(x, np.nan)
-    x[row, col] = ev.log_x[from_a].reshape(k, -1)[row, i1]
-    y[row, col] = ev.log_y[ev.to_b].reshape(k, -1)[row, i2]
+    xy = np.full((2, k, n_pairs.max()), np.nan)
+    xy[0, row, col] = ev.log_x[from_a].reshape(k, -1)[row, i1]
+    xy[1, row, col] = ev.log_y[ev.to_b].reshape(k, -1)[row, i2]
     del ev, from_a, row, col, i1, i2  # the Kendall count needs only the returns
     with np.errstate(invalid="ignore"):  # inf - inf; such rows replay alone below
-        rx, ry = np.diff(x, axis=1), np.diff(y, axis=1)
-    del x, y
-    ok &= ~(np.isinf(rx) | np.isinf(ry)).any(axis=1)
+        xy = np.diff(xy, axis=2)  # the returns
+    ok &= ~np.isinf(xy).any(axis=(0, 2))
     taus = np.full(k, np.nan)
-    cmd, untied = _kendall_rows(rx[ok], ry[ok], n_pairs[ok] - 1)
+    cmd, untied = _kendall_rows(xy[:, ok], n_pairs[ok] - 1)
     ok[ok] = untied > 0
     taus[ok] = cmd[untied > 0] / untied[untied > 0]
     for r in np.flatnonzero(~ok):

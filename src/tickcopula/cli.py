@@ -132,6 +132,17 @@ def _model_from_args(args) -> CopulaModel:
     return CopulaModel(args.family, args.param, df=args.df)
 
 
+def _refuse_ignored(args, chosen: str, *options: str) -> None:
+    """Refuse the ``options`` given on the command line, which the ``chosen`` scheme or method ignores.
+
+    Commands call this before they read a file, so a refusal comes first.
+    """
+    values = {o: getattr(args, o[2:].replace("-", "_")) for o in options}
+    given = [o for o, v in values.items() if v is not None and v is not False]  # unset: None, or False for a flag
+    if given:
+        raise InvalidParameter(f"{chosen} ignores {' and '.join(given)}")
+
+
 def write_paired_csv(path, paired: PairedSeries, meta: dict) -> None:
     """Columns t1,x,t2,y,overlap,config; the first row has no overlap yet."""
     overlaps = overlap_intervals(paired) if len(paired) >= 2 else np.array([])
@@ -199,6 +210,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pair(args) -> int:
+    if args.scheme != "prev-tick":
+        _refuse_ignored(args, f"--scheme {args.scheme}", "--delta")
+    elif args.delta is None:
+        raise InvalidParameter("--delta is required for the prev-tick scheme")
     a = load_ticks(args.ticks_a)
     b = load_ticks(args.ticks_b)
     if args.scheme == "a0":
@@ -206,8 +221,6 @@ def _cmd_pair(args) -> int:
     elif args.scheme == "refresh":
         paired = pair_refresh_time(a, b)
     else:
-        if args.delta is None:
-            raise InvalidParameter("--delta is required for the prev-tick scheme")
         paired = pair_previous_tick(a, b, args.delta)
     write_paired_csv(args.out, paired, _meta(args))
     return 0
@@ -224,6 +237,8 @@ def _cmd_theory(args) -> int:
 def _cmd_estimate(args) -> int:
     if not 0.0 < args.level < 1.0:  # refused for kendall too, which has no interval
         raise InvalidParameter(f"level must lie in (0, 1), got {args.level}")
+    if args.method != "kendall":
+        _refuse_ignored(args, f"--method {args.method}", "--same-config")
     paired = read_paired_csv(args.paired)
     if args.method == "corrected-corr":
         cc = corrected_correlation(paired, level=args.level)
@@ -260,6 +275,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_select_copula(args) -> int:
+    if "student_t" not in args.families:
+        _refuse_ignored(args, f"--families {' '.join(args.families)}", "--t-df")
     paired = read_paired_csv(args.paired)
     rx, ry = paired.returns()
     uv = pseudo_observations(rx, ry)
@@ -322,10 +339,12 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_intervals(args) -> int:
     if args.method == "elliptical":
+        _refuse_ignored(args, "--method elliptical", "--curve", "--tau-hat")
         if args.paired is None:
             raise InvalidParameter("--paired is required for the elliptical method")
         iv = interval_misspecified(read_paired_csv(args.paired), level=args.level)
     else:
+        _refuse_ignored(args, f"--method {args.method}", "--paired")
         if args.curve is None or args.tau_hat is None:
             raise InvalidParameter("--curve and --tau-hat are required for this method")
         curve = CorrectionCurve.from_json(args.curve)

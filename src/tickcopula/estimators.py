@@ -134,19 +134,20 @@ _DENSE_BYTES = 1 << 17
 assert _DENSE_MAX_RETURNS <= np.iinfo(np.int16).max
 
 
-def _kendall_rows(rx: np.ndarray, ry: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kendall_rows(xy: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(concordant - discordant, untied pair count) of each row of returns.
 
-    Row ``r`` holds ``n[r]`` finite returns, then padding of any value up to
-    the common width. Every row of at least two returns is ranked in one
-    stacked pass, which gives ``tx``, ``ty`` and ``txy``, its pairs tied in
-    x, in y and in both, and so its ``n0 - tx - ty + txy`` untied pairs,
-    ``n0`` being all ``n (n - 1) / 2``. The padding is first overwritten
-    with +inf, which sorts after every return, and ``_runs`` counts no tie
-    past a row's first ``n[r]`` entries. The key ``x_rank * width +
+    Row ``r`` of ``xy[0]`` (x) and ``xy[1]`` (y) holds ``n[r]`` finite
+    returns, then padding of any value up to the common width. Every row is
+    ranked in one stacked pass, which gives ``tx``, ``ty`` and ``txy``, its
+    pairs tied in x, in y and in both, and so its ``n0 - tx - ty + txy``
+    untied pairs, ``n0`` being all ``n (n - 1) / 2``. The caller's padding
+    is first overwritten with +inf, which sorts after every return, and
+    ``_runs`` counts no tie past a row's first ``n[r]`` entries, so a row
+    of fewer than two returns counts nothing. The key ``x_rank * width +
     y_rank`` puts the row in (x, y) lexicographic order, padding last.
 
-    A row of up to ``_DENSE_MAX_RETURNS`` returns is counted in that order:
+    A row of 2 to ``_DENSE_MAX_RETURNS`` returns is counted in that order:
     one int16 comparison per pair over the strict upper triangle counts
     ``G``, the pairs ``i < j`` with ``y_j > y_i``; the padding's y-rank is
     -1, so it counts for nothing. Pairs tied in x come out in ascending y,
@@ -157,26 +158,23 @@ def _kendall_rows(rx: np.ndarray, ry: np.ndarray, n: np.ndarray) -> tuple[np.nda
     unless every pair is tied, where scipy returns NaN.
     """
     cmd = np.zeros(n.size, dtype=np.int64)
-    untied = np.zeros(n.size, dtype=np.int64)
-    rows = np.flatnonzero(n >= 2)  # shorter rows have no pair
-    if not rows.size:
-        return cmd, untied
-    m = n[rows]
-    width = int(m.max())
+    if not (n >= 2).any():  # no row has a pair
+        return cmd, cmd.copy()
+    width = int(n.max())
     pos = np.arange(width)
-    pad = pos >= m[:, None]
-    xy = np.stack([rx[rows, :width], ry[rows, :width]])
+    pad = pos >= n[:, None]
+    xy = xy[:, :, :width]
     np.copyto(xy, np.inf, where=pad)  # argsort runs ~3x slower on rows holding NaN
-    ranks, tied = _min_ranks(xy.reshape(2 * rows.size, width), np.tile(m, 2))
+    ranks, tied = _min_ranks(xy.reshape(2 * n.size, width), np.tile(n, 2))
     (xr, yr), (tx, ty) = ranks.reshape(xy.shape), tied.reshape(2, -1)
     key = xr * width + yr
     order = np.argsort(key, axis=1)
-    _, txy = _runs(np.take_along_axis(key, order, axis=1), m)
-    n0 = m * (m - 1) // 2
-    untied[rows] = n0 - tx - ty + txy
-    dense = m <= _DENSE_MAX_RETURNS
+    _, txy = _runs(np.take_along_axis(key, order, axis=1), n)
+    n0 = n * (n - 1) // 2
+    untied = n0 - tx - ty + txy
+    dense = (n >= 2) & (n <= _DENSE_MAX_RETURNS)
     if dense.any():
-        d_width = int(m[dense].max())
+        d_width = int(n[dense].max())
         # padding can sort to an index past d_width, so gather at full width
         ys = np.take_along_axis(yr[dense], order[dense], axis=1)[:, :d_width].astype(np.int16)
         ys[pad[dense, :d_width]] = -1
@@ -191,12 +189,11 @@ def _kendall_rows(rx: np.ndarray, ry: np.ndarray, n: np.ndarray) -> tuple[np.nda
             np.greater(chunk[:, None, :], chunk[:, :, None], out=g)
             g &= upper
             g_count[lo: lo + step] = [np.count_nonzero(row) for row in g]
-        cmd[rows[dense]] = 2 * g_count - (tx - txy - ty + n0)[dense]
+        cmd[dense] = 2 * g_count - (tx - txy - ty + n0)[dense]
     # (n0 - tx) * (n0 - ty) passes the int64 range near 78k returns: take it in Python ints
-    for i in np.flatnonzero(~dense & (untied[rows] > 0)):
-        r, k = rows[i], m[i]
-        tau_b = float(stats.kendalltau(rx[r, :k], ry[r, :k]).statistic)
-        cmd[r] = round(tau_b * math.sqrt(int(n0[i] - tx[i]) * int(n0[i] - ty[i])))
+    for r in np.flatnonzero(~dense & (untied > 0)):
+        tau_b = float(stats.kendalltau(xy[0, r, :n[r]], xy[1, r, :n[r]]).statistic)
+        cmd[r] = round(tau_b * math.sqrt(int(n0[r] - tx[r]) * int(n0[r] - ty[r])))
     return cmd, untied
 
 
@@ -218,13 +215,14 @@ def kendall_tau(p: PairedSeries, basis: str = "all-pairs") -> TauEstimate:
     ``basis="same-config"`` compares only returns that share an ordering
     configuration label, within each of the nested configurations 1 and 4.
 
-    Each group is a row of :func:`_kendall_rows`, whose one rank pass gives
-    every group's tied pairs. Only the concordance of a group of more than
-    ``_DENSE_MAX_RETURNS`` returns comes from scipy: concordant minus
-    discordant is rounded back from the tau-b of ``scipy.stats.kendalltau``.
-    That is exact only while n^2 * 1e-16 is far below 0.5, so more than
-    ``MAX_KENDALL_RETURNS`` (10^7) returns raise ``InvalidParameter``, as do
-    non-finite returns.
+    Each group's returns are copied once, into a row of the ``(2, groups,
+    width)`` array that :func:`_kendall_rows` pads in place, whose one rank
+    pass gives every group's tied pairs. Only the concordance of a group of
+    more than ``_DENSE_MAX_RETURNS`` returns comes from scipy: concordant
+    minus discordant is rounded back from the tau-b of
+    ``scipy.stats.kendalltau``. That is exact only while n^2 * 1e-16 is far
+    below 0.5, so more than ``MAX_KENDALL_RETURNS`` (10^7) returns raise
+    ``InvalidParameter``, as do non-finite returns.
     """
     if basis not in ("all-pairs", "same-config"):
         raise InvalidParameter(f"unknown basis {basis!r}")
@@ -239,11 +237,11 @@ def kendall_tau(p: PairedSeries, basis: str = "all-pairs") -> TauEstimate:
         labels = diagnostics(p).configs
         groups = [labels == 1, labels == 4]
     n = np.array([np.count_nonzero(mask) for mask in groups])
-    x = np.full((n.size, n.max()), np.nan)
-    y = np.full_like(x, np.nan)
+    xy = np.empty((2, n.size, n.max()))
     for r, mask in enumerate(groups):
-        x[r, : n[r]], y[r, : n[r]] = rx[mask], ry[mask]
-    cmd, untied = _kendall_rows(x, y, n)
+        xy[0, r, : n[r]], xy[1, r, : n[r]] = rx[mask], ry[mask]
+    del rx, ry  # the rows of xy hold the returns now
+    cmd, untied = _kendall_rows(xy, n)
     n_compared = int(untied.sum())
     if n_compared == 0:
         raise InsufficientData("no two returns are comparable: too few, or every pair tied")

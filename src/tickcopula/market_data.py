@@ -53,7 +53,7 @@ class TickSeries:
             raise InsufficientData("a tick series needs at least 2 observations")
         if not (np.isfinite(t).all() and np.isfinite(p).all()):
             raise MalformedInput("tick series contains non-finite values")
-        if not (np.diff(t) > 0).all():
+        if not (t[1:] > t[:-1]).all():
             raise MalformedInput("times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "log_prices", p)

@@ -76,7 +76,7 @@ class PairedSeries:
         if self.delta is not None and not (math.isfinite(self.delta) and self.delta > 0):
             raise InvalidParameter(f"delta must be finite and positive, got {self.delta}")
         # prev-tick may legitimately repeat a tick; backward jumps are never valid
-        if (np.diff(t1) < 0).any() or (np.diff(t2) < 0).any():
+        if (t1[1:] < t1[:-1]).any() or (t2[1:] < t2[:-1]).any():
             raise InvalidParameter("paired timestamps must be nondecreasing")
         for key, t in (("n_raw1", t1), ("n_raw2", t2)):
             count, distinct = getattr(self, key), _n_distinct(t)
@@ -310,18 +310,16 @@ def configuration_labels(p: PairedSeries) -> np.ndarray:
     ========  ==========================  =========================
 
     Label 1 means asset 2's interarrival sits inside asset 1's, label 4 the
-    reverse, labels 2 and 3 the two staggered arrangements. Timestamp ties
-    resolve to label 1 deterministically (they have probability zero under
-    continuous arrival models).
+    reverse, labels 2 and 3 the two staggered arrangements. A tied start
+    counts as asset 2 later and a tied end as asset 2 earlier, so full ties
+    give label 1 (ties have probability zero under continuous arrival
+    models). The int64 labels are built in place as ``1 + [asset 1 later at
+    the start] + 2 [asset 1 earlier at the end]``.
     """
-    s_prev = p.t1[:-1] - p.t2[:-1]
-    s_cur = p.t1[1:] - p.t2[1:]
-    start_asset1_later = s_prev > 0  # ties -> asset 2 treated as later
-    end_asset1_earlier = s_cur < 0  # ties -> asset 2 treated as earlier
-    labels = np.ones(s_prev.size, dtype=np.int64)
-    labels[start_asset1_later & ~end_asset1_earlier] = 2
-    labels[~start_asset1_later & end_asset1_earlier] = 3
-    labels[start_asset1_later & end_asset1_earlier] = 4
+    labels = (p.t1[1:] < p.t2[1:]).astype(np.int64)  # asset 1 earlier at the end
+    labels *= 2
+    labels += p.t1[:-1] > p.t2[:-1]  # asset 1 later at the start
+    labels += 1
     return labels
 
 

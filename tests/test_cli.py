@@ -282,12 +282,12 @@ class TestSharedParser:
         run(["pair", f"{sim_prefix}_a.csv", f"{sim_prefix}_b.csv", "--out", paired_path])
 
         def ranked(extra):
-            assert run(["select-copula", "--paired", paired_path, "--t-df", "8", *extra]) == 0
+            assert run(["select-copula", "--paired", paired_path, *extra]) == 0
             lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
             return {r["family"] for r in csv.DictReader(lines)}
 
         assert ranked(["--families", "clayton", "gumbel"]) == {"clayton", "gumbel"}
-        assert ranked([]) == {"gaussian", "student_t", "clayton", "gumbel"}
+        assert ranked(["--t-df", "8"]) == {"gaussian", "student_t", "clayton", "gumbel"}
 
     def test_same_config_flag_does_not_stick(self, sim_prefix, tmp_path, capsys):
         paired_path = tmp_path / "paired.csv"
@@ -457,6 +457,36 @@ class TestErrorContract:
         capsys.readouterr()
         err = self.json_error(capsys, ["estimate", "--paired", paired, "--method", method, "--level", level])
         assert err == {"error": "InvalidParameter", "message": f"level must lie in (0, 1), got {float(level)}"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pair", "A", "B", "--scheme", "a0", "--delta", "5"], "--scheme a0 ignores --delta"),
+        (["pair", "A", "B", "--scheme", "refresh", "--delta", "5"], "--scheme refresh ignores --delta"),
+        (["estimate", "--paired", "P", "--method", "corrected-corr", "--same-config"],
+         "--method corrected-corr ignores --same-config"),
+        (["intervals", "--method", "quad", "--curve", "C", "--tau-hat", "0.2", "--paired", "P"],
+         "--method quad ignores --paired"),
+        (["intervals", "--method", "quantile", "--curve", "C", "--tau-hat", "0.2", "--paired", "P"],
+         "--method quantile ignores --paired"),
+        (["intervals", "--method", "elliptical", "--paired", "P", "--curve", "C", "--tau-hat", "0.2"],
+         "--method elliptical ignores --curve and --tau-hat"),
+        (["select-copula", "--paired", "P", "--families", "gaussian", "clayton", "--t-df", "5"],
+         "--families gaussian clayton ignores --t-df"),
+    ], ids=["pair-a0-delta", "pair-refresh-delta", "estimate-corrected-corr-same-config",
+            "intervals-quad-paired", "intervals-quantile-paired", "intervals-elliptical-curve-tau-hat",
+            "select-copula-t-df"])
+    def test_ignored_option_refused(self, sim_prefix, curve_path, tmp_path, capsys, argv, message):
+        # the command runs without its last, ignored options; with them it is refused before any file is read
+        paired = tmp_path / "paired.csv"
+        assert run(["pair", f"{sim_prefix}_a.csv", f"{sim_prefix}_b.csv", "--out", paired]) == 0
+        files = {"A": f"{sim_prefix}_a.csv", "B": f"{sim_prefix}_b.csv", "P": paired, "C": curve_path}
+        full = [files.get(a, a) for a in argv]
+        ignored = full.index(message.split(" ignores ")[1].split(" and ")[0])
+        assert run([*full[:ignored], "--out", tmp_path / "out"]) == 0
+        capsys.readouterr()
+        expected = {"error": "InvalidParameter", "message": message}
+        assert self.json_error(capsys, full) == expected
+        missing = [tmp_path / "missing" if a in files else a for a in argv]
+        assert self.json_error(capsys, missing) == expected
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"], ids=["bare", "blank-lines", "crlf"])

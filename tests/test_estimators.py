@@ -19,6 +19,7 @@ from tickcopula import (
     corrected_correlation,
     kendall_tau,
     pair_previous_tick,
+    pair_refresh_time,
     pair_ticks,
 )
 from tickcopula import estimators
@@ -218,6 +219,16 @@ class TestKendallTau:
         est = kendall_tau(p, basis="same-config")
         assert est.tau_hat == pytest.approx(num / den, abs=1e-12)
 
+    def test_same_config_of_refresh_pairs_past_the_direct_count(self, rng):
+        # refresh pairs are synchronous, so every return is in configuration 1 and none in 4
+        p = pair_refresh_time(poisson_ticks(rng, 1.0, 1200), poisson_ticks(rng, 1.0, 1200))
+        rx, ry = p.returns()
+        assert rx.size > estimators._DENSE_MAX_RETURNS
+        assert set(configuration_labels(p).tolist()) == {1}
+        est = kendall_tau(p, basis="same-config")
+        assert est == dataclasses.replace(kendall_tau(p), basis="same-config")
+        assert est.tau_hat == pytest.approx(stats.kendalltau(rx, ry).statistic, abs=1e-12)
+
     def test_insufficient(self):
         p = paired_from_returns([1.0], [2.0])
         with pytest.raises(InsufficientData):
@@ -287,7 +298,7 @@ def return_pairs(draw):
 def test_kendall_counts_match_sign_count(pair):
     rx, ry = pair
     num, untied, _ = sign_counts(rx, ry)
-    cmd, untied_rows = estimators._kendall_rows(rx[None], ry[None], np.array([rx.size]))
+    cmd, untied_rows = estimators._kendall_rows(np.stack([rx, ry])[:, None], np.array([rx.size]))
     assert (cmd[0], untied_rows[0]) == (num, untied)
 
 
@@ -296,7 +307,7 @@ def test_kendall_counts_exact_past_int64_products():
     n = 100_000
     n0 = n * (n - 1) // 2
     x = np.arange(n, dtype=float)
-    cmd, untied = estimators._kendall_rows(np.stack([x, x]), np.stack([x, -x]), np.array([n, n]))
+    cmd, untied = estimators._kendall_rows(np.array([[x, x], [x, -x]]), np.array([n, n]))
     assert cmd.tolist() == [n0, -n0]
     assert untied.tolist() == [n0, n0]
 
@@ -317,7 +328,7 @@ def test_kendall_rows_exact_with_ties_past_int64_products():
     assert (n0 - tx) * (n0 - ty) > np.iinfo(np.int64).max
     tau_b = float(stats.kendalltau(x, y).statistic)
     expected = (round(tau_b * math.sqrt((n0 - tx) * (n0 - ty))), n0 - tx - ty + txy)
-    cmd, untied = estimators._kendall_rows(x[None], y[None], np.array([n]))
+    cmd, untied = estimators._kendall_rows(np.stack([x, y])[:, None], np.array([n]))
     assert (cmd[0], untied[0]) == expected
 
 
@@ -326,7 +337,7 @@ def test_dense_comparison_sized_by_the_dense_rows():
     rx, ry = np.random.default_rng(0).standard_normal((2, 2, 3000))
     tracemalloc.start()
     try:
-        estimators._kendall_rows(rx, ry, np.array([3000, 10]))
+        estimators._kendall_rows(np.stack([rx, ry]), np.array([3000, 10]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -417,11 +428,25 @@ def return_rows(draw):
     return rx, ry, np.array(lengths)
 
 
+@pytest.mark.parametrize("short", [0, 1])
+def test_kendall_rows_long_row_beside_rows_without_pairs(short):
+    # no row within the direct-count limit holds a pair, so none is counted directly
+    n = estimators._DENSE_MAX_RETURNS + 1
+    x, y = np.random.default_rng(0).standard_normal((2, n))
+    xy = np.full((2, 2, n), np.nan)
+    xy[:, 0] = x, y
+    xy[:, 1, :short] = 0.5
+    cmd, untied = estimators._kendall_rows(xy, np.array([n, short]))
+    num, n_untied, _ = sign_counts(x, y)
+    assert (cmd.tolist(), untied.tolist()) == ([num, 0], [n_untied, 0])
+    assert cmd[0] / untied[0] == pytest.approx(stats.kendalltau(x, y).statistic, abs=1e-12)
+
+
 @settings(deadline=None, max_examples=60)
 @given(return_rows())
 def test_block_kendall_counts_match_scipy_and_brute_force(rows):
     rx, ry, lengths = rows
-    cmd, untied = estimators._kendall_rows(rx, ry, lengths)
+    cmd, untied = estimators._kendall_rows(np.stack([rx, ry]), lengths)
     for r, n in enumerate(lengths):
         x, y = rx[r, :n], ry[r, :n]
         num, n_untied, _ = sign_counts(x, y)

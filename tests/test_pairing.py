@@ -251,6 +251,19 @@ class TestOverlapAndConfigs:
         p = pair_ticks(make_series([1, 2, 3]), make_series([1, 2, 3]))
         assert configuration_labels(p).tolist() == [1, 1]
 
+    @pytest.mark.parametrize("t1, t2, label", [
+        ([1, 3], [1, 4], 3),
+        ([1, 4], [1, 3], 1),
+        ([2, 4], [1, 4], 2),
+        ([1, 4], [2, 4], 1),
+    ], ids=["start-tie-asset1-ends-first", "start-tie-asset2-ends-first",
+            "end-tie-asset1-starts-last", "end-tie-asset2-starts-last"])
+    def test_half_ties(self, t1, t2, label):
+        # a tie counts as asset 2 later at the start and as asset 2 earlier at the end
+        labels = configuration_labels(pair_ticks(make_series(t1), make_series(t2)))
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [label]
+
 
 def prev_tick_full_grid_oracle(a, b, delta):
     """Previous-tick pairs from the whole grid delta, 2*delta, ... up to the session end."""
