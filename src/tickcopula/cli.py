@@ -133,7 +133,7 @@ def _model_from_args(args) -> CopulaModel:
 
 
 def _refuse_ignored(args, chosen: str, *options: str) -> None:
-    """Refuse the ``options`` given on the command line, which the ``chosen`` scheme or method ignores.
+    """Refuse the ``options`` given on the command line, which the ``chosen`` scheme, method or family ignores.
 
     Commands call this before they read a file, so a refusal comes first.
     """
@@ -189,6 +189,8 @@ def read_paired_csv(path) -> PairedSeries:
 
 
 def _cmd_simulate(args) -> int:
+    if args.family != "student_t":
+        _refuse_ignored(args, f"--family {args.family}", "--df")
     model = _model_from_args(args)
     margins = (parse_margin(args.margin1), parse_margin(args.margin2))
     spec = SimSpec(
@@ -301,6 +303,8 @@ def _cmd_select_copula(args) -> int:
 
 
 def _cmd_plugin_eval(args) -> int:
+    if args.family != "student_t":
+        _refuse_ignored(args, f"--family {args.family}", "--df")
     paired = read_paired_csv(args.paired)
     plugin = plugin_copula(paired, args.param, args.family, df=args.df)
     rx, ry = paired.returns()
@@ -323,6 +327,8 @@ def _cmd_plugin_eval(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if args.family != "student_t":
+        _refuse_ignored(args, f"--family {args.family}", "--df")
     arrival = PoissonPair(args.lambda1, args.lambda2)
     margins = (parse_margin(args.margin1), parse_margin(args.margin2))
     grid = np.linspace(args.grid_lo, args.grid_hi, args.k)

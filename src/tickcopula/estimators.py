@@ -14,11 +14,11 @@ the numerator and the denominator and reported separately.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
+from scipy.stats._stats import _kendall_dis
 
 from .errors import InsufficientData, InvalidParameter
 from .pairing import PairDiagnostics, PairedSeries, diagnostics
@@ -94,6 +94,9 @@ def corrected_correlation(p: PairedSeries, level: float = 0.95) -> CorrectedCorr
 # Kendall's tau
 
 
+# The most returns kendall_tau counts. Its counts are exact integers at any
+# size; the cap bounds the memory of the one rank pass, which traces about
+# 75 bytes a return (9.6 MiB at 133k returns), so under 1 GB at the cap.
 MAX_KENDALL_RETURNS = 10_000_000
 
 
@@ -106,94 +109,55 @@ def _runs(s: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     start = np.ones(s.shape, dtype=bool)
     np.not_equal(s[:, 1:], s[:, :-1], out=start[:, 1:])
     start[:, 1:] |= pos[1:] >= m[:, None]
-    first = np.maximum.accumulate(np.where(start, pos, 0), axis=1)
-    return first, (pos - first).sum(axis=1)
-
-
-def _min_ranks(v: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """0-based min-rank of each entry within its row, and the tied pairs of
-    each row, whose first ``m[r]`` entries are below the rest.
-    """
-    order = np.argsort(v, axis=1)
-    first, tied = _runs(np.take_along_axis(v, order, axis=1), m)
-    ranks = np.empty_like(first)
-    np.put_along_axis(ranks, order, first, axis=1)
-    return ranks, tied
-
-
-# Rows of up to this many returns are counted by direct comparison, longer
-# ones by scipy. Per row in blocks of 10 on a 2-core host: 0.05 against
-# 0.45 ms at 200 returns, 0.12 against 0.50 ms at 400. The direct count
-# would still win beyond 400, but its comparison matrix grows as width^2
-# bytes per row. Rows are compared in chunks whose matrix stays within
-# _DENSE_BYTES (one row at a time past 362 returns), small enough that
-# calibration's peak resident memory does not grow. Ranks are int16: 0 to
-# _DENSE_MAX_RETURNS - 1, and -1 for padding.
-_DENSE_MAX_RETURNS = 400
-_DENSE_BYTES = 1 << 17
-assert _DENSE_MAX_RETURNS <= np.iinfo(np.int16).max
+    first = np.where(start, pos, 0)
+    np.maximum.accumulate(first, axis=1, out=first)
+    return first, pos.sum() - first.sum(axis=1)  # the sum of pos - first
 
 
 def _kendall_rows(xy: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(concordant - discordant, untied pair count) of each row of returns.
 
     Row ``r`` of ``xy[0]`` (x) and ``xy[1]`` (y) holds ``n[r]`` finite
-    returns, then padding of any value up to the common width. Every row is
-    ranked in one stacked pass, which gives ``tx``, ``ty`` and ``txy``, its
-    pairs tied in x, in y and in both, and so its ``n0 - tx - ty + txy``
-    untied pairs, ``n0`` being all ``n (n - 1) / 2``. The caller's padding
-    is first overwritten with +inf, which sorts after every return, and
-    ``_runs`` counts no tie past a row's first ``n[r]`` entries, so a row
-    of fewer than two returns counts nothing. The key ``x_rank * width +
-    y_rank`` puts the row in (x, y) lexicographic order, padding last.
+    returns, then padding of any value up to the common width. The caller's
+    padding is first overwritten with +inf, which sorts after every return,
+    and ``_runs`` counts no tie past a row's first ``n[r]`` entries, so a
+    row of fewer than two returns counts nothing. One stacked argsort puts
+    every row in x order and gives each return's min-rank in x and in y,
+    and so ``tx`` and ``ty``, the row's pairs tied in x and in y. Pairs tied
+    in both (``txy``) can exist only in a row tied in both; such a row is
+    sorted on the key ``x_rank * width + y_rank`` to count them. A row has
+    ``untied = n0 - tx - ty + txy`` pairs that differ in both, ``n0`` being
+    all ``n (n - 1) / 2``.
 
-    A row of 2 to ``_DENSE_MAX_RETURNS`` returns is counted in that order:
-    one int16 comparison per pair over the strict upper triangle counts
-    ``G``, the pairs ``i < j`` with ``y_j > y_i``; the padding's y-rank is
-    -1, so it counts for nothing. Pairs tied in x come out in ascending y,
-    so ``tx - txy`` of them fall in ``G``, and ``G - tx + txy`` pairs are
-    concordant. The other ``n0 - G - ty`` untied pairs are discordant. A
-    longer row rounds concordant minus discordant back from the tau-b of
-    ``scipy.stats.kendalltau`` as ``tau_b * sqrt((n0 - tx) (n0 - ty))``,
-    unless every pair is tied, where scipy returns NaN.
+    scipy's compiled ``_kendall_dis``, the O(n log n) count that
+    ``scipy.stats.kendalltau`` calls, takes the x ranks in x order and the y
+    ranks from 1 and returns the discordant pairs, those with ``x_i < x_j``
+    and ``y_i > y_j``. The other untied pairs are concordant, so
+    concordant minus discordant is ``untied - 2 dis``, in exact integers.
     """
     cmd = np.zeros(n.size, dtype=np.int64)
     if not (n >= 2).any():  # no row has a pair
         return cmd, cmd.copy()
-    width = int(n.max())
-    pos = np.arange(width)
-    pad = pos >= n[:, None]
+    k, width = n.size, int(n.max())
     xy = xy[:, :, :width]
-    np.copyto(xy, np.inf, where=pad)  # argsort runs ~3x slower on rows holding NaN
-    ranks, tied = _min_ranks(xy.reshape(2 * n.size, width), np.tile(n, 2))
-    (xr, yr), (tx, ty) = ranks.reshape(xy.shape), tied.reshape(2, -1)
-    key = xr * width + yr
-    order = np.argsort(key, axis=1)
-    _, txy = _runs(np.take_along_axis(key, order, axis=1), n)
-    n0 = n * (n - 1) // 2
-    untied = n0 - tx - ty + txy
-    dense = (n >= 2) & (n <= _DENSE_MAX_RETURNS)
-    if dense.any():
-        d_width = int(n[dense].max())
-        # padding can sort to an index past d_width, so gather at full width
-        ys = np.take_along_axis(yr[dense], order[dense], axis=1)[:, :d_width].astype(np.int16)
-        ys[pad[dense, :d_width]] = -1
-        d_pos = pos[:d_width]
-        upper = d_pos[:, None] < d_pos  # [i, j]: j > i
-        step = max(1, _DENSE_BYTES // (d_width * d_width))
-        greater = np.empty((min(step, ys.shape[0]), d_width, d_width), dtype=bool)
-        g_count = np.empty(ys.shape[0], dtype=np.int64)
-        for lo in range(0, ys.shape[0], step):
-            chunk = ys[lo: lo + step]
-            g = greater[: chunk.shape[0]]
-            np.greater(chunk[:, None, :], chunk[:, :, None], out=g)
-            g &= upper
-            g_count[lo: lo + step] = [np.count_nonzero(row) for row in g]
-        cmd[dense] = 2 * g_count - (tx - txy - ty + n0)[dense]
-    # (n0 - tx) * (n0 - ty) passes the int64 range near 78k returns: take it in Python ints
-    for r in np.flatnonzero(~dense & (untied > 0)):
-        tau_b = float(stats.kendalltau(xy[0, r, :n[r]], xy[1, r, :n[r]]).statistic)
-        cmd[r] = round(tau_b * math.sqrt(int(n0[r] - tx[r]) * int(n0[r] - ty[r])))
+    np.copyto(xy, np.inf, where=np.arange(width) >= n[:, None])  # argsort runs ~3x slower on NaN
+    v = xy.reshape(2 * k, width)
+    order = np.argsort(v, axis=1)
+    first, tied = _runs(np.take_along_axis(v, order, axis=1), np.tile(n, 2))
+    (tx, ty), xr = tied.reshape(2, k), first[:k]  # xr: x min-ranks in x order
+    yr = np.empty_like(xr)
+    np.put_along_axis(yr, order[k:], first[k:], axis=1)
+    yr = np.take_along_axis(yr, order[:k], axis=1)  # y min-ranks in x order
+    txy = np.zeros_like(tx)
+    both = (tx > 0) & (ty > 0)
+    if both.any():
+        key = xr[both] * width + yr[both]
+        key.sort(axis=1)
+        txy[both] = _runs(key, n[both])[1]
+    untied = n * (n - 1) // 2 - tx - ty + txy
+    yr += 1  # _kendall_dis counts y ranks from 1
+    for r in np.flatnonzero(untied > 0):
+        cmd[r] = untied[r] - 2 * _kendall_dis(xr[r, : n[r]], yr[r, : n[r]])
     return cmd, untied
 
 
@@ -216,19 +180,17 @@ def kendall_tau(p: PairedSeries, basis: str = "all-pairs") -> TauEstimate:
     configuration label, within each of the nested configurations 1 and 4.
 
     Each group's returns are copied once, into a row of the ``(2, groups,
-    width)`` array that :func:`_kendall_rows` pads in place, whose one rank
-    pass gives every group's tied pairs. Only the concordance of a group of
-    more than ``_DENSE_MAX_RETURNS`` returns comes from scipy: concordant
-    minus discordant is rounded back from the tau-b of
-    ``scipy.stats.kendalltau``. That is exact only while n^2 * 1e-16 is far
-    below 0.5, so more than ``MAX_KENDALL_RETURNS`` (10^7) returns raise
-    ``InvalidParameter``, as do non-finite returns.
+    width)`` array that :func:`_kendall_rows` pads in place. Its one rank
+    pass gives every group's tied pairs, and scipy's compiled discordance
+    count the rest, all as exact integers. More than
+    ``MAX_KENDALL_RETURNS`` (10^7) returns raise ``InvalidParameter``, as
+    do non-finite returns.
     """
     if basis not in ("all-pairs", "same-config"):
         raise InvalidParameter(f"unknown basis {basis!r}")
     rx, ry = p.returns()
     if rx.size > MAX_KENDALL_RETURNS:
-        raise InvalidParameter(f"Kendall counts are exact only up to {MAX_KENDALL_RETURNS} returns")
+        raise InvalidParameter(f"Kendall tau counts up to {MAX_KENDALL_RETURNS} returns, got {rx.size}")
     if not (np.isfinite(rx).all() and np.isfinite(ry).all()):
         raise InvalidParameter("Kendall tau needs finite returns")
     if basis == "all-pairs":

@@ -471,9 +471,11 @@ class TestErrorContract:
          "--method elliptical ignores --curve and --tau-hat"),
         (["select-copula", "--paired", "P", "--families", "gaussian", "clayton", "--t-df", "5"],
          "--families gaussian clayton ignores --t-df"),
+        (["plugin-eval", "--paired", "P", "--family", "gaussian", "--param", "0.3", "--df", "5"],
+         "--family gaussian ignores --df"),
     ], ids=["pair-a0-delta", "pair-refresh-delta", "estimate-corrected-corr-same-config",
             "intervals-quad-paired", "intervals-quantile-paired", "intervals-elliptical-curve-tau-hat",
-            "select-copula-t-df"])
+            "select-copula-t-df", "plugin-eval-df"])
     def test_ignored_option_refused(self, sim_prefix, curve_path, tmp_path, capsys, argv, message):
         # the command runs without its last, ignored options; with them it is refused before any file is read
         paired = tmp_path / "paired.csv"
@@ -487,6 +489,23 @@ class TestErrorContract:
         assert self.json_error(capsys, full) == expected
         missing = [tmp_path / "missing" if a in files else a for a in argv]
         assert self.json_error(capsys, missing) == expected
+
+    @pytest.mark.parametrize("argv, simulates", [
+        (["simulate", "--family", "gaussian", "--param", "0.5", "--n1", "50", "--n2", "50"], "simulate"),
+        (["calibrate", "--family", "clayton", "--k", "5", "--n-rep", "50", "--n-ticks", "50"], "build_curve"),
+    ], ids=["simulate", "calibrate"])
+    def test_df_refused_outside_student_t(self, tmp_path, capsys, monkeypatch, argv, simulates):
+        # these commands read no file: they run without --df, and with it are refused before simulating
+        assert run([*argv, "--out", tmp_path / "out"]) == 0
+        capsys.readouterr()
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError(f"{simulates} was called")
+
+        monkeypatch.setattr(cli, simulates, no_simulation)
+        err = self.json_error(capsys, [*argv, "--df", "5", "--out", tmp_path / "refused"])
+        assert err == {"error": "InvalidParameter", "message": f"--family {argv[2]} ignores --df"}
+        assert not list(tmp_path.glob("refused*"))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"], ids=["bare", "blank-lines", "crlf"])

@@ -220,10 +220,11 @@ class TestKendallTau:
         assert est.tau_hat == pytest.approx(num / den, abs=1e-12)
 
     def test_same_config_of_refresh_pairs_past_the_direct_count(self, rng):
-        # refresh pairs are synchronous, so every return is in configuration 1 and none in 4
+        # refresh pairs are synchronous, so every return is in configuration 1 and none in 4;
+        # 400 returns was the limit of a direct count that no longer exists, and this row is longer
         p = pair_refresh_time(poisson_ticks(rng, 1.0, 1200), poisson_ticks(rng, 1.0, 1200))
         rx, ry = p.returns()
-        assert rx.size > estimators._DENSE_MAX_RETURNS
+        assert rx.size > 400
         assert set(configuration_labels(p).tolist()) == {1}
         est = kendall_tau(p, basis="same-config")
         assert est == dataclasses.replace(kendall_tau(p), basis="same-config")
@@ -300,6 +301,24 @@ def test_kendall_counts_match_sign_count(pair):
     num, untied, _ = sign_counts(rx, ry)
     cmd, untied_rows = estimators._kendall_rows(np.stack([rx, ry])[:, None], np.array([rx.size]))
     assert (cmd[0], untied_rows[0]) == (num, untied)
+
+
+@pytest.mark.parametrize("n, x_levels, y_levels", [
+    (2, 1, 1), (2, 2, 2), (7, 3, 2), (60, 5, 60), (60, 60, 4), (401, 20, 30), (401, 401, 401),
+])
+def test_scipy_discordance_counter_contract(n, x_levels, y_levels):
+    # _kendall_rows takes discordant pairs from scipy's private counter: x sorted ascending,
+    # y ranks counted from 1, ties in either, and a pair tied in x or in y is not discordant
+    from scipy.stats._stats import _kendall_dis
+
+    rng = np.random.default_rng(n * 1000 + x_levels + y_levels)
+    x = np.sort(rng.integers(0, x_levels, n)).astype(np.intp)
+    y = rng.integers(1, y_levels + 1, n).astype(np.intp)
+    num, untied, _ = sign_counts(x.astype(float), y.astype(float))
+    dis = _kendall_dis(x, y)
+    assert untied - 2 * dis == num
+    if untied:
+        assert (untied - 2 * dis) / untied == kendall_tau_brute(x, y)
 
 
 def test_kendall_counts_exact_past_int64_products():
@@ -403,13 +422,15 @@ def _row_values(draw, rng, n):
 
 @st.composite
 def return_rows(draw):
-    """Padded rows of unequal length on both sides of the direct-count limit, often tied.
+    """Padded rows of unequal length on both sides of 400 returns, often tied.
 
-    Rows of 0 and 1 returns sit inside the block, and some blocks are exactly
-    ``_DENSE_MAX_RETURNS`` wide. The padding past each row's length holds NaN,
-    +inf, -inf or finite values that tie the returns, none of which may count.
+    400 was the limit of a direct count that no longer exists; rows on both
+    sides of it stay covered. Rows of 0 and 1 returns sit inside the block,
+    and some blocks are exactly 400 wide. The padding past each row's length
+    holds NaN, +inf, -inf or finite values that tie the returns, none of
+    which may count.
     """
-    limit = estimators._DENSE_MAX_RETURNS
+    limit = 400
     sizes = [0, 1, 2, 3, 17, 60, limit - 1, limit]
     if draw(st.booleans()):
         sizes += [limit + 1, limit + 30]
@@ -430,8 +451,8 @@ def return_rows(draw):
 
 @pytest.mark.parametrize("short", [0, 1])
 def test_kendall_rows_long_row_beside_rows_without_pairs(short):
-    # no row within the direct-count limit holds a pair, so none is counted directly
-    n = estimators._DENSE_MAX_RETURNS + 1
+    # a row past 400 returns (the limit of a former direct count) beside one with no pair
+    n = 401
     x, y = np.random.default_rng(0).standard_normal((2, n))
     xy = np.full((2, 2, n), np.nan)
     xy[:, 0] = x, y

@@ -87,8 +87,8 @@ class TestFrozenOutputs:
         ("gumbel", "509b2216515894bcf63502930da23a82b55d206199c372f55bbb1ca0f3fc2990"),
     ])
     def test_build_curve_straddling_the_dense_kendall_limit(self, family, digest):
-        # 600 ticks a side leave rows of about 400 returns, counted on both sides of
-        # estimators._DENSE_MAX_RETURNS within one replicate block
+        # 600 ticks a side leave rows of about 400 returns within one replicate block,
+        # on both sides of the 400-return limit of a former direct Kendall count
         curve = build_curve(family, PoissonPair(1, 1), STANDARD_NORMAL,
                             grid=np.linspace(0.02, 0.75, 5), n_rep=50, n_ticks=600, seed=7)
         assert sha256(curve.estimates.tobytes()) == digest
