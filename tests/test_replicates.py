@@ -44,6 +44,7 @@ from tickcopula.synthesis import (
     _NormalMargin,
     _per_sample,
     _run_cells,
+    _simulate,
     _TMargin,
 )
 from tickcopula.tables import (
@@ -149,6 +150,38 @@ class TestFrozenSimulator:
                                lambda2=2.0, n1=2000, n2=3000, seed=5))
         p = pairing(sim.a, sim.b)
         assert arrays_sha256(p.t1, p.x, p.t2, p.y) == digest
+
+    BLOCK_SPEC = dict(margins=MARGINS, lambda1=1.0, lambda2=2.0, n1=300, n2=200)
+    BLOCK_SEEDS = [[11, r] for r in range(8)]
+
+    @pytest.mark.parametrize("family, digest", [
+        ("gaussian", "12f7f797cea1288d683170b2f8d6c8f18883f45a4bd48acc674daafbe10d6461"),
+        ("student_t", "903cf5abbf04a25d3253d0e5b3314b4f220b1fd44b8ae937308296d4bc3ec8e1"),
+        ("clayton", "10b4b260aedb9eb7d1e4d3290e81eb4933510069b4f12ee9506bdd5395ab8578"),
+        ("gumbel", "2c645eda05c59d32f79ffe3b13abc3d64b087a255e14c47178a2a3dfc96ade66"),
+    ])
+    def test_replicate_block(self, family, digest):
+        ev = _simulate(SimSpec(model=copula(family), **self.BLOCK_SPEC), self.BLOCK_SEEDS)
+        assert arrays_sha256(ev.times, ev.to_b, ev.log_x, ev.log_y) == digest
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_block_rows_are_one_row_blocks(self, family):
+        spec = SimSpec(model=copula(family), **self.BLOCK_SPEC)
+        block = _simulate(spec, self.BLOCK_SEEDS)
+        for r, seed in enumerate(self.BLOCK_SEEDS):
+            one = _simulate(spec, [seed])
+            for name in ("times", "to_b", "log_x", "log_y"):
+                assert getattr(block, name)[r].tobytes() == getattr(one, name)[0].tobytes()
+
+    @pytest.mark.parametrize("family, digest", [
+        ("gaussian", "f5c5fd2bd6dba58d496ef2c2a5f31998b2d38840882a77c507ef09418290a8eb"),
+        ("student_t", "1421bd2da1f144c81ede8ec2e995a86f669961a40eedf3f28464eb65669f621b"),
+        ("clayton", "d64dd35fea5ed9fca517d6ec4a287fcc395f55fca1aef907908a59eb828253e3"),
+        ("gumbel", "ef1a4056f439dedf490c045b76a7eab0b063ec91e24c53f972712a69f04cdc01"),
+    ])
+    def test_sample_uniform(self, family, digest):
+        uv = sample_uniform(copula(family), 1000, np.random.default_rng(3))
+        assert uv.shape == (1000, 2) and arrays_sha256(uv) == digest
 
 
 class TestBoundedMemory:
