@@ -116,8 +116,7 @@ class CorrectionCurve:
         lo, hi = g[0], g[-1]
         if b + 2 * c * lo <= 0 or b + 2 * c * hi <= 0:
             raise CalibrationFailure("fitted mean curve is not increasing over the grid")
-        qlo = np.quantile(e, 0.025, axis=1)
-        qhi = np.quantile(e, 0.975, axis=1)
+        qlo, qhi = np.quantile(e, [0.025, 0.975], axis=1)
         fit = self.predict(g)
         if not ((qlo <= fit + 1e-12) & (fit <= qhi + 1e-12)).all():
             raise CalibrationFailure("quantile bands do not bracket the mean fit")
@@ -150,8 +149,7 @@ class CorrectionCurve:
         """
         if level not in self._bands:
             alpha = 1.0 - level
-            lo = np.quantile(self.estimates, alpha / 2.0, axis=1)
-            hi = np.quantile(self.estimates, 1.0 - alpha / 2.0, axis=1)
+            lo, hi = np.quantile(self.estimates, [alpha / 2.0, 1.0 - alpha / 2.0], axis=1)
             bands = np.maximum.accumulate(lo), np.maximum.accumulate(hi)
             for b in bands:
                 b.flags.writeable = False

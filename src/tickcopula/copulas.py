@@ -292,14 +292,13 @@ def log_pdf(model: CopulaModel, u, v) -> np.ndarray:
 # sampling
 
 
-def _positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Positive alpha-stable draws with Laplace transform exp(-t**alpha).
+def _positive_stable(alpha: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Positive alpha-stable draws with Laplace transform exp(-t**alpha), written over ``w``.
 
-    The draws are (sin(alpha v) / sin(v)**(1/alpha)) * (sin((1-alpha) v) / w)**((1-alpha)/alpha),
-    evaluated in three arrays of n.
+    ``v`` holds uniform draws on (0, pi) and ``w`` standard exponentials;
+    the draws are (sin(alpha v) / sin(v)**(1/alpha)) * (sin((1-alpha) v) / w)**((1-alpha)/alpha),
+    evaluated in ``v``, ``w`` and one more array of their shape.
     """
-    v = rng.uniform(0.0, math.pi, n)
-    w = rng.standard_exponential(n)
     right = np.multiply(v, 1.0 - alpha)
     np.sin(right, out=right)
     right /= w
@@ -313,47 +312,79 @@ def _positive_stable(alpha: float, n: int, rng: np.random.Generator) -> np.ndarr
     return left
 
 
-def sample_uniform(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws (U, V) from the copula as an (n, 2) array, transformed in the array of the draws."""
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
+def _rows(rngs: Sequence[np.random.Generator], shape: tuple, draw, *args) -> np.ndarray:
+    """A new ``(len(rngs), *shape)`` array whose row r is ``draw(rngs[r], *args, out=row)``."""
+    out = np.empty((len(rngs), *shape))
+    for row, rng in zip(out, rngs):
+        draw(rng, *args, out=row)
+    return out
+
+
+def _divide_pairs(e: np.ndarray, frailty: np.ndarray) -> None:
+    """``e[..., j] /= frailty`` for both coordinates, a column at a time: a broadcast divide would buffer."""
+    for col in (e[..., 0], e[..., 1]):
+        col /= frailty
+
+
+def _sample_block(model: CopulaModel, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Copula draws (U, V) as a ``(len(rngs), n, 2)`` array; row r draws only from ``rngs[r]``.
+
+    Row r is ``sample_uniform(model, n, rngs[r])`` bit for bit: each
+    generator makes that function's draws in its order, written straight
+    into the block's arrays, and every transform then runs once over the
+    whole block, in the array of the pair draws. Where a family draws a
+    second variable, the one drawn first is transformed over the block
+    before the second is allocated, so the block holds at most 1.5 times its
+    output. Draws that a numpy method makes through another are taken at the
+    source: ``chisquare(df)`` is ``2 * standard_gamma(df / 2)``,
+    ``gamma(a, 1.0)`` is ``standard_gamma(a)`` and ``uniform(0, pi)`` is
+    ``pi * random()``, each equal bit for bit.
+    """
+    gen = np.random.Generator
     if model.family in ("gaussian", "student_t"):
         rho = model.param
-        g = rng.standard_normal((n, 2))
-        z2 = g[:, 1]
+        g = _rows(rngs, (n, 2), gen.standard_normal)
+        z2 = g[..., 1]
         z2 *= math.sqrt(1.0 - rho * rho)
-        z2 += rho * g[:, 0]
+        z2 += rho * g[..., 0]
         if model.family == "gaussian":
             return special.ndtr(g, out=g)
-        scale = rng.chisquare(model.df, n)
+        scale = _rows(rngs, (n,), gen.standard_gamma, model.df / 2.0)
+        scale *= 2.0  # chi-square draws
         scale /= model.df
         np.sqrt(scale, out=scale)
-        for z in g.T:  # a column at a time: a broadcast divide would buffer
-            z /= scale
+        _divide_pairs(g, scale)
         return special.stdtr(model.df, g, out=g)
+    th = model.param
     if model.family == "clayton":
-        th = model.param
-        frailty = rng.gamma(1.0 / th, 1.0, n)
-        e = rng.standard_exponential((n, 2))
-        for col in e.T:  # a column at a time: a broadcast divide would buffer
-            col /= frailty
+        frailty = _rows(rngs, (n,), gen.standard_gamma, 1.0 / th)
+        e = _rows(rngs, (n, 2), gen.standard_exponential)
+        _divide_pairs(e, frailty)
         e += 1.0
         e **= -1.0 / th
         return e
     # gumbel: positive-stable frailty
-    th = model.param
     if th == 1.0:
-        return rng.random((n, 2))
+        return _rows(rngs, (n, 2), gen.random)
     # at high theta a frailty can overflow, or its sines vanish to 0 * inf; the
     # draws then hold 0, 1 or nan, which the tick series' own checks reject
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        frailty = _positive_stable(1.0 / th, n, rng)
-        e = rng.standard_exponential((n, 2))
-        for col in e.T:
-            col /= frailty
+        v = _rows(rngs, (n,), gen.random)
+        v *= math.pi
+        frailty = _positive_stable(1.0 / th, v, _rows(rngs, (n,), gen.standard_exponential))
+        del v  # before the pair draws, so that the block holds at most three arrays of its shape
+        e = _rows(rngs, (n, 2), gen.standard_exponential)
+        _divide_pairs(e, frailty)
         e **= 1.0 / th
         np.negative(e, out=e)
         return np.exp(e, out=e)
+
+
+def sample_uniform(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws (U, V) from the copula as an (n, 2) array: a one-row :func:`_sample_block`."""
+    if n < 1:
+        raise InvalidParameter(f"n must be >= 1, got {n}")
+    return _sample_block(model, n, [rng])[0]
 
 
 # ---------------------------------------------------------------------------

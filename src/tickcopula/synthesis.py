@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .copulas import CopulaModel, sample_uniform
+from .copulas import CopulaModel, _rows, _sample_block
 from .errors import CalibrationFailure, InsufficientData, InvalidParameter
 from .market_data import TickSeries
 
@@ -68,7 +68,9 @@ class SimSpec:
     Exactly one of (``horizon``) or (``n1`` and ``n2``) must be given.
     ``margins`` is a pair of objects with a vectorized ``ppf`` (quantile
     function) applied to the copula draws: a frozen scipy distribution, or
-    the light normal and t margins the CLI and the studies build.
+    the light normal and t margins the CLI and the studies build. A ``ppf``
+    receives one contiguous 1-D float64 array per call: one coordinate's
+    draws for every row of a replicate block, row after row.
     """
 
     model: CopulaModel
@@ -147,7 +149,11 @@ def _events(spec: SimSpec, times: np.ndarray, to_b: np.ndarray, uv: np.ndarray) 
 
 
 def _lattice(margin, draws: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """One log-price lattice: the margin's innovations, scaled by ``scale``, summed along each row."""
+    """One log-price lattice: the margin's innovations, scaled by ``scale``, summed along each row.
+
+    ``draws`` is one coordinate's contiguous ``(k, n)`` block of copula draws,
+    so the margin's ``ppf`` receives all of it as one 1-D view, with no copy.
+    """
     # margins see 1-d draws, as their ppf contract promises
     log_p = np.asarray(margin.ppf(draws.ravel()), dtype=float).reshape(scale.shape)
     log_p *= scale
@@ -156,37 +162,46 @@ def _lattice(margin, draws: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return log_p
 
 
-def _stream(spec: SimSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One replicate's merged event times, increasing, and its mask ``to_b`` of asset 2's events."""
+def _streams(spec: SimSpec, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Each replicate's merged event times, increasing along a row, and its mask ``to_b`` of asset 2's events.
+
+    Row r draws from ``rngs[r]`` alone, into the block's arrays; the gap
+    scaling and running sums then run once over the block. A horizon stream
+    has a random length, so it stands alone.
+    """
     lam_total = spec.lambda1 + spec.lambda2
     if spec.horizon is None:
         n = spec.n_events
-        times = rng.exponential(1.0 / lam_total, n)
-        np.cumsum(times, out=times)  # the gaps' running sums
-        to_b = np.zeros(n, dtype=bool)
-        to_b[rng.permutation(n)[: spec.n2]] = True
+        times = _rows(rngs, (n,), np.random.Generator.standard_exponential)
+        to_b = np.zeros(times.shape, dtype=bool)
+        for row, rng in zip(to_b, rngs):
+            row[rng.permutation(n)[: spec.n2]] = True
+        times *= 1.0 / lam_total  # exponential(1 / lam_total) gaps, bit for bit
+        np.cumsum(times, axis=1, out=times)  # the gaps' running sums
         return times, to_b
+    [rng] = rngs
     n = int(rng.poisson(lam_total * spec.horizon))
     if n < 4:
         raise InsufficientData(f"horizon {spec.horizon} produced only {n} events")
-    return np.sort(rng.uniform(0.0, spec.horizon, n)), rng.random(n) < spec.lambda2 / lam_total
+    times = rng.uniform(0.0, spec.horizon, (1, n))
+    times.sort(axis=1)
+    return times, rng.random((1, n)) < spec.lambda2 / lam_total
 
 
 def _simulate(spec: SimSpec, seeds) -> _Events:
     """Events of ``spec``, one replicate per seed; a horizon spec, of random length, takes one seed.
 
-    Row ``r`` draws its stream, then its copula sample, from its own ``default_rng(seeds[r])``, so
-    it does not depend on the others; the pricing then runs once over the stacked rows.
+    Row ``r`` draws its stream, then its copula sample, from its own
+    ``default_rng(seeds[r])``, so it does not depend on the others. Each
+    step writes every row's draws into one block array, then transforms the
+    whole block at once; the pricing also runs once over the stacked rows.
     """
-    for row, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        row_times, row_to_b = _stream(spec, rng)
-        if row == 0:  # the block's arrays, allocated once; rows share the first stream's length
-            shape = (len(seeds), row_times.size)
-            times, to_b, uv = np.empty(shape), np.empty(shape, dtype=bool), np.empty((2, *shape))
-        times[row], to_b[row] = row_times, row_to_b
-        del row_times, row_to_b  # held through sampling, they lift simulate's traced peak from 54 to 58 B/event
-        uv[:, row] = sample_uniform(spec.model, times.shape[1], rng).T
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    times, to_b = _streams(spec, rngs)
+    # one contiguous (k, n) array of draws per coordinate: scipy's ppf copies a strided
+    # input again, which lifted simulate's traced peak with scipy margins by 8 B/event
+    uv = _sample_block(spec.model, times.shape[1], rngs).transpose(2, 0, 1).copy()
+    del rngs  # about 0.9 kB each: held through pricing, they lift a default block's traced peak by 1 B/event
     return _events(spec, times, to_b, uv)
 
 

@@ -351,8 +351,9 @@ def test_kendall_rows_exact_with_ties_past_int64_products():
     assert (cmd[0], untied[0]) == expected
 
 
-def test_dense_comparison_sized_by_the_dense_rows():
-    # a 10-return row beside a 3000-return one: a comparison matrix as wide as the block traces 9 MB
+def test_rank_pass_peak_with_a_long_row_beside_a_short_one():
+    # a 3000-return row beside a 10-return one: the stacked rank pass works on (4, 3000) arrays
+    # of the padded block and traces about 0.5 MB, so the bound leaves room but no O(n^2) matrix
     rx, ry = np.random.default_rng(0).standard_normal((2, 2, 3000))
     tracemalloc.start()
     try:

@@ -207,7 +207,9 @@ class TestBoundedMemory:
         n, seeds = 350, [[0, 0, r] for r in range(_block_reps(700))]
         spec = SimSpec(model=copula("clayton"), margins=STANDARD_NORMAL, lambda1=1.0, lambda2=1.0,
                        n1=n, n2=n)
-        assert traced_peak(_uncorrected_taus, spec, seeds) <= 64 * len(seeds) * 2 * n
+        # it traces about 49.2 B/event, at pricing; a pricing step that allocated where it now
+        # works in place would add a float64 array of the block's shape, 8 B/event, and fail
+        assert traced_peak(_uncorrected_taus, spec, seeds) <= 52 * len(seeds) * 2 * n
 
     @pytest.mark.parametrize("pairing", [pair_ticks, lambda a, b: pair_previous_tick(a, b, 2.0)],
                              ids=["pair_ticks", "pair_previous_tick"])
