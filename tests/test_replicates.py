@@ -112,7 +112,7 @@ class TestFrozenOutputs:
 
 
 class TestFrozenSimulator:
-    """``simulate`` and the pairings pinned bit for bit, below the studies built on them.
+    """``simulate``, replicate blocks, ``sample_uniform`` and the pairings pinned bit for bit, below the studies.
 
     Both margins of the simulator are used, a scaled and shifted normal and a
     t; tau 0.5 gives Clayton and Gumbel exponents of -0.5, 0.5, 1 and 2.
