@@ -32,7 +32,7 @@ from scipy import special
 from .copulas import FAMILIES, param_of_tau
 from .errors import CalibrationFailure, InvalidParameter
 from .estimators import _kendall_rows, corrected_correlation, kendall_tau
-from .pairing import PairedSeries, _tick_pairs, pair_ticks
+from .pairing import SCHEME_PAIRED, PairedSeries, _tick_pairs, pair_ticks
 from .synthesis import RNG_NAME, SimSpec, _run_cells, _simulate, simulate
 
 __all__ = [
@@ -227,39 +227,97 @@ def _uncorrected_tau(sim) -> float:
     return kendall_tau(pair_ticks(sim.a, sim.b), basis="all-pairs").tau_hat
 
 
+def _replay(spec, seed) -> PairedSeries:
+    """``pair_ticks`` of one seed's sample, simulated and paired alone, as a loop over the seeds would."""
+    sim = simulate(replace(spec, seed=seed))
+    return pair_ticks(sim.a, sim.b)
+
+
+def _pair_rows(ev):
+    """Tick-retaining pairs of each row of an event block, and the rows they may not stand for.
+
+    Returns ``(row, i1, i2)`` as :func:`~tickcopula.pairing._tick_pairs`
+    gives them, each row's pair count, and ``ok``: false on a row that a
+    replicate's own checks might reject, or whose pairs may differ from
+    ``pair_ticks`` of its sample. Those are the rows with a non-finite or
+    tied tick time, a non-finite price, or fewer than 2 pairs, which is what
+    disjoint supports leave (``pair_ticks`` raises :class:`NoOverlap` there).
+    """
+    ok = (np.isfinite(ev.times) & np.isfinite(ev.log_x) & np.isfinite(ev.log_y)).all(axis=1)
+    ok &= (ev.times[:, 1:] > ev.times[:, :-1]).all(axis=1)
+    pairs = _tick_pairs(ev.times, ~ev.to_b)
+    n_pairs = np.bincount(pairs[0], minlength=ok.size)
+    return pairs, n_pairs, ok & (n_pairs >= 2)
+
+
+def _gather(pairs, n_pairs, to_b, a, b) -> np.ndarray:
+    """NaN-padded ``(2, k, width)`` rows of a per-event column, read at each row's pairs.
+
+    ``a`` and ``b`` have the block's ``(k, n)`` shape; asset 1's ticks are
+    read from ``a`` and asset 2's, those ``to_b`` marks, from ``b``. Row
+    ``r`` holds its ``n_pairs[r]`` pairs in order, then NaN.
+    """
+    row, i1, i2 = pairs
+    k = n_pairs.size
+    col = np.arange(row.size) - (np.cumsum(n_pairs) - n_pairs)[row]
+    out = np.full((2, k, n_pairs.max()), np.nan)
+    out[0, row, col] = a[~to_b].reshape(k, -1)[row, i1]
+    out[1, row, col] = b[to_b].reshape(k, -1)[row, i2]
+    return out
+
+
+def _block_taus(d: np.ndarray, n_pairs: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Each row's Kendall tau of the returns ``d``, NaN on a row that must replay alone.
+
+    Row ``r`` of ``d`` holds ``n_pairs[r] - 1`` returns, then padding, which
+    :func:`_kendall_rows` counts. A row replays where ``ok`` rejects it,
+    where a return is infinite, or where no two returns are comparable.
+    """
+    ok = ok & ~np.isinf(d).any(axis=(0, 2))
+    cmd, untied = _kendall_rows(d[:, ok], n_pairs[ok] - 1)
+    ok[ok] = untied > 0
+    taus = np.full(ok.size, np.nan)
+    taus[ok] = cmd[untied > 0] / untied[untied > 0]
+    return taus
+
+
 def _uncorrected_taus(spec, seeds) -> np.ndarray:
     """``_uncorrected_tau`` of each seed's sample, the block simulated, paired and counted at once.
 
-    The events come from one ``_simulate(spec, seeds)``; the pair prices
-    fill one NaN-padded ``(2, seeds, width)`` array, whose differences along
-    the rows :func:`_kendall_rows` counts. A row that a replicate's own
-    checks might reject (a non-finite or tied tick time or price, an
-    infinite return, no comparable return pair) is replayed alone through
-    ``_uncorrected_tau``. Rows replay in seed order, so the first failing
+    The events come from one ``_simulate(spec, seeds)``, the pairs from
+    :func:`_pair_rows`, and :func:`_block_taus` counts the returns of the
+    prices :func:`_gather` reads at them. A row the count leaves NaN is
+    replayed alone. Rows replay in seed order, so the first failing
     replicate raises its own error, as in a loop over the seeds.
     """
     ev = _simulate(spec, seeds)
-    k = len(seeds)
-    ok = (np.isfinite(ev.times) & np.isfinite(ev.log_x) & np.isfinite(ev.log_y)).all(axis=1)
-    ok &= (ev.times[:, 1:] > ev.times[:, :-1]).all(axis=1)
-    from_a = ~ev.to_b
-    row, i1, i2 = _tick_pairs(ev.times, from_a)
-    n_pairs = np.bincount(row, minlength=k)
-    col = np.arange(row.size) - (np.cumsum(n_pairs) - n_pairs)[row]
-    xy = np.full((2, k, n_pairs.max()), np.nan)
-    xy[0, row, col] = ev.log_x[from_a].reshape(k, -1)[row, i1]
-    xy[1, row, col] = ev.log_y[ev.to_b].reshape(k, -1)[row, i2]
-    del ev, from_a, row, col, i1, i2  # the Kendall count needs only the returns
+    pairs, n_pairs, ok = _pair_rows(ev)
+    xy = _gather(pairs, n_pairs, ev.to_b, ev.log_x, ev.log_y)
+    del ev, pairs  # the Kendall count needs only the returns
     with np.errstate(invalid="ignore"):  # inf - inf; such rows replay alone below
         xy = np.diff(xy, axis=2)  # the returns
-    ok &= ~np.isinf(xy).any(axis=(0, 2))
-    taus = np.full(k, np.nan)
-    cmd, untied = _kendall_rows(xy[:, ok], n_pairs[ok] - 1)
-    ok[ok] = untied > 0
-    taus[ok] = cmd[untied > 0] / untied[untied > 0]
-    for r in np.flatnonzero(~ok):
-        taus[r] = _uncorrected_tau(simulate(replace(spec, seed=seeds[r])))
+    taus = _block_taus(xy, n_pairs, ok)
+    for r in np.flatnonzero(np.isnan(taus)):
+        taus[r] = kendall_tau(_replay(spec, seeds[r])).tau_hat
     return taus
+
+
+def _paired_rows(spec, seeds) -> tuple[list, tuple]:
+    """``pair_ticks`` of each seed's sample, from one simulated block, and the block's returns.
+
+    Returns each row's :class:`PairedSeries`, which holds the values its own
+    ``pair_ticks`` would, bit for bit, or ``None`` on a row that
+    :func:`_pair_rows` rejects, for the caller to :func:`_replay` in its
+    turn; and the arguments of :func:`_block_taus` for the block.
+    """
+    ev = _simulate(spec, seeds)
+    pairs, n_pairs, ok = _pair_rows(ev)
+    t = _gather(pairs, n_pairs, ev.to_b, ev.times, ev.times)
+    xy = _gather(pairs, n_pairs, ev.to_b, ev.log_x, ev.log_y)
+    rows = [PairedSeries(t1=t[0, r, :n], x=xy[0, r, :n], t2=t[1, r, :n], y=xy[1, r, :n], scheme=SCHEME_PAIRED,
+                         n_raw1=spec.n1, n_raw2=spec.n2) if ok[r] else None for r, n in enumerate(n_pairs)]
+    with np.errstate(invalid="ignore"):  # inf - inf, on a rejected row
+        return rows, (np.diff(xy, axis=2), n_pairs, ok)
 
 
 def build_curve(

@@ -189,12 +189,10 @@ def _first_unparsable(lines, k, exc):
 
 def _tick_checks(columns):
     times, prices = columns
-    with np.errstate(invalid="ignore"):  # inf - inf; such rows fail as non-finite
-        step = np.diff(times, prepend=-np.inf)
     return [
         (prices <= 0.0, "row {row}: non-positive price {fields[1]}"),
-        (step == 0.0, "duplicate time at row {row}"),
-        (step < 0.0, "non-monotone time at row {row}"),
+        (np.r_[False, times[1:] == times[:-1]], "duplicate time at row {row}"),
+        (np.r_[False, times[1:] < times[:-1]], "non-monotone time at row {row}"),
     ]
 
 

@@ -362,5 +362,10 @@ def _run_cells(specs, n_rep, seed_prefix, estimate, *, pool=False) -> np.ndarray
 
 
 def _per_sample(estimate):
-    """A block estimator that simulates each seed alone and applies ``estimate(sim)``."""
+    """A block estimator that simulates each seed alone and applies ``estimate(sim)``.
+
+    Only ``gaussian_estimator_study`` (Tables 1 and 2) runs on it, so that
+    perfbench's spans time its ``simulate`` and ``pair_ticks`` calls; the
+    other studies simulate and pair whole blocks.
+    """
     return lambda spec, seeds: [estimate(simulate(replace(spec, seed=seed))) for seed in seeds]

@@ -12,6 +12,9 @@ import numpy as np
 from .arrival_theory import PoissonPair
 from .calibration import (
     CalibrationFailure,
+    _block_taus,
+    _paired_rows,
+    _replay,
     build_curve,
     interval_misspecified,
     interval_quad,
@@ -44,8 +47,8 @@ def _at_rate(model, margins, n_ticks: int) -> SimSpec:
     return SimSpec(model=model, margins=margins, lambda1=_RATE, lambda2=_RATE, n1=n_ticks, n2=n_ticks)
 
 
-def _uncorrected_and_corrected(sim):
-    cc = corrected_correlation(pair_ticks(sim.a, sim.b))
+def _uncorrected_and_corrected(paired):
+    cc = corrected_correlation(paired)
     return cc.rho_hat, cc.theta_hat
 
 
@@ -55,7 +58,7 @@ def _one_replicate(sim):
     Refresh-time pairs hold the tick-retaining price pairs, so the refresh
     estimate is the uncorrected correlation.
     """
-    refresh, corrected = _uncorrected_and_corrected(sim)
+    refresh, corrected = _uncorrected_and_corrected(pair_ticks(sim.a, sim.b))
     try:
         prev = pair_previous_tick(sim.a, sim.b, PREV_TICK_DELTA_FACTOR / _RATE)
         px, py = prev.returns()
@@ -96,8 +99,12 @@ def gaussian_estimator_study(
 def t_copula_margin_study(n_rep: int = 100, seed: int = 2) -> list[dict]:
     """Uncorrected vs corrected estimates under a t(8) copula at rho = -0.4, varied margins.
 
-    Each sample has 2000 ticks per asset. The replicates run on the fork
-    pool of :func:`_run_cells`, with the in-process result bit for bit.
+    Each sample has 2000 ticks per asset. Each block of replicates is
+    simulated and paired at once, and each row's pairs estimated on their
+    own; a row the block may not stand for is simulated and paired alone, in
+    its turn, so the rows and errors are a per-seed loop's. The blocks run
+    on the fork pool of :func:`_run_cells`, with the in-process result bit
+    for bit.
     """
     margin_rows = [
         ("t(5), t(7)", (_TMargin(5), _TMargin(7))),
@@ -106,7 +113,7 @@ def t_copula_margin_study(n_rep: int = 100, seed: int = 2) -> list[dict]:
     ]
     model = CopulaModel("student_t", -0.4, df=8)
     ests = _run_cells([_at_rate(model, margins, 2000) for _, margins in margin_rows], n_rep, [seed],
-                      _per_sample(_uncorrected_and_corrected), pool=True)
+                      _corrected_rows, pool=True)
     rows = []
     for (label, _), cell in zip(margin_rows, ests):
         unc, cor = cell.T
@@ -122,13 +129,34 @@ def t_copula_margin_study(n_rep: int = 100, seed: int = 2) -> list[dict]:
     return rows
 
 
+def _corrected_rows(spec, seeds):
+    """:func:`_uncorrected_and_corrected` of each seed's sample, paired in one block; a rejected row replays alone."""
+    rows, _ = _paired_rows(spec, seeds)
+    return [_uncorrected_and_corrected(_replay(spec, seed) if paired is None else paired)
+            for paired, seed in zip(rows, seeds)]
+
+
 _METHODS = ("quad", "quantile", "elliptical")
 
 
-def _interval_bounds(sim, curve):
-    """``[lo, hi]`` of each interval method on one sample; NaN where it failed."""
-    paired = pair_ticks(sim.a, sim.b)
-    tau_obs = kendall_tau(paired, basis="all-pairs").tau_hat
+def _coverage_bounds(spec, seeds, curve):
+    """:func:`_interval_bounds` of each seed's sample, paired and counted in one block.
+
+    A row whose tau the block leaves NaN is simulated, paired and counted
+    alone in its turn, as in a loop over the seeds.
+    """
+    rows, returns = _paired_rows(spec, seeds)
+    bounds = []
+    for paired, tau_obs, seed in zip(rows, _block_taus(*returns), seeds):
+        if np.isnan(tau_obs):
+            paired = _replay(spec, seed)
+            tau_obs = kendall_tau(paired).tau_hat
+        bounds.append(_interval_bounds(paired, tau_obs, curve))
+    return bounds
+
+
+def _interval_bounds(paired, tau_obs, curve):
+    """``[lo, hi]`` of each interval method on one sample's pairs and tau; NaN where it failed."""
     methods = (
         lambda: interval_quad(curve, tau_obs),
         lambda: interval_quantile(curve, tau_obs),
@@ -162,8 +190,11 @@ def coverage_study(
     a miss, adds no length, and is counted in the row's
     ``n_fail_<method>``. The misspecified-elliptical method runs on the
     refresh-time synchronized series, the object a naive Gaussian analysis
-    would use. The curves and the per-sample replicates run on the fork
-    pool of :func:`_run_cells`.
+    would use. Each block of replicates is simulated, paired and counted at
+    once, as a curve's is; the intervals then run on each row's pairs and
+    tau, and a row the block may not stand for is simulated, paired and
+    counted alone, in its turn. The curves and the replicate blocks run on
+    the fork pool of :func:`_run_cells`.
     """
     _check_n_rep(n_rep)  # before the curves, the costly part
     arrival = PoissonPair(_RATE, _RATE)
@@ -180,7 +211,7 @@ def coverage_study(
         )
         bounds = _run_cells(
             [_at_rate(param_of_tau(family, tau), STANDARD_NORMAL, n_ticks) for tau in taus],
-            n_rep, [seed, 17 + fi], _per_sample(lambda sim: _interval_bounds(sim, curve)), pool=True,
+            n_rep, [seed, 17 + fi], lambda spec, seeds: _coverage_bounds(spec, seeds, curve), pool=True,
         ).reshape(len(taus), n_rep, len(_METHODS), 2)
         for tau_true, cell in zip(taus, bounds):
             lo, hi = cell[..., 0], cell[..., 1]

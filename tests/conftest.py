@@ -34,6 +34,44 @@ def rows_apart_in_se(x, y) -> float:
     return float(abs(x.mean() - y.mean()) / se)
 
 
+class InfiniteTail:
+    """Normal quantiles, but infinite above 0.99: a price, paired or not, turns non-finite."""
+
+    def ppf(self, u):
+        return np.where(u > 0.99, np.inf, stats.norm.ppf(u))
+
+
+class HugeTails:
+    """Innovations of +-1.2e308 in the tails: prices stay finite, a return between them may not."""
+
+    def ppf(self, u):
+        return np.where(np.abs(u - 0.5) > 0.45, np.sign(u - 0.5) * 1.2e308, 0.0)
+
+
+def gaussian_tau_oracle(rho, t1, t2) -> float:
+    """E[tau_hat] of tick-retaining pairs at times ``t1``/``t2``, given the stream, under a Gaussian copula.
+
+    With the Gaussian copula of correlation ``rho`` and zero-mean normal
+    margins, the two log-price lattices are Brownian motions of correlation
+    ``rho`` sampled at the event times. Asset 1's i-th return spans
+    ``l1_i``, asset 2's ``l2_i``, and ``o_ij`` is the overlap of asset 1's
+    i-th return interval with asset 2's j-th. The differences of returns i
+    and j are then bivariate normal, of correlation
+    ``rho * c_ij / sqrt(v_ij * w_ij)`` with ``c_ij = o_ii + o_jj - o_ij - o_ji``,
+    ``v_ij = l1_i + l1_j`` and ``w_ij = l2_i + l2_j``, so the pair is
+    concordant in mean ``(2 / pi) * arcsin`` of it. Every pair i < j is
+    evaluated, in memory quadratic in the pairs.
+    """
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    l1, l2 = np.diff(t1), np.diff(t2)
+    o = np.minimum(t1[1:, None], t2[None, 1:]) - np.maximum(t1[:-1, None], t2[None, :-1])
+    np.maximum(o, 0.0, out=o)
+    own = np.diag(o)
+    c = own[:, None] + own[None, :] - o - o.T
+    corr = rho * c / np.sqrt((l1[:, None] + l1[None, :]) * (l2[:, None] + l2[None, :]))
+    return float(np.mean(2.0 / np.pi * np.arcsin(corr[np.triu_indices(l1.size, k=1)])))
+
+
 def make_series(times, log_prices=None):
     times = np.asarray(times, dtype=float)
     if log_prices is None:

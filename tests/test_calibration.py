@@ -7,6 +7,7 @@ from scipy import stats
 
 from tickcopula import (
     CalibrationFailure,
+    CopulaModel,
     CorrectionCurve,
     InvalidParameter,
     PoissonPair,
@@ -24,9 +25,18 @@ from tickcopula import (
     sample_uniform,
     simulate,
 )
-from tickcopula.calibration import _invert_fit, _uncorrected_tau, _uncorrected_taus
+from tickcopula.calibration import (
+    _block_taus,
+    _gather,
+    _invert_fit,
+    _pair_rows,
+    _uncorrected_tau,
+    _uncorrected_taus,
+)
+from tickcopula.copulas import _sample_block
+from tickcopula.synthesis import _events, _Events, _streams
 
-from conftest import rows_apart_in_se
+from conftest import HugeTails, InfiniteTail, gaussian_tau_oracle, rows_apart_in_se
 
 STD_MARGINS = (stats.norm(), stats.norm())
 
@@ -363,26 +373,12 @@ class TestBuildCurve:
         assert abs(c) < 0.05
 
 
-class _InfiniteTail:
-    """Normal quantiles, but infinite above 0.99: a price, paired or not, turns non-finite."""
-
-    def ppf(self, u):
-        return np.where(u > 0.99, np.inf, stats.norm.ppf(u))
-
-
-class _HugeTails:
-    """Innovations of +-1.2e308 in the tails: prices stay finite, a return between them may not."""
-
-    def ppf(self, u):
-        return np.where(np.abs(u - 0.5) > 0.45, np.sign(u - 0.5) * 1.2e308, 0.0)
-
-
 @pytest.mark.parametrize("margins, n, family, prefixes, expected", [
     (STD_MARGINS, 2, "clayton", range(12), {("InsufficientData", 0), ("NoOverlap", 0)}),
     # at prefixes 145 and 176 the first infinite price is an unpaired tick
-    ((_InfiniteTail(), stats.norm()), 30, "clayton", [*range(12), 145, 176],
+    ((InfiniteTail(), stats.norm()), 30, "clayton", [*range(12), 145, 176],
      {("MalformedInput", 3), ("MalformedInput", 0), ("MalformedInput", 2)}),
-    ((stats.norm(), _HugeTails()), 30, "gumbel", range(12), {("InvalidParameter", 1)}),
+    ((stats.norm(), HugeTails()), 30, "gumbel", range(12), {("InvalidParameter", 1)}),
 ], ids=["tiny", "infinite-price", "infinite-return"])
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_block_taus_fail_as_a_loop_over_seeds(margins, n, family, prefixes, expected):
@@ -404,3 +400,27 @@ def test_block_taus_fail_as_a_loop_over_seeds(margins, n, family, prefixes, expe
         if seeds:
             assert _uncorrected_taus(spec, seeds).tolist() == taus
     assert expected <= seen
+
+
+def test_gaussian_bias_map_matches_its_conditional_mean():
+    """Copula redraws priced on one stream, paired once: their mean tau is the stream's exact conditional mean."""
+    rho, n_redraws = 0.7, 400
+    spec = SimSpec(model=CopulaModel("gaussian", rho), margins=STD_MARGINS, lambda1=1.0, lambda2=3.0,
+                   n1=300, n2=900)
+    times, to_b = _streams(spec, [np.random.default_rng(2026)])
+    rngs = [np.random.default_rng([2026, r]) for r in range(n_redraws)]
+    uv = _sample_block(spec.model, times.shape[1], rngs).transpose(2, 0, 1).copy()
+    ev = _events(spec, np.repeat(times, n_redraws, axis=0), np.repeat(to_b, n_redraws, axis=0), uv)
+    pairs, n_pairs, ok = _pair_rows(_Events(times, to_b, ev.log_x[:1], ev.log_y[:1]))
+    assert ok.all()
+    # every redraw reads its prices at the stream's one set of pairs
+    n = int(n_pairs[0])
+    every = np.full(n_redraws, n)
+    _, i1, i2 = pairs
+    xy = _gather((np.repeat(np.arange(n_redraws), n), np.tile(i1, n_redraws), np.tile(i2, n_redraws)), every,
+                 ev.to_b, ev.log_x, ev.log_y)
+    taus = _block_taus(np.diff(xy, axis=2), every, np.ones(n_redraws, dtype=bool))
+    t1, t2 = _gather(pairs, n_pairs, to_b, times, times)[:, 0]
+    exact = gaussian_tau_oracle(rho, t1, t2)
+    assert abs(taus.mean() - exact) < 3 * taus.std(ddof=1) / np.sqrt(n_redraws)
+    assert exact < 0.8 * (2 / np.pi) * np.arcsin(rho)  # well below the true tau: asynchronicity biases it

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from tickcopula import (
     InvalidParameter,
+    MalformedInput,
     PairedSeries,
     SimSpec,
     TickSeries,
@@ -29,7 +30,7 @@ from tickcopula import (
     simulate,
 )
 from tickcopula.cli import _write_json, main, parse_margin, read_paired_csv, write_paired_csv
-from tickcopula.market_data import _CHUNK_ROWS, load_ticks
+from tickcopula.market_data import _CHUNK_ROWS, _read_columns, _tick_checks, load_ticks
 from tickcopula.synthesis import _fork_workers
 
 from conftest import poisson_ticks, rows_apart_in_se, seeded_day, traced_peak
@@ -858,6 +859,15 @@ class TestBoundedMemory:
         path = tmp_path / "p.csv"
         write_paired_csv(path, synthetic_pairs(n), {"seed": 1})
         assert traced_peak(read_paired_csv, path) < 1.5 * (4 * 8 * n)  # four float64 columns
+
+    def test_tick_read_peak_follows_the_parsed_columns(self, tmp_path):
+        # the parse peaks at about 1.26 times the two columns; a check that copies the
+        # time column (a prepended difference did, to 2.07 times) fails the bound
+        n = 20_000
+        path = tmp_path / "t.csv"
+        save_ticks(poisson_ticks(np.random.default_rng(1), 1.0, n), path)
+        peak = traced_peak(_read_columns, path, ("time", "price"), MalformedInput, _tick_checks)
+        assert peak < 1.5 * (2 * 8 * n)
 
     def test_writer_peaks_stop_growing_past_one_chunk(self, tmp_path):
         # Past one chunk, only the numeric columns the writers compute grow the

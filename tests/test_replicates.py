@@ -9,6 +9,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import threading
 import time
 from dataclasses import replace
@@ -22,6 +23,7 @@ from tickcopula import (
     CopulaModel,
     InsufficientData,
     InvalidParameter,
+    NoOverlap,
     PoissonPair,
     SimSpec,
     build_curve,
@@ -34,7 +36,10 @@ from tickcopula import (
     pair_ticks,
     param_of_tau,
     sample_uniform,
+    TickCopulaError,
+    calibration,
     simulate,
+    tables,
 )
 from tickcopula.calibration import _uncorrected_taus
 from tickcopula.synthesis import (
@@ -54,7 +59,7 @@ from tickcopula.tables import (
     t_copula_margin_study,
 )
 
-from conftest import traced_peak
+from conftest import HugeTails, InfiniteTail, traced_peak
 
 FAMILIES = ("gaussian", "student_t", "clayton", "gumbel")
 COVERAGE_KEYS = ("family", "tau", "n_rep", "cp_quad", "len_quad", "cp_quantile",
@@ -182,6 +187,114 @@ class TestFrozenSimulator:
     def test_sample_uniform(self, family, digest):
         uv = sample_uniform(copula(family), 1000, np.random.default_rng(3))
         assert uv.shape == (1000, 2) and arrays_sha256(uv) == digest
+
+
+class TestStudyBlocks:
+    """Table 3's and coverage's replicate blocks against a loop that simulates and pairs each seed alone."""
+
+    SPECS = {
+        "table3": SimSpec(model=CopulaModel("student_t", -0.4, df=8), margins=(_TMargin(5), _TMargin(7)),
+                          lambda1=1.0, lambda2=2.0, n1=400, n2=600),
+        "coverage": SimSpec(model=param_of_tau("clayton", 0.3), margins=STANDARD_NORMAL, lambda1=1.0,
+                            lambda2=1.0, n1=350, n2=350),
+    }
+    SEEDS = [[5, r] for r in range(8)]
+
+    @pytest.fixture(scope="class")
+    def curve(self):
+        return build_curve("clayton", PoissonPair(1, 1), STANDARD_NORMAL, grid=np.linspace(0.02, 0.75, 5),
+                           n_rep=50, seed=0)
+
+    @staticmethod
+    def block(study, spec, seeds, curve):
+        if study == "table3":
+            return tables._corrected_rows(spec, seeds)
+        return tables._coverage_bounds(spec, seeds, curve)
+
+    @staticmethod
+    def loop(study, spec, seeds, curve):
+        out = []
+        for seed in seeds:
+            sim = simulate(replace(spec, seed=seed))
+            paired = pair_ticks(sim.a, sim.b)
+            if study == "table3":
+                out.append(tables._uncorrected_and_corrected(paired))
+            else:
+                out.append(tables._interval_bounds(paired, kendall_tau(paired).tau_hat, curve))
+        return out
+
+    @staticmethod
+    def rows_bytes(rows):
+        return np.asarray(rows, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("replayed", [None, 2], ids=["all-in-block", "row-2-replayed"])
+    @pytest.mark.parametrize("study", ["table3", "coverage"])
+    def test_rows_equal_the_loop(self, study, replayed, curve, monkeypatch):
+        spec = self.SPECS[study]
+        expected = self.rows_bytes(self.loop(study, spec, self.SEEDS, curve))
+        pair_rows = calibration._pair_rows
+
+        def one_rejected(ev):
+            pairs, n_pairs, ok = pair_rows(ev)
+            ok[replayed] = False
+            return pairs, n_pairs, ok
+
+        if replayed is not None:
+            monkeypatch.setattr(calibration, "_pair_rows", one_rejected)
+        calls = []
+
+        def spy(name):
+            original = getattr(calibration, name)
+
+            def recorded(*args):
+                calls.append((name, args[0].seed if name == "simulate" else None))
+                return original(*args)
+            return recorded
+
+        for name in ("simulate", "pair_ticks"):
+            monkeypatch.setattr(calibration, name, spy(name))
+        assert self.rows_bytes(self.block(study, spec, self.SEEDS, curve)) == expected
+        # only a rejected row is simulated and paired alone
+        assert calls == ([] if replayed is None else [("simulate", self.SEEDS[replayed]), ("pair_ticks", None)])
+
+    @pytest.mark.parametrize("margins, n, expected", [
+        # 2 ticks a side: disjoint supports, or too few pairs
+        (STANDARD_NORMAL, 2, {"NoOverlap", "InsufficientData"}),
+        ((InfiniteTail(), STANDARD_NORMAL[1]), 30, {"MalformedInput"}),
+        ((STANDARD_NORMAL[0], HugeTails()), 30, {"InvalidParameter"}),
+    ], ids=["tiny", "infinite-price", "infinite-return"])
+    @pytest.mark.parametrize("study", ["table3", "coverage"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_fails_as_the_loop(self, study, margins, n, expected, curve):
+        """The block returns, or raises, what the loop does, at the same replicate."""
+        spec = SimSpec(model=param_of_tau("clayton", 0.4), margins=margins, lambda1=1.0, lambda2=1.0, n1=n, n2=n)
+        seen = set()
+        for prefix in range(12):
+            seeds = [[prefix, r] for r in range(10)]
+            rows = []
+            try:
+                for seed in seeds:
+                    rows += self.loop(study, spec, [seed], curve)
+            except TickCopulaError as exc:
+                seen.add(type(exc).__name__)
+                for first in (seeds, seeds[: len(rows) + 1]):
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        self.block(study, spec, first, curve)
+            if rows:
+                assert self.rows_bytes(self.block(study, spec, seeds[: len(rows)], curve)) == self.rows_bytes(rows)
+        assert expected <= seen
+
+    @pytest.mark.parametrize("study", ["table3", "coverage"])
+    def test_disjoint_supports_raise_no_overlap(self, study, curve):
+        spec = SimSpec(model=param_of_tau("clayton", 0.4), margins=STANDARD_NORMAL, lambda1=1.0, lambda2=1.0,
+                       n1=2, n2=2)
+        # with 2 ticks a side, the supports are disjoint where the first two ticks are one asset's
+        to_b = _simulate(spec, [[0, r] for r in range(100)]).to_b
+        seed = [0, int(np.flatnonzero(to_b[:, 0] == to_b[:, 1])[0])]
+        with pytest.raises(NoOverlap) as loop_error:
+            self.loop(study, spec, [seed], curve)
+        with pytest.raises(NoOverlap, match=f"^{re.escape(str(loop_error.value))}$"):
+            self.block(study, spec, [seed], curve)
 
 
 class TestBoundedMemory:
