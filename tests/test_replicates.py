@@ -9,7 +9,9 @@ import hashlib
 import json
 import multiprocessing
 import os
+import platform
 import re
+import resource
 import threading
 import time
 from dataclasses import replace
@@ -481,6 +483,26 @@ class TestForkPool:
         with pytest.raises(InvalidParameter, match="every block fails"):
             _run_cells(self.CELLS, 5 * self.BLOCK, [0], fail, pool=True)
         assert multiprocessing.active_children() == []
+
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or len(os.sched_getaffinity(0)) < 2,
+                        reason="the allocator settings are glibc's, and one CPU runs the blocks in-process")
+    @pytest.mark.parametrize("n_ticks, n_cells, n_rep, max_faults", [
+        (350, 12, 100, 9_000),  # the default curve's 24 blocks of 50
+        (100_000, 2, 2, 14_000),  # 4 blocks of one replicate, each array above 128 KiB
+    ], ids=["350-ticks", "100k-ticks"])
+    def test_workers_keep_the_pages_they_free(self, monkeypatch, n_ticks, n_cells, n_rep, max_faults):
+        # Two workers that keep their freed pages fault 3.8k and 7.9k pages in (4.9k and 9.1k
+        # after the whole suite, whose heap the workers share copy-on-write). Where glibc trims
+        # the heap after a block and mmaps each large array, they fault 13.8k-18.6k and 19.6k;
+        # with the trim threshold alone raised, 3.9k and 18.6k-24.3k; with the mmap threshold
+        # alone, 19.2k and 18.9k.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        specs = [SimSpec(model=param_of_tau("clayton", float(tau)), margins=STANDARD_NORMAL, lambda1=1.0,
+                         lambda2=1.0, n1=n_ticks, n2=n_ticks) for tau in np.linspace(0.05, 0.7, n_cells)]
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        _run_cells(specs, n_rep, [0], _uncorrected_taus, pool=True)
+        assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before <= max_faults
 
 
 class TestShares:
