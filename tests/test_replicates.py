@@ -484,7 +484,6 @@ class TestForkPool:
             _run_cells(self.CELLS, 5 * self.BLOCK, [0], fail, pool=True)
         assert multiprocessing.active_children() == []
 
-
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or len(os.sched_getaffinity(0)) < 2,
                         reason="the allocator settings are glibc's, and one CPU runs the blocks in-process")
     @pytest.mark.parametrize("n_ticks, n_cells, n_rep, max_faults", [
