@@ -15,6 +15,11 @@ a timestamp but ride on dependent price paths.
 from __future__ import annotations
 
 import ctypes
+import multiprocessing
+# the fork pool's pipes and process launcher: imported with the package, not
+# in a study's first pooled call, where they grew the heap that call measures
+import multiprocessing.connection
+import multiprocessing.popen_fork
 import operator
 import os
 from dataclasses import dataclass, replace
@@ -251,11 +256,11 @@ def _block_reps(n_events: int) -> int:
 def _fork_workers(n_tasks: int) -> int:
     """Processes for ``n_tasks`` blocks: one per CPU in this process's affinity mask, at most one per block.
 
-    1 (run in-process) where ``fork`` or the affinity mask is unavailable,
-    and inside a worker process, whose CPUs its parent already shares out.
+    Where the calling process runs a share (``in_parent``, :func:`_fork_map`),
+    it is one of them. 1 (run in-process) where ``fork`` or the affinity
+    mask is unavailable, and inside a worker process, whose CPUs its parent
+    already shares out.
     """
-    import multiprocessing
-
     if (not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.parent_process() is not None):
         return 1
@@ -270,6 +275,17 @@ try:
 except (AttributeError, OSError, ValueError):  # no confstr, no such name, or no such symbol
     _MALLOPT = None
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # <malloc.h>
+
+
+def _run_tasks(block, share) -> tuple[list, Exception | None]:
+    """``block(i)`` for each ``i`` of ``share`` in order, up to the first error: ``(results, error or None)``."""
+    results = []
+    try:
+        for i in share:
+            results.append(block(i))
+    except Exception as exc:
+        return results, exc
+    return results, None
 
 
 def _run_share(block, share, writer) -> None:
@@ -287,55 +303,59 @@ def _run_share(block, share, writer) -> None:
     block. And setting either switches off the dynamic mmap threshold, so
     the trim threshold alone would leave every array above 128 KiB to a
     fresh mmap. Where glibc refuses 32 MiB (32-bit glibc caps it at 512
-    KiB), neither is set. The parent's allocator is left alone.
+    KiB), neither is set. The parent's allocator is left alone, also while
+    it runs a share of its own.
     """
     if _MALLOPT is not None and _MALLOPT(_M_MMAP_THRESHOLD, 32 << 20):
         _MALLOPT(_M_TRIM_THRESHOLD, 2**31 - 1)  # the largest int
-    results, error = [], None
-    try:
-        for i in share:
-            results.append(block(i))
-    except Exception as exc:  # the parent raises it, caused by this traceback
+    results, error = _run_tasks(block, share)
+    if error is not None:  # the parent raises it, caused by this traceback
         from multiprocessing.pool import ExceptionWithTraceback
 
-        error = ExceptionWithTraceback(exc, exc.__traceback__)
+        error = ExceptionWithTraceback(error, error.__traceback__)
     writer.send((results, error))
 
 
-def _fork_map(block, n_tasks: int, workers: int) -> list:
-    """``[block(i) for i in range(n_tasks)]`` on ``workers`` forked processes, in task order.
+def _fork_map(block, n_tasks: int, workers: int, *, in_parent=False) -> list:
+    """``[block(i) for i in range(n_tasks)]`` in ``workers`` shares, each in its own process, in task order.
 
-    Worker ``w`` is dealt tasks ``w, w + workers, ...``, so share lengths
-    differ by at most one and every share draws from every part of the task
-    list. Each share runs in its own forked process, which sends its results
+    Share ``w`` holds tasks ``w, w + workers, ...``, so share lengths differ
+    by at most one and every share draws from every part of the task list.
+    Each share runs in a forked worker process, which sends its results
     back once through a one-way pipe. ``block`` reaches the workers through
-    ``fork``, not ``pickle``, so it may be a closure. The parent runs no task
-    and starts no thread. It reads every share, and as each share stops at
-    its first error, it raises the error of the lowest failing task index:
-    the first failing task in index order, as in the loop. A worker killed
-    from outside raises :class:`CalibrationFailure`. Every worker has exited
-    before this returns or raises. On glibc a worker keeps the heap pages it
-    frees until it exits (:func:`_run_share`), so the blocks of its share
-    reuse one another's memory; the parent's allocator is untouched.
+    ``fork``, not ``pickle``, so it may be a closure. By default the calling
+    process runs no task. With ``in_parent`` it forks workers for shares 1
+    to ``workers - 1`` only, runs share 0 itself, and then reads the other
+    shares in order; whatever ``block`` records in this process's memory
+    then holds for share 0 alone. Either way it starts no thread. Every
+    share stops at its first error, and the call raises the error of the
+    lowest failing task index: the first failing task in index order, as in
+    the loop. An error that is not an :class:`Exception` (a
+    ``KeyboardInterrupt``) in the parent's share propagates at once. A
+    worker killed from outside raises :class:`CalibrationFailure`. Every
+    worker has exited, killed if it still runs, before this returns or
+    raises. On glibc a worker keeps the heap pages it frees until it exits
+    (:func:`_run_share`), so the blocks of its share reuse one another's
+    memory; the parent's allocator is untouched.
     """
-    import multiprocessing
-
     context = multiprocessing.get_context("fork")
     started = []
     try:
-        for w in range(workers):
+        for w in range(1 if in_parent else 0, workers):
             reader, writer = context.Pipe(duplex=False)
             worker = context.Process(target=_run_share, args=(block, range(w, n_tasks, workers), writer))
             worker.start()
             writer.close()  # a worker's death then reads as EOF; later workers never hold this end
             started.append((worker, reader))
-        results, errors = [None] * n_tasks, {}
-        for w, (_, reader) in enumerate(started):
+        shares = [_run_tasks(block, range(0, n_tasks, workers))] if in_parent else []
+        for _, reader in started:
             try:
-                done, error = reader.recv()
+                shares.append(reader.recv())
             except EOFError:
                 raise CalibrationFailure("a worker process died before its replicate blocks finished "
                                          "(killed from outside, for example for lack of memory)") from None
+        results, errors = [None] * n_tasks, {}
+        for w, (done, error) in enumerate(shares):
             if error is None:
                 results[w::workers] = done
             else:
@@ -351,7 +371,7 @@ def _fork_map(block, n_tasks: int, workers: int) -> list:
             reader.close()  # after the join: a worker still writing would see a broken pipe
 
 
-def _run_cells(specs, n_rep, seed_prefix, estimate, *, pool=False) -> np.ndarray:
+def _run_cells(specs, n_rep, seed_prefix, estimate, *, pool=False, in_parent=False) -> np.ndarray:
     """The simulate -> estimate replicate loop behind every Monte Carlo study.
 
     ``specs`` lists the cells, each a seedless count-mode :class:`SimSpec`
@@ -368,16 +388,20 @@ def _run_cells(specs, n_rep, seed_prefix, estimate, *, pool=False) -> np.ndarray
     Fewer than two replicates leave no spread to summarize and raise
     :class:`InvalidParameter`.
 
-    With ``pool=True`` the blocks run in forked processes, one per CPU in
+    With ``pool=True`` the blocks run in ``W`` processes, one per CPU in
     the affinity mask and at most one per block; see :func:`_fork_workers`
     for when it stays in-process. The blocks, in (cell, replicate) order,
-    are dealt round-robin to the workers (:func:`_fork_map`), which balances
-    cells of mixed sizes without a cost model. Blocks are independent and
-    collected in that order, so the result is the in-process result bit for
-    bit, and a failure raises the error of the first failing block in that
-    order. ``estimate`` must then be a pure function of its arguments:
-    whatever it records in this process's memory (spans, counters, caches)
-    is lost with the worker that ran it.
+    are dealt round-robin to ``W`` shares (:func:`_fork_map`), which
+    balances cells of mixed sizes without a cost model. Each share runs in a
+    forked worker, or with ``in_parent=True`` share 0 (blocks ``0, W, 2W,
+    ...``) runs in the calling process and ``W - 1`` workers run the rest.
+    Blocks are independent and collected in that order, so the result is
+    the in-process result bit for bit, and a failure raises the error of the
+    first failing block in that order. ``estimate`` must then be a pure
+    function of its arguments: whatever it records in this process's memory
+    (spans, counters, caches) is lost with the worker that ran it, and with
+    ``in_parent`` it holds for the parent's share only. The parent's share
+    also lifts the calling process's memory peak by its largest block.
     """
     _check_n_rep(n_rep)
     n_blocks = [-(-n_rep // _block_reps(spec.n_events)) for spec in specs]
@@ -391,7 +415,8 @@ def _run_cells(specs, n_rep, seed_prefix, estimate, *, pool=False) -> np.ndarray
         return np.asarray(estimate(specs[c], seeds), dtype=float).reshape(len(seeds), -1)
 
     workers = _fork_workers(len(tasks)) if pool else 1
-    blocks = _fork_map(block, len(tasks), workers) if workers > 1 else [block(i) for i in range(len(tasks))]
+    blocks = (_fork_map(block, len(tasks), workers, in_parent=in_parent) if workers > 1
+              else [block(i) for i in range(len(tasks))])
     return np.concatenate(blocks).reshape(len(specs), n_rep, -1)
 
 
@@ -399,7 +424,9 @@ def _per_sample(estimate):
     """A block estimator that simulates each seed alone and applies ``estimate(sim)``.
 
     Only ``gaussian_estimator_study`` (Tables 1 and 2) runs on it, so that
-    perfbench's spans time its ``simulate`` and ``pair_ticks`` calls; the
-    other studies simulate and pair whole blocks.
+    perfbench's spans time its ``simulate`` and ``pair_ticks`` calls: the
+    study runs on the pool with the calling process taking a share, and the
+    spans see the calls of that share. The other studies simulate and pair
+    whole blocks.
     """
     return lambda spec, seeds: [estimate(simulate(replace(spec, seed=seed))) for seed in seeds]

@@ -78,11 +78,15 @@ def gaussian_estimator_study(
     """Mean/sd and MSE of the three estimators on Gaussian-copula data.
 
     One row per (rho, n) cell; the row carries both the moment summaries
-    and the mean squared errors against the true rho. The replicates run in
-    the calling process, where perfbench's spans can time them.
+    and the mean squared errors against the true rho. The replicate blocks
+    run on the fork pool of :func:`_run_cells`, with the in-process result
+    bit for bit, and the calling process runs one share of them itself:
+    perfbench's spans time the ``simulate`` and ``pair_ticks`` calls of that
+    share. Each replicate is simulated alone, so the calling process holds
+    one sample at a time, as it did when it ran every replicate.
     """
     ests = _run_cells([_at_rate(CopulaModel("gaussian", rho), STANDARD_NORMAL, n) for rho, n in cells],
-                      n_rep, [seed], _per_sample(_one_replicate))
+                      n_rep, [seed], _per_sample(_one_replicate), pool=True, in_parent=True)
     rows = []
     for (rho, n), cell in zip(cells, ests):
         prev, refresh, corrected = cell.T

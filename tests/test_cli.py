@@ -28,6 +28,7 @@ from tickcopula import (
     param_of_tau,
     save_ticks,
     simulate,
+    tables,
 )
 from tickcopula.cli import _write_json, main, parse_margin, read_paired_csv, write_paired_csv
 from tickcopula.market_data import _CHUNK_ROWS, _read_columns, _tick_checks, load_ticks
@@ -554,6 +555,24 @@ class TestErrorContract:
         monkeypatch.setattr(calibration, "_uncorrected_taus", killed_in_a_worker)
         err = self.json_error(capsys, ["calibrate", "--family", "clayton", "--k", "5", "--n-rep", "50",
                                        "--n-ticks", "50", "--out", tmp_path / "curve.json"])
+        assert err["error"] == "CalibrationFailure" and "worker process died" in err["message"]
+        assert multiprocessing.active_children() == []
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods(),
+                        reason="without fork or an affinity mask every replicate runs in this process")
+    def test_killed_worker_in_table1(self, tmp_path, monkeypatch, capsys):
+        # Table 1's calling process runs one share of the replicates and waits for the worker's
+        one_replicate = tables._one_replicate
+
+        def killed_in_a_worker(sim):
+            if multiprocessing.parent_process() is not None:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return one_replicate(sim)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(tables, "_one_replicate", killed_in_a_worker)
+        err = self.json_error(capsys, ["reproduce", "table1", "--n-rep", "2", "--out", tmp_path / "table1.csv"])
         assert err["error"] == "CalibrationFailure" and "worker process died" in err["message"]
         assert multiprocessing.active_children() == []
         assert not list(tmp_path.iterdir())

@@ -41,6 +41,7 @@ from tickcopula import (
     TickCopulaError,
     calibration,
     simulate,
+    synthesis,
     tables,
 )
 from tickcopula.calibration import _uncorrected_taus
@@ -484,6 +485,22 @@ class TestForkPool:
             _run_cells(self.CELLS, 5 * self.BLOCK, [0], fail, pool=True)
         assert multiprocessing.active_children() == []
 
+    def test_gaussian_estimator_study_matches_one_cpu(self, monkeypatch):
+        calls, fork_map = [], synthesis._fork_map
+
+        def recorded(block, n_tasks, workers, **kwargs):
+            calls.append((n_tasks, workers, kwargs))
+            return fork_map(block, n_tasks, workers, **kwargs)
+
+        monkeypatch.setattr(synthesis, "_fork_map", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pooled = gaussian_estimator_study(n_rep=5)
+        # 12 cells of 5 replicates are 16 blocks: each 5000-tick cell runs in two
+        assert calls == [(16, 2, {"in_parent": True})]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert json.dumps(gaussian_estimator_study(n_rep=5)) == json.dumps(pooled)
+        assert len(calls) == 1  # one CPU runs the blocks in-process
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or len(os.sched_getaffinity(0)) < 2,
                         reason="the allocator settings are glibc's, and one CPU runs the blocks in-process")
     @pytest.mark.parametrize("n_ticks, n_cells, n_rep, max_faults", [
@@ -520,6 +537,61 @@ class TestShares:
             assert shares == [list(range(w, n_tasks, workers)) for w in range(workers)]
             assert os.getpid() not in pids
             assert max(map(len, shares)) - min(map(len, shares)) <= 1
+
+
+class TestParentShare:
+    """``in_parent=True``: the calling process runs share 0 and forked workers run the others."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parent_runs_share_zero(self, monkeypatch, workers):
+        started = []
+        start = threading.Thread.start
+
+        def recorded_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        for n_tasks in (7, 8):
+            out = _fork_map(lambda i: (i, os.getpid()), n_tasks, workers, in_parent=True)
+            assert multiprocessing.active_children() == []
+            assert [i for i, _ in out] == list(range(n_tasks))
+            pids = [pid for _, pid in out]
+            shares = {pid: [i for i in range(n_tasks) if pids[i] == pid] for pid in dict.fromkeys(pids)}
+            assert list(shares.values()) == [list(range(w, n_tasks, workers)) for w in range(workers)]
+            assert shares[os.getpid()] == list(range(0, n_tasks, workers))
+        assert started == []
+
+    @pytest.mark.parametrize("late", ["in-parent", "in-worker"])
+    def test_lowest_failing_task_raises(self, late):
+        # the parent runs tasks 0, 3 and 6, the workers 1, 4, 7 and 2, 5, 8. The failure at the
+        # lower index comes late, after another share has failed at a higher one
+        low, high = {"in-parent": (3, 4), "in-worker": (2, 3)}[late]
+
+        def block(i):
+            if i == low:
+                time.sleep(0.2)
+                raise InsufficientData(f"task {i}")
+            if i == high:
+                raise InvalidParameter(f"task {i}")
+            return i
+
+        with pytest.raises(InsufficientData, match=f"^task {low}$"):
+            _fork_map(block, 9, 3, in_parent=True)
+        assert multiprocessing.active_children() == []
+
+    def test_keyboard_interrupt_in_the_parents_share(self):
+        def block(i):
+            if i == 0:  # the parent's first task
+                raise KeyboardInterrupt
+            time.sleep(30)  # the workers are still running when it propagates
+            return i
+
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            _fork_map(block, 6, 3, in_parent=True)
+        assert multiprocessing.active_children() == []
+        assert time.perf_counter() - start < 10  # the workers were killed, not waited for
 
 
 def test_coverage_rows_count_calibration_failures():
