@@ -223,10 +223,6 @@ class IntervalEstimate:
         return self.lo <= tau <= self.hi
 
 
-def _uncorrected_tau(sim) -> float:
-    return kendall_tau(pair_ticks(sim.a, sim.b), basis="all-pairs").tau_hat
-
-
 def _replay(spec, seed) -> PairedSeries:
     """``pair_ticks`` of one seed's sample, simulated and paired alone, as a loop over the seeds would."""
     sim = simulate(replace(spec, seed=seed))
@@ -266,13 +262,17 @@ def _gather(pairs, n_pairs, to_b, a, b) -> np.ndarray:
     return out
 
 
-def _block_taus(d: np.ndarray, n_pairs: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Each row's Kendall tau of the returns ``d``, NaN on a row that must replay alone.
+def _block_taus(xy: np.ndarray, n_pairs: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Each row's Kendall tau of the returns of the paired prices ``xy``, NaN on a row that must replay alone.
 
-    Row ``r`` of ``d`` holds ``n_pairs[r] - 1`` returns, then padding, which
-    :func:`_kendall_rows` counts. A row replays where ``ok`` rejects it,
-    where a return is infinite, or where no two returns are comparable.
+    ``xy`` is :func:`_gather`'s ``(2, k, width)`` array of prices: row ``r``
+    holds ``n_pairs[r]`` pairs, then padding. This differences them into
+    returns, which :func:`_kendall_rows` counts. A row replays where ``ok``
+    rejects it, where a return is infinite, or where no two returns are
+    comparable.
     """
+    with np.errstate(invalid="ignore"):  # inf - inf; such rows replay alone
+        d = np.diff(xy, axis=2)
     ok = ok & ~np.isinf(d).any(axis=(0, 2))
     cmd, untied = _kendall_rows(d[:, ok], n_pairs[ok] - 1)
     ok[ok] = untied > 0
@@ -282,7 +282,7 @@ def _block_taus(d: np.ndarray, n_pairs: np.ndarray, ok: np.ndarray) -> np.ndarra
 
 
 def _uncorrected_taus(spec, seeds) -> np.ndarray:
-    """``_uncorrected_tau`` of each seed's sample, the block simulated, paired and counted at once.
+    """The all-pairs Kendall tau of each seed's ``pair_ticks``, the block simulated, paired and counted at once.
 
     The events come from one ``_simulate(spec, seeds)``, the pairs from
     :func:`_pair_rows`, and :func:`_block_taus` counts the returns of the
@@ -293,9 +293,7 @@ def _uncorrected_taus(spec, seeds) -> np.ndarray:
     ev = _simulate(spec, seeds)
     pairs, n_pairs, ok = _pair_rows(ev)
     xy = _gather(pairs, n_pairs, ev.to_b, ev.log_x, ev.log_y)
-    del ev, pairs  # the Kendall count needs only the returns
-    with np.errstate(invalid="ignore"):  # inf - inf; such rows replay alone below
-        xy = np.diff(xy, axis=2)  # the returns
+    del ev, pairs  # the Kendall count needs only the paired prices
     taus = _block_taus(xy, n_pairs, ok)
     for r in np.flatnonzero(np.isnan(taus)):
         taus[r] = kendall_tau(_replay(spec, seeds[r])).tau_hat
@@ -303,7 +301,7 @@ def _uncorrected_taus(spec, seeds) -> np.ndarray:
 
 
 def _paired_rows(spec, seeds) -> tuple[list, tuple]:
-    """``pair_ticks`` of each seed's sample, from one simulated block, and the block's returns.
+    """``pair_ticks`` of each seed's sample, from one simulated block, and the block's paired prices.
 
     Returns each row's :class:`PairedSeries`, which holds the values its own
     ``pair_ticks`` would, bit for bit, or ``None`` on a row that
@@ -316,8 +314,7 @@ def _paired_rows(spec, seeds) -> tuple[list, tuple]:
     xy = _gather(pairs, n_pairs, ev.to_b, ev.log_x, ev.log_y)
     rows = [PairedSeries(t1=t[0, r, :n], x=xy[0, r, :n], t2=t[1, r, :n], y=xy[1, r, :n], scheme=SCHEME_PAIRED,
                          n_raw1=spec.n1, n_raw2=spec.n2) if ok[r] else None for r, n in enumerate(n_pairs)]
-    with np.errstate(invalid="ignore"):  # inf - inf, on a rejected row
-        return rows, (np.diff(xy, axis=2), n_pairs, ok)
+    return rows, (xy, n_pairs, ok)
 
 
 def build_curve(
@@ -358,7 +355,7 @@ def build_curve(
     n_ticks2 = round(n_ticks2)
     specs = [SimSpec(model=param_of_tau(family, float(tau), df=df), margins=margins, lambda1=arrival.lambda1,
                      lambda2=arrival.lambda2, n1=n_ticks, n2=n_ticks2) for tau in grid]
-    estimates = _run_cells(specs, n_rep, [seed], _uncorrected_taus, pool=True).reshape(grid.size, n_rep)
+    estimates = _run_cells(specs, n_rep, [seed], _uncorrected_taus).reshape(grid.size, n_rep)
 
     meta = {
         "family": family,

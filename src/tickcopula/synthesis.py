@@ -22,7 +22,7 @@ import multiprocessing.connection
 import multiprocessing.popen_fork
 import operator
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -327,7 +327,9 @@ def _fork_map(block, n_tasks: int, workers: int, *, in_parent=False) -> list:
     process runs no task. With ``in_parent`` it forks workers for shares 1
     to ``workers - 1`` only, runs share 0 itself, and then reads the other
     shares in order; whatever ``block`` records in this process's memory
-    then holds for share 0 alone. Either way it starts no thread. Every
+    then holds for share 0 alone. With ``in_parent`` and one worker it
+    forks nothing and never asks for the ``fork`` context, so it also runs
+    where ``fork`` is missing. Either way it starts no thread. Every
     share stops at its first error, and the call raises the error of the
     lowest failing task index: the first failing task in index order, as in
     the loop. An error that is not an :class:`Exception` (a
@@ -338,10 +340,10 @@ def _fork_map(block, n_tasks: int, workers: int, *, in_parent=False) -> list:
     (:func:`_run_share`), so the blocks of its share reuse one another's
     memory; the parent's allocator is untouched.
     """
-    context = multiprocessing.get_context("fork")
     started = []
     try:
         for w in range(1 if in_parent else 0, workers):
+            context = multiprocessing.get_context("fork")  # not above: a host without fork forks nothing
             reader, writer = context.Pipe(duplex=False)
             worker = context.Process(target=_run_share, args=(block, range(w, n_tasks, workers), writer))
             worker.start()
@@ -371,7 +373,7 @@ def _fork_map(block, n_tasks: int, workers: int, *, in_parent=False) -> list:
             reader.close()  # after the join: a worker still writing would see a broken pipe
 
 
-def _run_cells(specs, n_rep, seed_prefix, estimate, *, pool=False, in_parent=False) -> np.ndarray:
+def _run_cells(specs, n_rep, seed_prefix, estimate, *, in_parent=False) -> np.ndarray:
     """The simulate -> estimate replicate loop behind every Monte Carlo study.
 
     ``specs`` lists the cells, each a seedless count-mode :class:`SimSpec`
@@ -383,25 +385,24 @@ def _run_cells(specs, n_rep, seed_prefix, estimate, *, pool=False, in_parent=Fal
     to ``(b + 1) * n_rep // k``: no block exceeds the event budget, and
     sizes within a cell differ by at most one. ``estimate(spec, seeds)``
     gets the cell's spec and one block's seeds, and returns one float or k
-    floats per seed; :func:`_per_sample` adapts an estimator of one
-    :class:`SimResult`. The result has shape ``(len(specs), n_rep, k)``.
+    floats per seed. The result has shape ``(len(specs), n_rep, k)``.
     Fewer than two replicates leave no spread to summarize and raise
     :class:`InvalidParameter`.
 
-    With ``pool=True`` the blocks run in ``W`` processes, one per CPU in
-    the affinity mask and at most one per block; see :func:`_fork_workers`
-    for when it stays in-process. The blocks, in (cell, replicate) order,
-    are dealt round-robin to ``W`` shares (:func:`_fork_map`), which
-    balances cells of mixed sizes without a cost model. Each share runs in a
-    forked worker, or with ``in_parent=True`` share 0 (blocks ``0, W, 2W,
-    ...``) runs in the calling process and ``W - 1`` workers run the rest.
+    The blocks, in (cell, replicate) order, are dealt round-robin to ``W``
+    shares, one per CPU in the affinity mask and at most one per block
+    (:func:`_fork_workers`, :func:`_fork_map`), which balances cells of
+    mixed sizes without a cost model. Each share runs in a forked worker,
+    or with ``in_parent=True`` share 0 (blocks ``0, W, 2W, ...``) runs in
+    the calling process and ``W - 1`` workers run the rest; where ``W`` is
+    1 the calling process runs the only share, through the same code.
     Blocks are independent and collected in that order, so the result is
-    the in-process result bit for bit, and a failure raises the error of the
-    first failing block in that order. ``estimate`` must then be a pure
+    the same for every ``W``, bit for bit, and a failure raises the error of
+    the first failing block in that order. ``estimate`` must then be a pure
     function of its arguments: whatever it records in this process's memory
-    (spans, counters, caches) is lost with the worker that ran it, and with
-    ``in_parent`` it holds for the parent's share only. The parent's share
-    also lifts the calling process's memory peak by its largest block.
+    (spans, counters, caches) is lost with the worker that ran it, and holds
+    only for the calling process's share. That share also lifts the calling
+    process's memory peak by its largest block.
     """
     _check_n_rep(n_rep)
     n_blocks = [-(-n_rep // _block_reps(spec.n_events)) for spec in specs]
@@ -414,19 +415,6 @@ def _run_cells(specs, n_rep, seed_prefix, estimate, *, pool=False, in_parent=Fal
         seeds = [[*seed_prefix, c, r] for r in reps]
         return np.asarray(estimate(specs[c], seeds), dtype=float).reshape(len(seeds), -1)
 
-    workers = _fork_workers(len(tasks)) if pool else 1
-    blocks = (_fork_map(block, len(tasks), workers, in_parent=in_parent) if workers > 1
-              else [block(i) for i in range(len(tasks))])
+    workers = _fork_workers(len(tasks))
+    blocks = _fork_map(block, len(tasks), workers, in_parent=in_parent or workers == 1)
     return np.concatenate(blocks).reshape(len(specs), n_rep, -1)
-
-
-def _per_sample(estimate):
-    """A block estimator that simulates each seed alone and applies ``estimate(sim)``.
-
-    Only ``gaussian_estimator_study`` (Tables 1 and 2) runs on it, so that
-    perfbench's spans time its ``simulate`` and ``pair_ticks`` calls: the
-    study runs on the pool with the calling process taking a share, and the
-    spans see the calls of that share. The other studies simulate and pair
-    whole blocks.
-    """
-    return lambda spec, seeds: [estimate(simulate(replace(spec, seed=seed))) for seed in seeds]

@@ -7,6 +7,8 @@ dictionaries ready for CSV serialization. The same entry points back the
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .arrival_theory import PoissonPair
@@ -24,15 +26,7 @@ from .copulas import CopulaModel, param_of_tau
 from .errors import InsufficientData
 from .estimators import corrected_correlation, kendall_tau
 from .pairing import _refresh_stamped, pair_previous_tick, pair_ticks
-from .synthesis import (  # noqa: F401 (perfbench tests the tables.simulate binding)
-    SimSpec,
-    _NormalMargin,
-    _TMargin,
-    _check_n_rep,
-    _per_sample,
-    _run_cells,
-    simulate,
-)
+from .synthesis import SimSpec, _NormalMargin, _TMargin, _check_n_rep, _run_cells, simulate
 
 STANDARD_NORMAL = (_NormalMargin(0.0, 1.0), _NormalMargin(0.0, 1.0))
 
@@ -68,6 +62,11 @@ def _one_replicate(sim):
     return prev_est, refresh, corrected
 
 
+def _replicates(spec, seeds):
+    """:func:`_one_replicate` of each seed's sample, simulated and paired alone."""
+    return [_one_replicate(simulate(replace(spec, seed=seed))) for seed in seeds]
+
+
 def gaussian_estimator_study(
     cells=((-0.4, 800), (0.1, 800), (0.2, 800), (0.8, 800),
            (-0.4, 2000), (0.1, 2000), (0.2, 2000), (0.8, 2000),
@@ -79,14 +78,15 @@ def gaussian_estimator_study(
 
     One row per (rho, n) cell; the row carries both the moment summaries
     and the mean squared errors against the true rho. The replicate blocks
-    run on the fork pool of :func:`_run_cells`, with the in-process result
-    bit for bit, and the calling process runs one share of them itself:
+    run on the fork pool of :func:`_run_cells`, with the one-CPU result bit
+    for bit, and the calling process runs one share of them itself:
     perfbench's spans time the ``simulate`` and ``pair_ticks`` calls of that
-    share. Each replicate is simulated alone, so the calling process holds
-    one sample at a time, as it did when it ran every replicate.
+    share. Each replicate is simulated and paired alone
+    (:func:`_replicates`), so the calling process holds one sample at a
+    time, as it did when it ran every replicate.
     """
     ests = _run_cells([_at_rate(CopulaModel("gaussian", rho), STANDARD_NORMAL, n) for rho, n in cells],
-                      n_rep, [seed], _per_sample(_one_replicate), pool=True, in_parent=True)
+                      n_rep, [seed], _replicates, in_parent=True)
     rows = []
     for (rho, n), cell in zip(cells, ests):
         prev, refresh, corrected = cell.T
@@ -117,7 +117,7 @@ def t_copula_margin_study(n_rep: int = 100, seed: int = 2) -> list[dict]:
     ]
     model = CopulaModel("student_t", -0.4, df=8)
     ests = _run_cells([_at_rate(model, margins, 2000) for _, margins in margin_rows], n_rep, [seed],
-                      _corrected_rows, pool=True)
+                      _corrected_rows)
     rows = []
     for (label, _), cell in zip(margin_rows, ests):
         unc, cor = cell.T
@@ -215,7 +215,7 @@ def coverage_study(
         )
         bounds = _run_cells(
             [_at_rate(param_of_tau(family, tau), STANDARD_NORMAL, n_ticks) for tau in taus],
-            n_rep, [seed, 17 + fi], lambda spec, seeds: _coverage_bounds(spec, seeds, curve), pool=True,
+            n_rep, [seed, 17 + fi], lambda spec, seeds: _coverage_bounds(spec, seeds, curve),
         ).reshape(len(taus), n_rep, len(_METHODS), 2)
         for tau_true, cell in zip(taus, bounds):
             lo, hi = cell[..., 0], cell[..., 1]

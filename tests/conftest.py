@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tickcopula import CopulaModel, InvalidParameter, TickSeries, sample_uniform
+from tickcopula import CopulaModel, InvalidParameter, TickSeries, kendall_tau, pair_ticks, sample_uniform
 
 
 def traced_peak(fn, *args):
@@ -46,6 +46,11 @@ class HugeTails:
 
     def ppf(self, u):
         return np.where(np.abs(u - 0.5) > 0.45, np.sign(u - 0.5) * 1.2e308, 0.0)
+
+
+def uncorrected_tau(sim) -> float:
+    """The all-pairs Kendall tau of one simulated sample's ``pair_ticks``: what the block estimator counts."""
+    return kendall_tau(pair_ticks(sim.a, sim.b), basis="all-pairs").tau_hat
 
 
 def gaussian_tau_oracle(rho, t1, t2) -> float:

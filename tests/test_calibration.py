@@ -30,13 +30,12 @@ from tickcopula.calibration import (
     _gather,
     _invert_fit,
     _pair_rows,
-    _uncorrected_tau,
     _uncorrected_taus,
 )
 from tickcopula.copulas import _sample_block
 from tickcopula.synthesis import _events, _Events, _streams
 
-from conftest import HugeTails, InfiniteTail, gaussian_tau_oracle, rows_apart_in_se
+from conftest import HugeTails, InfiniteTail, gaussian_tau_oracle, rows_apart_in_se, uncorrected_tau
 
 STD_MARGINS = (stats.norm(), stats.norm())
 
@@ -298,7 +297,7 @@ class TestBuildCurve:
         assert not np.array_equal(faster.estimates, equal.estimates)
         spec = SimSpec(model=param_of_tau("clayton", 0.5), margins=STD_MARGINS, lambda1=1.0, lambda2=3.0,
                        n1=350, n2=1050)
-        direct = [_uncorrected_tau(simulate(replace(spec, seed=[71, r]))) for r in range(50)]
+        direct = [uncorrected_tau(simulate(replace(spec, seed=[71, r]))) for r in range(50)]
         assert rows_apart_in_se(faster.estimates[-1], direct) < 4
         assert rows_apart_in_se(equal.estimates[-1], direct) > 4
 
@@ -390,7 +389,7 @@ def test_block_taus_fail_as_a_loop_over_seeds(margins, n, family, prefixes, expe
         taus = []
         try:
             for seed in seeds:
-                taus.append(_uncorrected_tau(simulate(replace(spec, seed=seed))))
+                taus.append(uncorrected_tau(simulate(replace(spec, seed=seed))))
         except TickCopulaError as exc:
             seen.add((type(exc).__name__, len(taus)))
             for first in (seeds, seeds[: len(taus) + 1]):
@@ -419,7 +418,7 @@ def test_gaussian_bias_map_matches_its_conditional_mean():
     _, i1, i2 = pairs
     xy = _gather((np.repeat(np.arange(n_redraws), n), np.tile(i1, n_redraws), np.tile(i2, n_redraws)), every,
                  ev.to_b, ev.log_x, ev.log_y)
-    taus = _block_taus(np.diff(xy, axis=2), every, np.ones(n_redraws, dtype=bool))
+    taus = _block_taus(xy, every, np.ones(n_redraws, dtype=bool))
     t1, t2 = _gather(pairs, n_pairs, to_b, times, times)[:, 0]
     exact = gaussian_tau_oracle(rho, t1, t2)
     assert abs(taus.mean() - exact) < 3 * taus.std(ddof=1) / np.sqrt(n_redraws)

@@ -34,7 +34,7 @@ from tickcopula.cli import _write_json, main, parse_margin, read_paired_csv, wri
 from tickcopula.market_data import _CHUNK_ROWS, _read_columns, _tick_checks, load_ticks
 from tickcopula.synthesis import _fork_workers
 
-from conftest import poisson_ticks, rows_apart_in_se, seeded_day, traced_peak
+from conftest import poisson_ticks, rows_apart_in_se, seeded_day, traced_peak, uncorrected_tau
 
 
 def run(args):
@@ -334,8 +334,7 @@ class TestCalibrateIntervals:
         assert curves["3"]["estimates"] != curves["1"]["estimates"]
         spec = SimSpec(model=param_of_tau("clayton", 0.5), margins=(cli.parse_margin("normal"),) * 2,
                        lambda1=1.0, lambda2=3.0, n1=350, n2=1050)
-        direct = [calibration._uncorrected_tau(simulate(dataclasses.replace(spec, seed=[72, r])))
-                  for r in range(50)]
+        direct = [uncorrected_tau(simulate(dataclasses.replace(spec, seed=[72, r]))) for r in range(50)]
         assert rows_apart_in_se(curves["3"]["estimates"][-1], direct) < 4
 
     @pytest.mark.parametrize("method", ["quad", "quantile"])

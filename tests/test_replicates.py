@@ -50,7 +50,6 @@ from tickcopula.synthesis import (
     _fork_map,
     _fork_workers,
     _NormalMargin,
-    _per_sample,
     _run_cells,
     _simulate,
     _TMargin,
@@ -77,6 +76,11 @@ def sha256(payload) -> str:
 
 def arrays_sha256(*arrays) -> str:
     return sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+
+
+def _per_sample(estimate):
+    """A block estimator that simulates each seed alone and applies ``estimate(sim)``."""
+    return lambda spec, seeds: [estimate(simulate(replace(spec, seed=seed))) for seed in seeds]
 
 
 def copula(family, tau=0.4):
@@ -362,7 +366,8 @@ class TestRunCells:
         assert [_block_reps(2 * n) for n in (350, 2_000, 17_500, 17_501, 20_000, 200_000)] == [
             50, 8, 1, 1, 1, 1]
 
-    def test_blocks_keep_the_seed_tree(self):
+    def test_blocks_keep_the_seed_tree(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the blocks record their sizes here
         b0, b1 = (_block_reps(spec.n1 + spec.n2) for spec in self.CELLS)
         n_rep = 3 * b1 + 1
         sizes = []
@@ -390,7 +395,7 @@ class TestRunCells:
 
 
 class TestForkPool:
-    """``pool=True`` runs the blocks in forked workers, with the in-process results and errors."""
+    """``_run_cells`` runs the blocks in one share per CPU, with the one-CPU results and errors."""
 
     CELLS = TestRunCells.CELLS
     BLOCK = _block_reps(CELLS[0].n1 + CELLS[0].n2)  # replicates per block of cell 0
@@ -403,6 +408,30 @@ class TestForkPool:
         pooled = curve_bytes()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert curve_bytes() == pooled
+
+    def test_host_without_fork_runs_in_process(self, monkeypatch):
+        def outputs():
+            blocks = [_run_cells(self.CELLS, 2 * self.BLOCK, [0], _uncorrected_taus, in_parent=in_parent)
+                      for in_parent in (False, True)]
+            curve = build_curve("clayton", PoissonPair(1, 1), STANDARD_NORMAL, grid=np.linspace(0.02, 0.75, 5),
+                                n_rep=50, seed=7)
+            return [b.tobytes() for b in blocks] + [curve.estimates.tobytes()]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_cpu = outputs()
+        asked, get_context = [], multiprocessing.get_context
+
+        def spawn_only(method=None):
+            asked.append(method)
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context(method)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", spawn_only)
+        assert outputs() == one_cpu
+        assert "fork" not in asked
 
     @pytest.mark.parametrize("study", [
         lambda: t_copula_margin_study(n_rep=20),  # 3 cells of 3 blocks at 2000 ticks
@@ -426,7 +455,7 @@ class TestForkPool:
             return [0.0] * len(seeds)
 
         with pytest.raises(InsufficientData, match=f"^block 0, {self.BLOCK}$"):
-            _run_cells(self.CELLS, 2 * self.BLOCK, [0], estimate, pool=True)
+            _run_cells(self.CELLS, 2 * self.BLOCK, [0], estimate)
 
     @pytest.mark.parametrize("later", ["same-share", "other-share"])
     def test_earliest_failing_block_raises_in_shares(self, monkeypatch, later):
@@ -449,7 +478,7 @@ class TestForkPool:
             return [0.0] * len(seeds)
 
         with pytest.raises(InsufficientData, match=f"^block 0, {self.BLOCK}$"):
-            _run_cells(self.CELLS, n_rep, [0], estimate, pool=True)
+            _run_cells(self.CELLS, n_rep, [0], estimate)
         assert multiprocessing.active_children() == []
 
     def test_no_thread_in_the_parent(self, monkeypatch):
@@ -462,8 +491,7 @@ class TestForkPool:
 
         monkeypatch.setattr(threading.Thread, "start", recorded_start)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        out = _run_cells(self.CELLS, 3 * self.BLOCK, [0], lambda spec, seeds: [os.getpid()] * len(seeds),
-                         pool=True)
+        out = _run_cells(self.CELLS, 3 * self.BLOCK, [0], lambda spec, seeds: [os.getpid()] * len(seeds))
         assert os.getpid() not in out  # the blocks ran in workers
         assert started == []
 
@@ -472,7 +500,7 @@ class TestForkPool:
             return [[os.getpid(), _fork_workers(99)] for _ in seeds]
 
         cpus = len(os.sched_getaffinity(0))
-        out = _run_cells(self.CELLS, 5 * self.BLOCK, [0], estimate, pool=True)
+        out = _run_cells(self.CELLS, 5 * self.BLOCK, [0], estimate)
         assert multiprocessing.active_children() == []
         pids = set(out[..., 0].ravel())
         assert len(pids) <= cpus and (os.getpid() in pids) == (cpus == 1)
@@ -482,7 +510,7 @@ class TestForkPool:
             raise InvalidParameter("every block fails")
 
         with pytest.raises(InvalidParameter, match="every block fails"):
-            _run_cells(self.CELLS, 5 * self.BLOCK, [0], fail, pool=True)
+            _run_cells(self.CELLS, 5 * self.BLOCK, [0], fail)
         assert multiprocessing.active_children() == []
 
     def test_gaussian_estimator_study_matches_one_cpu(self, monkeypatch):
@@ -499,7 +527,7 @@ class TestForkPool:
         assert calls == [(16, 2, {"in_parent": True})]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert json.dumps(gaussian_estimator_study(n_rep=5)) == json.dumps(pooled)
-        assert len(calls) == 1  # one CPU runs the blocks in-process
+        assert calls[1:] == [(16, 1, {"in_parent": True})]  # one CPU runs the only share in-process
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or len(os.sched_getaffinity(0)) < 2,
                         reason="the allocator settings are glibc's, and one CPU runs the blocks in-process")
@@ -517,7 +545,7 @@ class TestForkPool:
         specs = [SimSpec(model=param_of_tau("clayton", float(tau)), margins=STANDARD_NORMAL, lambda1=1.0,
                          lambda2=1.0, n1=n_ticks, n2=n_ticks) for tau in np.linspace(0.05, 0.7, n_cells)]
         before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-        _run_cells(specs, n_rep, [0], _uncorrected_taus, pool=True)
+        _run_cells(specs, n_rep, [0], _uncorrected_taus)
         assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before <= max_faults
 
 
