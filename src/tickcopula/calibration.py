@@ -230,35 +230,42 @@ def _replay(spec, seed) -> PairedSeries:
 
 
 def _pair_rows(ev):
-    """Tick-retaining pairs of each row of an event block, and the rows they may not stand for.
+    """Tick-retaining pairs of each row of an event block, as event positions, and the rows they may not stand for.
 
-    Returns ``(row, i1, i2)`` as :func:`~tickcopula.pairing._tick_pairs`
-    gives them, each row's pair count, and ``ok``: false on a row that a
-    replicate's own checks might reject, or whose pairs may differ from
-    ``pair_ticks`` of its sample. Those are the rows with a non-finite or
-    tied tick time, a non-finite price, or fewer than 2 pairs, which is what
-    disjoint supports leave (``pair_ticks`` raises :class:`NoOverlap` there).
+    Returns the pairs as ``(row, slot, e1, e2)``: per pair, in row order, its
+    row, its slot among that row's pairs, and the flat positions in the
+    block's ``(k, n)`` arrays of its asset 1 and asset 2 events; each row's
+    pair count; and ``ok``. The pairs are those of
+    :func:`~tickcopula.pairing._tick_pairs`, whose per-asset tick indices
+    are mapped into the block here, once: every row holds the same number
+    of each asset's events. ``ok`` is false on a row that a replicate's own
+    checks might reject, or whose pairs may differ from ``pair_ticks`` of
+    its sample. Those are the rows with a non-finite or tied tick time, a
+    non-finite price, or fewer than 2 pairs, which is what disjoint supports
+    leave (``pair_ticks`` raises :class:`NoOverlap` there).
     """
     ok = (np.isfinite(ev.times) & np.isfinite(ev.log_x) & np.isfinite(ev.log_y)).all(axis=1)
     ok &= (ev.times[:, 1:] > ev.times[:, :-1]).all(axis=1)
-    pairs = _tick_pairs(ev.times, ~ev.to_b)
-    n_pairs = np.bincount(pairs[0], minlength=ok.size)
-    return pairs, n_pairs, ok & (n_pairs >= 2)
+    row, i1, i2 = _tick_pairs(ev.times, ~ev.to_b)
+    n_pairs = np.bincount(row, minlength=ok.size)
+    slot = np.arange(row.size) - (np.cumsum(n_pairs) - n_pairs)[row]
+    e1 = np.flatnonzero(~ev.to_b).reshape(ok.size, -1)[row, i1]
+    e2 = np.flatnonzero(ev.to_b).reshape(ok.size, -1)[row, i2]
+    return (row, slot, e1, e2), n_pairs, ok & (n_pairs >= 2)
 
 
-def _gather(pairs, n_pairs, to_b, a, b) -> np.ndarray:
+def _gather(pairs, n_pairs, a, b) -> np.ndarray:
     """NaN-padded ``(2, k, width)`` rows of a per-event column, read at each row's pairs.
 
-    ``a`` and ``b`` have the block's ``(k, n)`` shape; asset 1's ticks are
-    read from ``a`` and asset 2's, those ``to_b`` marks, from ``b``. Row
-    ``r`` holds its ``n_pairs[r]`` pairs in order, then NaN.
+    ``pairs`` are :func:`_pair_rows`' event positions; ``a`` and ``b`` have
+    the block's ``(k, n)`` shape. Asset 1's member of each pair is read from
+    ``a``, asset 2's from ``b``. Row ``r`` holds its ``n_pairs[r]`` pairs in
+    order, then NaN.
     """
-    row, i1, i2 = pairs
-    k = n_pairs.size
-    col = np.arange(row.size) - (np.cumsum(n_pairs) - n_pairs)[row]
-    out = np.full((2, k, n_pairs.max()), np.nan)
-    out[0, row, col] = a[~to_b].reshape(k, -1)[row, i1]
-    out[1, row, col] = b[to_b].reshape(k, -1)[row, i2]
+    row, slot, e1, e2 = pairs
+    out = np.full((2, n_pairs.size, n_pairs.max()), np.nan)
+    out[0, row, slot] = a.take(e1)
+    out[1, row, slot] = b.take(e2)
     return out
 
 
@@ -292,7 +299,7 @@ def _uncorrected_taus(spec, seeds) -> np.ndarray:
     """
     ev = _simulate(spec, seeds)
     pairs, n_pairs, ok = _pair_rows(ev)
-    xy = _gather(pairs, n_pairs, ev.to_b, ev.log_x, ev.log_y)
+    xy = _gather(pairs, n_pairs, ev.log_x, ev.log_y)
     del ev, pairs  # the Kendall count needs only the paired prices
     taus = _block_taus(xy, n_pairs, ok)
     for r in np.flatnonzero(np.isnan(taus)):
@@ -306,12 +313,14 @@ def _paired_rows(spec, seeds) -> tuple[list, tuple]:
     Returns each row's :class:`PairedSeries`, which holds the values its own
     ``pair_ticks`` would, bit for bit, or ``None`` on a row that
     :func:`_pair_rows` rejects, for the caller to :func:`_replay` in its
-    turn; and the arguments of :func:`_block_taus` for the block.
+    turn; and the arguments of :func:`_block_taus` for the block. The pairs
+    are mapped into the block once, and :func:`_gather` reads both the
+    times and the prices at those event positions.
     """
     ev = _simulate(spec, seeds)
     pairs, n_pairs, ok = _pair_rows(ev)
-    t = _gather(pairs, n_pairs, ev.to_b, ev.times, ev.times)
-    xy = _gather(pairs, n_pairs, ev.to_b, ev.log_x, ev.log_y)
+    t = _gather(pairs, n_pairs, ev.times, ev.times)
+    xy = _gather(pairs, n_pairs, ev.log_x, ev.log_y)
     rows = [PairedSeries(t1=t[0, r, :n], x=xy[0, r, :n], t2=t[1, r, :n], y=xy[1, r, :n], scheme=SCHEME_PAIRED,
                          n_raw1=spec.n1, n_raw2=spec.n2) if ok[r] else None for r, n in enumerate(n_pairs)]
     return rows, (xy, n_pairs, ok)

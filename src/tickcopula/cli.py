@@ -329,6 +329,8 @@ def _cmd_plugin_eval(args) -> int:
 def _cmd_calibrate(args) -> int:
     if args.family != "student_t":
         _refuse_ignored(args, f"--family {args.family}", "--df")
+    if args.k < 5:  # np.linspace raises a bare ValueError on a negative count
+        raise InvalidParameter("calibration grid needs at least 5 tau values")
     arrival = PoissonPair(args.lambda1, args.lambda2)
     margins = (parse_margin(args.margin1), parse_margin(args.margin2))
     grid = np.linspace(args.grid_lo, args.grid_hi, args.k)

@@ -46,6 +46,8 @@ class CopulaModel:
         if self.family not in FAMILIES:
             raise InvalidParameter(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         p = float(self.param)
+        if not math.isfinite(p):
+            raise InvalidParameter(f"{self.family} parameter must be finite, got {p}")
         if self.family in ("gaussian", "student_t"):
             if not -1.0 < p < 1.0:
                 raise InvalidParameter(f"{self.family} correlation must lie in (-1, 1), got {p}")
@@ -56,8 +58,8 @@ class CopulaModel:
             if not p >= 1.0:
                 raise InvalidParameter(f"gumbel theta must be >= 1, got {p}")
         if self.family == "student_t":
-            if self.df is None or int(self.df) < 3:
-                raise InvalidParameter("student_t needs integer df >= 3")
+            if self.df is None or not float(self.df).is_integer() or self.df < 3:
+                raise InvalidParameter(f"student_t needs integer df >= 3, got {self.df}")
             object.__setattr__(self, "df", int(self.df))
         object.__setattr__(self, "param", p)
 
@@ -143,15 +145,14 @@ def cdf(model: CopulaModel, u, v) -> np.ndarray:
     elif model.family == "student_t":
         val = _student_t_cdf(ui, vi, model.param, model.df)
     elif model.family == "clayton":
+        # (u^-th + v^-th - 1)^(-1/th) in log space, as in the density: it holds at large th
         th = model.param
-        with np.errstate(over="ignore"):
-            val = (ui**-th + vi**-th - 1.0) ** (-1.0 / th)
-        val = np.where(np.isfinite(val), val, 0.0)
+        big = np.logaddexp(-th * np.log(ui), -th * np.log(vi))
+        val = np.exp(-(big + np.log1p(-np.exp(-big))) / th)
     else:  # gumbel
         th = model.param
-        lu = -np.log(ui)
-        lv = -np.log(vi)
-        val = np.exp(-((lu**th + lv**th) ** (1.0 / th)))
+        log_w = np.logaddexp(th * np.log(-np.log(ui)), th * np.log(-np.log(vi)))
+        val = np.exp(-np.exp(log_w / th))
     out[interior] = val[interior]
     # exact upper boundaries: C(u, 1) = u, C(1, v) = v
     out = np.where(u >= 1.0, v, out)

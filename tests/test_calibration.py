@@ -27,7 +27,6 @@ from tickcopula import (
 )
 from tickcopula.calibration import (
     _block_taus,
-    _gather,
     _invert_fit,
     _pair_rows,
     _uncorrected_taus,
@@ -412,14 +411,11 @@ def test_gaussian_bias_map_matches_its_conditional_mean():
     ev = _events(spec, np.repeat(times, n_redraws, axis=0), np.repeat(to_b, n_redraws, axis=0), uv)
     pairs, n_pairs, ok = _pair_rows(_Events(times, to_b, ev.log_x[:1], ev.log_y[:1]))
     assert ok.all()
-    # every redraw reads its prices at the stream's one set of pairs
-    n = int(n_pairs[0])
-    every = np.full(n_redraws, n)
-    _, i1, i2 = pairs
-    xy = _gather((np.repeat(np.arange(n_redraws), n), np.tile(i1, n_redraws), np.tile(i2, n_redraws)), every,
-                 ev.to_b, ev.log_x, ev.log_y)
-    taus = _block_taus(xy, every, np.ones(n_redraws, dtype=bool))
-    t1, t2 = _gather(pairs, n_pairs, to_b, times, times)[:, 0]
+    # every redraw reads its prices at the one-row stream's event positions
+    _, _, e1, e2 = pairs
+    xy = np.stack([ev.log_x[:, e1], ev.log_y[:, e2]])
+    taus = _block_taus(xy, np.full(n_redraws, n_pairs[0]), np.ones(n_redraws, dtype=bool))
+    t1, t2 = times[0, e1], times[0, e2]
     exact = gaussian_tau_oracle(rho, t1, t2)
     assert abs(taus.mean() - exact) < 3 * taus.std(ddof=1) / np.sqrt(n_redraws)
     assert exact < 0.8 * (2 / np.pi) * np.arcsin(rho)  # well below the true tau: asynchronicity biases it

@@ -616,6 +616,32 @@ class TestErrorContract:
         assert err["error"] == "InvalidParameter" and "--seed" in err["message"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("k", ["-1", "0", "4"])
+    def test_too_small_calibration_grid(self, tmp_path, capsys, k):
+        # np.linspace raised a bare ValueError on a negative count
+        err = self.json_error(capsys, ["calibrate", "--family", "clayton", "--k", k, "--out", tmp_path / "x"])
+        assert err == {"error": "InvalidParameter", "message": "calibration grid needs at least 5 tau values"}
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--family", "gumbel", "--n1", "50", "--n2", "50"],
+        ["simulate", "--family", "clayton", "--n1", "50", "--n2", "50"],
+        ["plugin-eval", "--paired", "P", "--family", "gumbel"],
+        ["plugin-eval", "--paired", "P", "--family", "clayton"],
+    ], ids=["simulate-gumbel", "simulate-clayton", "plugin-eval-gumbel", "plugin-eval-clayton"])
+    def test_infinite_copula_parameter(self, sim_prefix, tmp_path, capsys, argv):
+        # the Gumbel sampler divided by zero, Clayton's warned, and plugin-eval printed a constant grid
+        paired = tmp_path / "paired.csv"
+        assert run(["pair", f"{sim_prefix}_a.csv", f"{sim_prefix}_b.csv", "--out", paired]) == 0
+        capsys.readouterr()
+        argv = [paired if a == "P" else a for a in argv]
+        out = tmp_path / "out"
+        out.mkdir()
+        err = self.json_error(capsys, [*argv, "--param", "inf", "--out", out / "x"])
+        assert err["error"] == "InvalidParameter" and "must be finite, got inf" in err["message"]
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("option, value", [
         ("--horizon", "inf"), ("--horizon", "nan"), ("--lambda1", "nan"), ("--lambda1", "inf"),
         ("--lambda2", "-inf"),

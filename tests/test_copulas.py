@@ -43,6 +43,24 @@ class TestModelValidation:
         with pytest.raises(InvalidParameter):
             CopulaModel("frank", 1.0)
 
+    @pytest.mark.parametrize("param", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("family", copulas.FAMILIES)
+    def test_non_finite_param_rejected(self, family, param):
+        # an infinite Clayton or Gumbel theta was accepted, and its tau was nan
+        with pytest.raises(InvalidParameter, match=f"{family} parameter must be finite, got {param}"):
+            CopulaModel(family, param, df=5)
+
+    @pytest.mark.parametrize("df", [3.7, np.nan, np.inf, -np.inf, 2.0, None])
+    def test_df_must_be_an_integer_of_at_least_3(self, df):
+        # 3.7 became 3, and nan or inf raised a bare ValueError or OverflowError
+        with pytest.raises(InvalidParameter, match=f"student_t needs integer df >= 3, got {df}"):
+            CopulaModel("student_t", 0.3, df=df)
+
+    def test_integral_df_kept_as_int(self):
+        for df in (3, 5.0, np.int64(7), np.float64(30.0)):
+            model = CopulaModel("student_t", 0.3, df=df)
+            assert model.df == df and type(model.df) is int
+
 
 class TestTauMaps:
     def test_gaussian_zero_and_half(self):
@@ -136,6 +154,26 @@ class TestCdf:
             c = cdf(m, uu, vv)
             rect = c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
             assert (rect >= -1e-10).all()
+
+    @pytest.mark.parametrize("family", ["clayton", "gumbel"])
+    def test_archimedean_within_pqd_bounds_over_the_fit_bracket(self, family):
+        # both families are positively quadrant dependent, so uv <= C(u, v) <= min(u, v), up to
+        # fit_aic's bracket end at tau = 0.999; C nears min(u, v) as tau grows, and rounds by up to 1e-16
+        grid = np.linspace(0.01, 0.99, 50)
+        u, v = np.meshgrid(grid, grid, indexing="ij")
+        for tau in np.linspace(1e-4, 0.999, 200):
+            c = cdf(param_of_tau(family, float(tau)), u, v)
+            assert (u * v <= c).all() and (c <= np.minimum(u, v) + 1e-15).all(), tau
+
+    @pytest.mark.parametrize("tau", [0.3, 0.99, 0.999])
+    def test_archimedean_diagonal_closed_forms(self, tau):
+        # C(u, u) = u (2 - u^th)^(-1/th) for Clayton and u^(2^(1/th)) for Gumbel
+        u = np.linspace(0.01, 0.99, 99)
+        th = param_of_tau("clayton", tau).param
+        assert np.allclose(cdf(CopulaModel("clayton", th), u, u), u * (2.0 - u**th) ** (-1.0 / th),
+                           rtol=1e-13, atol=0.0)
+        th = param_of_tau("gumbel", tau).param
+        assert np.allclose(cdf(CopulaModel("gumbel", th), u, u), u ** 2.0 ** (1.0 / th), rtol=1e-13, atol=0.0)
 
     def test_pdf_cdf_consistency_rectangle_mass(self):
         # quadrature of the density over a box equals the cdf rectangle mass

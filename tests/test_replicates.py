@@ -44,7 +44,7 @@ from tickcopula import (
     synthesis,
     tables,
 )
-from tickcopula.calibration import _uncorrected_taus
+from tickcopula.calibration import _paired_rows, _uncorrected_taus
 from tickcopula.synthesis import (
     _block_reps,
     _fork_map,
@@ -330,6 +330,16 @@ class TestBoundedMemory:
         # it traces about 49.2 B/event, at pricing; a pricing step that allocated where it now
         # works in place would add a float64 array of the block's shape, 8 B/event, and fail
         assert traced_peak(_uncorrected_taus, spec, seeds) <= 52 * len(seeds) * 2 * n
+
+    @pytest.mark.parametrize("n", [350, 2000])
+    def test_paired_rows_peak_per_event(self, n):
+        # one block of Table 3's and coverage's pairs: 50 replicates at 350 ticks per asset, 8 at 2k
+        seeds = [[0, 0, r] for r in range(_block_reps(2 * n))]
+        spec = SimSpec(model=copula("clayton"), margins=STANDARD_NORMAL, lambda1=1.0, lambda2=1.0,
+                       n1=n, n2=n)
+        # it traces about 49.9 B/event at 350 ticks and 49.4 at 2k, at pricing; a gather that
+        # copied a block column through an asset mask would add about 4 B/event and fail
+        assert traced_peak(_paired_rows, spec, seeds) <= 52 * len(seeds) * 2 * n
 
     @pytest.mark.parametrize("pairing", [pair_ticks, lambda a, b: pair_previous_tick(a, b, 2.0)],
                              ids=["pair_ticks", "pair_previous_tick"])
