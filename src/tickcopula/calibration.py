@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import special
@@ -307,22 +307,25 @@ def _uncorrected_taus(spec, seeds) -> np.ndarray:
     return taus
 
 
-def _paired_rows(spec, seeds) -> tuple[list, tuple]:
+def _paired_rows(spec, seeds) -> tuple[Iterator[PairedSeries], tuple]:
     """``pair_ticks`` of each seed's sample, from one simulated block, and the block's paired prices.
 
-    Returns each row's :class:`PairedSeries`, which holds the values its own
-    ``pair_ticks`` would, bit for bit, or ``None`` on a row that
-    :func:`_pair_rows` rejects, for the caller to :func:`_replay` in its
-    turn; and the arguments of :func:`_block_taus` for the block. The pairs
-    are mapped into the block once, and :func:`_gather` reads both the
-    times and the prices at those event positions.
+    Returns an iterator over each seed's :class:`PairedSeries`, in seed
+    order, which holds the values its own ``pair_ticks`` would, bit for bit;
+    and the arguments of :func:`_block_taus` for the block. A row that
+    :func:`_pair_rows` rejects goes through :func:`_replay` when the
+    iteration reaches it, so its pairs, or its error, come in its turn, as
+    in a loop over the seeds. The pairs are mapped into the block once, and
+    :func:`_gather` reads both the times and the prices at those event
+    positions.
     """
     ev = _simulate(spec, seeds)
     pairs, n_pairs, ok = _pair_rows(ev)
     t = _gather(pairs, n_pairs, ev.times, ev.times)
     xy = _gather(pairs, n_pairs, ev.log_x, ev.log_y)
-    rows = [PairedSeries(t1=t[0, r, :n], x=xy[0, r, :n], t2=t[1, r, :n], y=xy[1, r, :n], scheme=SCHEME_PAIRED,
-                         n_raw1=spec.n1, n_raw2=spec.n2) if ok[r] else None for r, n in enumerate(n_pairs)]
+    rows = (PairedSeries(t1=t[0, r, :n], x=xy[0, r, :n], t2=t[1, r, :n], y=xy[1, r, :n], scheme=SCHEME_PAIRED,
+                         n_raw1=spec.n1, n_raw2=spec.n2) if ok[r] else _replay(spec, seed)
+            for r, (n, seed) in enumerate(zip(n_pairs, seeds)))
     return rows, (xy, n_pairs, ok)
 
 

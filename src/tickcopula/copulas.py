@@ -35,7 +35,10 @@ class CopulaModel:
 
     ``param`` is the correlation for the elliptical families and the
     generator parameter for the Archimedean ones. ``df`` is the Student-t
-    degrees of freedom (integer >= 3) and ignored elsewhere.
+    degrees of freedom (integer >= 3) and ignored elsewhere. An Archimedean
+    parameter whose Kendall tau (:func:`tau_of`) rounds to 1 in float64 is
+    refused, as ``param_of_tau`` refuses tau = 1: that is Gumbel's from
+    2**54 and Clayton's from about 2.2e16, with some between 2**54 and that.
     """
 
     family: str
@@ -62,6 +65,8 @@ class CopulaModel:
                 raise InvalidParameter(f"student_t needs integer df >= 3, got {self.df}")
             object.__setattr__(self, "df", int(self.df))
         object.__setattr__(self, "param", p)
+        if self.family in ("clayton", "gumbel") and tau_of(self) == 1.0:
+            raise InvalidParameter(f"{self.family} theta {p} is too large: its Kendall tau rounds to 1")
 
 
 def tau_of(model: CopulaModel) -> float:
@@ -360,7 +365,10 @@ def _sample_block(model: CopulaModel, n: int, rngs: Sequence[np.random.Generator
     if model.family == "clayton":
         frailty = _rows(rngs, (n,), gen.standard_gamma, 1.0 / th)
         e = _rows(rngs, (n, 2), gen.standard_exponential)
-        _divide_pairs(e, frailty)
+        # at high theta a frailty can underflow to 0 or near it; the quotient is then inf and the
+        # draw 0, which the tick series' own checks reject
+        with np.errstate(over="ignore", divide="ignore"):
+            _divide_pairs(e, frailty)
         e += 1.0
         e **= -1.0 / th
         return e

@@ -16,7 +16,6 @@ from .calibration import (
     CalibrationFailure,
     _block_taus,
     _paired_rows,
-    _replay,
     build_curve,
     interval_misspecified,
     interval_quad,
@@ -46,25 +45,24 @@ def _uncorrected_and_corrected(paired):
     return cc.rho_hat, cc.theta_hat
 
 
-def _one_replicate(sim):
-    """The three competing correlation estimates on one simulated sample.
-
-    Refresh-time pairs hold the tick-retaining price pairs, so the refresh
-    estimate is the uncorrected correlation.
-    """
-    refresh, corrected = _uncorrected_and_corrected(pair_ticks(sim.a, sim.b))
-    try:
-        prev = pair_previous_tick(sim.a, sim.b, PREV_TICK_DELTA_FACTOR / _RATE)
-        px, py = prev.returns()
-        prev_est = float(np.corrcoef(px, py)[0, 1])
-    except InsufficientData:
-        prev_est = np.nan
-    return prev_est, refresh, corrected
-
-
 def _replicates(spec, seeds):
-    """:func:`_one_replicate` of each seed's sample, simulated and paired alone."""
-    return [_one_replicate(simulate(replace(spec, seed=seed))) for seed in seeds]
+    """The three competing correlation estimates on each seed's sample, simulated and paired alone.
+
+    Table 1's block estimator. Refresh-time pairs hold the tick-retaining
+    price pairs, so the refresh estimate is the uncorrected correlation.
+    """
+    out = []
+    for seed in seeds:
+        sim = simulate(replace(spec, seed=seed))
+        refresh, corrected = _uncorrected_and_corrected(pair_ticks(sim.a, sim.b))
+        try:
+            prev = pair_previous_tick(sim.a, sim.b, PREV_TICK_DELTA_FACTOR / _RATE)
+            px, py = prev.returns()
+            prev_est = float(np.corrcoef(px, py)[0, 1])
+        except InsufficientData:
+            prev_est = np.nan
+        out.append((prev_est, refresh, corrected))
+    return out
 
 
 def gaussian_estimator_study(
@@ -81,9 +79,9 @@ def gaussian_estimator_study(
     run on the fork pool of :func:`_run_cells`, with the one-CPU result bit
     for bit, and the calling process runs one share of them itself:
     perfbench's spans time the ``simulate`` and ``pair_ticks`` calls of that
-    share. Each replicate is simulated and paired alone
-    (:func:`_replicates`), so the calling process holds one sample at a
-    time, as it did when it ran every replicate.
+    share. Each block's replicates are simulated and paired one seed at a
+    time (:func:`_replicates`), so the calling process holds one sample at
+    a time, as it did when it ran every replicate.
     """
     ests = _run_cells([_at_rate(CopulaModel("gaussian", rho), STANDARD_NORMAL, n) for rho, n in cells],
                       n_rep, [seed], _replicates, in_parent=True)
@@ -104,11 +102,11 @@ def t_copula_margin_study(n_rep: int = 100, seed: int = 2) -> list[dict]:
     """Uncorrected vs corrected estimates under a t(8) copula at rho = -0.4, varied margins.
 
     Each sample has 2000 ticks per asset. Each block of replicates is
-    simulated and paired at once, and each row's pairs estimated on their
-    own; a row the block may not stand for is simulated and paired alone, in
-    its turn, so the rows and errors are a per-seed loop's. The blocks run
-    on the fork pool of :func:`_run_cells`, with the in-process result bit
-    for bit.
+    simulated and paired at once, and hands back each seed's pairs in seed
+    order, replaying a row it may not stand for when that row is reached
+    (:func:`_corrected_rows`); the rows and errors are a per-seed loop's.
+    The blocks run on the fork pool of :func:`_run_cells`, with the
+    in-process result bit for bit.
     """
     margin_rows = [
         ("t(5), t(7)", (_TMargin(5), _TMargin(7))),
@@ -134,29 +132,22 @@ def t_copula_margin_study(n_rep: int = 100, seed: int = 2) -> list[dict]:
 
 
 def _corrected_rows(spec, seeds):
-    """:func:`_uncorrected_and_corrected` of each seed's sample, paired in one block; a rejected row replays alone."""
-    rows, _ = _paired_rows(spec, seeds)
-    return [_uncorrected_and_corrected(_replay(spec, seed) if paired is None else paired)
-            for paired, seed in zip(rows, seeds)]
+    """:func:`_uncorrected_and_corrected` of each seed's pairs, as one :func:`_paired_rows` block hands them back."""
+    return [_uncorrected_and_corrected(paired) for paired in _paired_rows(spec, seeds)[0]]
 
 
 _METHODS = ("quad", "quantile", "elliptical")
 
 
 def _coverage_bounds(spec, seeds, curve):
-    """:func:`_interval_bounds` of each seed's sample, paired and counted in one block.
+    """:func:`_interval_bounds` of each seed's pairs and tau, as one :func:`_paired_rows` block hands them back.
 
-    A row whose tau the block leaves NaN is simulated, paired and counted
-    alone in its turn, as in a loop over the seeds.
+    Where the block leaves a row's tau NaN, ``kendall_tau`` counts that
+    row's own pairs, as a loop over the seeds would.
     """
     rows, returns = _paired_rows(spec, seeds)
-    bounds = []
-    for paired, tau_obs, seed in zip(rows, _block_taus(*returns), seeds):
-        if np.isnan(tau_obs):
-            paired = _replay(spec, seed)
-            tau_obs = kendall_tau(paired).tau_hat
-        bounds.append(_interval_bounds(paired, tau_obs, curve))
-    return bounds
+    return [_interval_bounds(paired, kendall_tau(paired).tau_hat if np.isnan(tau) else tau, curve)
+            for paired, tau in zip(rows, _block_taus(*returns))]
 
 
 def _interval_bounds(paired, tau_obs, curve):
@@ -195,10 +186,10 @@ def coverage_study(
     ``n_fail_<method>``. The misspecified-elliptical method runs on the
     refresh-time synchronized series, the object a naive Gaussian analysis
     would use. Each block of replicates is simulated, paired and counted at
-    once, as a curve's is; the intervals then run on each row's pairs and
-    tau, and a row the block may not stand for is simulated, paired and
-    counted alone, in its turn. The curves and the replicate blocks run on
-    the fork pool of :func:`_run_cells`.
+    once, as a curve's is; the intervals then run on each seed's pairs and
+    tau in seed order, and a row whose tau the block leaves NaN is counted
+    on its own pairs (:func:`_coverage_bounds`). The curves and the
+    replicate blocks run on the fork pool of :func:`_run_cells`.
     """
     _check_n_rep(n_rep)  # before the curves, the costly part
     arrival = PoissonPair(_RATE, _RATE)

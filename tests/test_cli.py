@@ -381,6 +381,23 @@ class TestReproduceCommand:
             "refresh_sd", "corrected_mean", "corrected_sd",
         }
 
+    @pytest.mark.parametrize("table, study, columns", [
+        ("table1", "gaussian_estimator_study", ["rho", "n", "prev_tick_mean", "prev_tick_sd", "refresh_mean",
+                                                "refresh_sd", "corrected_mean", "corrected_sd"]),
+        ("table2", "gaussian_estimator_study", ["rho", "n", "prev_tick_mse", "refresh_mse", "corrected_mse"]),
+        ("table3", "t_copula_margin_study", None),
+        ("coverage", "coverage_study", None),
+    ])
+    def test_every_table_writes_its_study_rows(self, tmp_path, table, study, columns):
+        out = tmp_path / f"{table}.csv"
+        assert run(["reproduce", table, "--n-rep", "2", "--seed", "5", "--out", out]) == 0
+        rows = getattr(tables, study)(n_rep=2, seed=5)
+        columns = columns or list(rows[0])
+        written = list(csv.DictReader(l for l in out.read_text().splitlines() if not l.startswith("#")))
+        assert list(written[0]) == columns
+        # the CSV holds each value's repr, so equal strings are equal values, NaN included
+        assert written == [{k: str(row[k]) for k in columns} for row in rows]
+
     def test_unknown_table_rejected(self):
         with pytest.raises(SystemExit) as exc:
             run(["reproduce", "table9"])
@@ -562,15 +579,15 @@ class TestErrorContract:
                         reason="without fork or an affinity mask every replicate runs in this process")
     def test_killed_worker_in_table1(self, tmp_path, monkeypatch, capsys):
         # Table 1's calling process runs one share of the replicates and waits for the worker's
-        one_replicate = tables._one_replicate
+        replicates = tables._replicates
 
-        def killed_in_a_worker(sim):
+        def killed_in_a_worker(spec, seeds):
             if multiprocessing.parent_process() is not None:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return one_replicate(sim)
+            return replicates(spec, seeds)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(tables, "_one_replicate", killed_in_a_worker)
+        monkeypatch.setattr(tables, "_replicates", killed_in_a_worker)
         err = self.json_error(capsys, ["reproduce", "table1", "--n-rep", "2", "--out", tmp_path / "table1.csv"])
         assert err["error"] == "CalibrationFailure" and "worker process died" in err["message"]
         assert multiprocessing.active_children() == []
@@ -674,6 +691,29 @@ class TestErrorContract:
         err = self.json_error(capsys, [*argv, "--out", tmp_path / "x"])
         assert err["error"] == "MalformedInput" and "non-finite" in err["message"]
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    def test_clayton_frailty_underflow(self, tmp_path, capsys):
+        # some gamma frailties are 0 at this theta, and the sampler warned of dividing by them
+        err = self.json_error(capsys, ["simulate", "--family", "clayton", "--tau", "0.99", "--n1", "2000",
+                                       "--n2", "2000", "--seed", "1", "--out", tmp_path / "x"])
+        assert err["error"] == "MalformedInput" and "non-finite" in err["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["simulate", "plugin-eval"])
+    @pytest.mark.parametrize("family", ["clayton", "gumbel"])
+    def test_theta_whose_tau_rounds_to_one(self, sim_prefix, tmp_path, capsys, command, family):
+        # plugin-eval exited 0 with Clayton's CDF overflowing to 0, and simulate warned before its error
+        if command == "simulate":
+            argv = ["simulate", "--n1", "50", "--n2", "50", "--out", tmp_path / "x"]
+        else:
+            paired = tmp_path / "paired.csv"
+            assert run(["pair", f"{sim_prefix}_a.csv", f"{sim_prefix}_b.csv", "--out", paired]) == 0
+            capsys.readouterr()
+            argv = ["plugin-eval", "--paired", paired]
+        err = self.json_error(capsys, [*argv, "--family", family, "--param", "1e308"])
+        assert err["error"] == "InvalidParameter" and "Kendall tau rounds to 1" in err["message"]
 
     def test_horizon_beyond_poisson_limit(self, tmp_path, capsys):
         # numpy's Poisson sampler raised "lam value too large" here

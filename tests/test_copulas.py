@@ -56,6 +56,18 @@ class TestModelValidation:
         with pytest.raises(InvalidParameter, match=f"student_t needs integer df >= 3, got {df}"):
             CopulaModel("student_t", 0.3, df=df)
 
+    @pytest.mark.parametrize("family, param", [("clayton", 2.0**54), ("clayton", 2.2e16), ("clayton", 1e308),
+                                               ("gumbel", 2.0**54), ("gumbel", 1e308)])
+    def test_theta_whose_tau_rounds_to_one_rejected(self, family, param):
+        # cdf at theta = 1e308 overflowed to 0 where C(0.01, 0.02) is about 0.01
+        with pytest.raises(InvalidParameter, match=f"{family} theta .* its Kendall tau rounds to 1"):
+            CopulaModel(family, param)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["clayton", "gumbel"])
+    def test_cdf_quiet_just_below_the_bound(self, family):
+        assert cdf(CopulaModel(family, 1e16), 0.01, 0.02) == pytest.approx(0.01, rel=1e-12)
+
     def test_integral_df_kept_as_int(self):
         for df in (3, 5.0, np.int64(7), np.float64(30.0)):
             model = CopulaModel("student_t", 0.3, df=df)
@@ -304,6 +316,13 @@ class TestSampling:
         # at tau = 0.999999 some frailties overflow or vanish: the draws hold
         # 0, 1 or nan, which the tick checks reject, but nothing warns
         uv = sample_uniform(param_of_tau("gumbel", 0.999999), 300, np.random.default_rng(1))
+        assert not ((uv > 0) & (uv < 1)).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_clayton_frailty_underflow_is_quiet(self):
+        # at tau = 0.999999 some gamma frailties are 0 or nearly so, and the
+        # division by them warned; the draws hold 0, which the tick checks reject
+        uv = sample_uniform(param_of_tau("clayton", 0.999999), 300, np.random.default_rng(1))
         assert not ((uv > 0) & (uv < 1)).all()
 
     def test_elliptical_normal_scores_relation(self):

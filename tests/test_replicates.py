@@ -264,6 +264,37 @@ class TestStudyBlocks:
         # only a rejected row is simulated and paired alone
         assert calls == ([] if replayed is None else [("simulate", self.SEEDS[replayed]), ("pair_ticks", None)])
 
+    def test_replayed_row_keeps_the_loops_error_order(self, monkeypatch):
+        # row 1's estimate raises and row 3 is rejected with a replay that raises: a loop over
+        # the seeds stops at row 1, so the block must too, and must not replay row 3 first
+        spec, seeds = self.SPECS["table3"], self.SEEDS
+        pair_rows, estimate = calibration._pair_rows, tables._uncorrected_and_corrected
+        estimated = []
+
+        def row_3_rejected(ev):
+            pairs, n_pairs, ok = pair_rows(ev)
+            ok[3] = False
+            return pairs, n_pairs, ok
+
+        def replay_fails(spec):
+            raise NoOverlap(f"replayed seed {spec.seed}")
+
+        def row_1_fails(paired):
+            estimated.append(paired)
+            if len(estimated) == 2:
+                raise InsufficientData("row 1")
+            return estimate(paired)
+
+        monkeypatch.setattr(calibration, "_pair_rows", row_3_rejected)
+        monkeypatch.setattr(calibration, "simulate", replay_fails)
+        monkeypatch.setattr(tables, "_uncorrected_and_corrected", row_1_fails)
+        with pytest.raises(InsufficientData, match="^row 1$"):
+            tables._corrected_rows(spec, seeds)
+        # with row 1 estimated, the replay is reached and raises in row 3's turn
+        monkeypatch.setattr(tables, "_uncorrected_and_corrected", estimate)
+        with pytest.raises(NoOverlap, match=f"^{re.escape(f'replayed seed {seeds[3]}')}$"):
+            tables._corrected_rows(spec, seeds)
+
     @pytest.mark.parametrize("margins, n, expected", [
         # 2 ticks a side: disjoint supports, or too few pairs
         (STANDARD_NORMAL, 2, {"NoOverlap", "InsufficientData"}),
@@ -337,9 +368,10 @@ class TestBoundedMemory:
         seeds = [[0, 0, r] for r in range(_block_reps(2 * n))]
         spec = SimSpec(model=copula("clayton"), margins=STANDARD_NORMAL, lambda1=1.0, lambda2=1.0,
                        n1=n, n2=n)
-        # it traces about 49.9 B/event at 350 ticks and 49.4 at 2k, at pricing; a gather that
-        # copied a block column through an asset mask would add about 4 B/event and fail
-        assert traced_peak(_paired_rows, spec, seeds) <= 52 * len(seeds) * 2 * n
+        # with its rows consumed, it traces about 49.9 B/event at 350 ticks and 49.4 at 2k, at pricing;
+        # a gather that copied a block column through an asset mask would add about 4 B/event and fail
+        consumed = lambda spec, seeds: list(_paired_rows(spec, seeds)[0])
+        assert traced_peak(consumed, spec, seeds) <= 52 * len(seeds) * 2 * n
 
     @pytest.mark.parametrize("pairing", [pair_ticks, lambda a, b: pair_previous_tick(a, b, 2.0)],
                              ids=["pair_ticks", "pair_previous_tick"])
