@@ -316,52 +316,66 @@ def _run_share(block, share, writer) -> None:
     writer.send((results, error))
 
 
-def _fork_map(block, n_tasks: int, workers: int, *, in_parent=False) -> list:
-    """``[block(i) for i in range(n_tasks)]`` in ``workers`` shares, each in its own process, in task order.
+def _deal(n_blocks, workers: int) -> list[list[int]]:
+    """The task indices of each share, ascending: block ``b`` of cell ``c`` goes to share ``(c + b) % workers``.
 
-    Share ``w`` holds tasks ``w, w + workers, ...``, so share lengths differ
-    by at most one and every share draws from every part of the task list.
-    Each share runs in a forked worker process, which sends its results
-    back once through a one-way pipe. ``block`` reaches the workers through
-    ``fork``, not ``pickle``, so it may be a closure. By default the calling
-    process runs no task. With ``in_parent`` it forks workers for shares 1
-    to ``workers - 1`` only, runs share 0 itself, and then reads the other
-    shares in order; whatever ``block`` records in this process's memory
-    then holds for share 0 alone. With ``in_parent`` and one worker it
-    forks nothing and never asks for the ``fork`` context, so it also runs
-    where ``fork`` is missing. Either way it starts no thread. Every
-    share stops at its first error, and the call raises the error of the
-    lowest failing task index: the first failing task in index order, as in
-    the loop. An error that is not an :class:`Exception` (a
-    ``KeyboardInterrupt``) in the parent's share propagates at once. A
-    worker killed from outside raises :class:`CalibrationFailure`. Every
-    worker has exited, killed if it still runs, before this returns or
-    raises. On glibc a worker keeps the heap pages it frees until it exits
-    (:func:`_run_share`), so the blocks of its share reuse one another's
-    memory; the parent's allocator is untouched.
+    ``n_blocks`` lists each cell's block count; tasks are numbered in
+    (cell, block) order. A cell's blocks fall on consecutive shares, and
+    consecutive cells start on consecutive shares, so a cell's short and
+    long blocks (sizes differ by at most one) land on different shares and
+    no share takes every short one. Empty shares are dropped.
+    """
+    owner = [(c + b) % workers for c, k in enumerate(n_blocks) for b in range(k)]
+    shares = [[i for i, w in enumerate(owner) if w == s] for s in range(workers)]
+    return [share for share in shares if share]
+
+
+def _fork_map(block, shares, *, in_parent=False) -> list:
+    """``[block(i) for i in range(n_tasks)]``, where ``shares`` lists the task indices of each process, ascending.
+
+    The shares together hold each index below ``n_tasks`` once. Each share
+    runs in a forked worker process, which sends its results back once
+    through a one-way pipe, and each result is put back at its task index.
+    ``block`` reaches the workers through ``fork``, not ``pickle``, so it
+    may be a closure. By default the calling process runs no task. With
+    ``in_parent`` it forks workers for the shares after the first only,
+    runs the first share itself, and then reads the other shares in order;
+    whatever ``block`` records in this process's memory then holds for the
+    first share alone. With ``in_parent`` and one share it forks nothing
+    and never asks for the ``fork`` context, so it also runs where
+    ``fork`` is missing. Either way it starts no thread. Every share stops
+    at its first error, and the call raises the error of the lowest failing
+    task index: the first failing task in index order, as in the loop. An
+    error that is not an :class:`Exception` (a ``KeyboardInterrupt``) in
+    the parent's share propagates at once. A worker killed from outside
+    raises :class:`CalibrationFailure`. Every worker has exited, killed if
+    it still runs, before this returns or raises. On glibc a worker keeps
+    the heap pages it frees until it exits (:func:`_run_share`), so the
+    blocks of its share reuse one another's memory; the parent's allocator
+    is untouched.
     """
     started = []
     try:
-        for w in range(1 if in_parent else 0, workers):
+        for share in shares[1 if in_parent else 0:]:
             context = multiprocessing.get_context("fork")  # not above: a host without fork forks nothing
             reader, writer = context.Pipe(duplex=False)
-            worker = context.Process(target=_run_share, args=(block, range(w, n_tasks, workers), writer))
+            worker = context.Process(target=_run_share, args=(block, share, writer))
             worker.start()
             writer.close()  # a worker's death then reads as EOF; later workers never hold this end
             started.append((worker, reader))
-        shares = [_run_tasks(block, range(0, n_tasks, workers))] if in_parent else []
+        outcomes = [_run_tasks(block, shares[0])] if in_parent else []
         for _, reader in started:
             try:
-                shares.append(reader.recv())
+                outcomes.append(reader.recv())
             except EOFError:
                 raise CalibrationFailure("a worker process died before its replicate blocks finished "
                                          "(killed from outside, for example for lack of memory)") from None
-        results, errors = [None] * n_tasks, {}
-        for w, (done, error) in enumerate(shares):
-            if error is None:
-                results[w::workers] = done
-            else:
-                errors[w + len(done) * workers] = error  # the task that failed
+        results, errors = [None] * sum(map(len, shares)), {}
+        for share, (done, error) in zip(shares, outcomes):
+            for i, result in zip(share, done):
+                results[i] = result
+            if error is not None:
+                errors[share[len(done)]] = error  # the task that failed
         if errors:
             raise errors[min(errors)]
         return results
@@ -389,13 +403,15 @@ def _run_cells(specs, n_rep, seed_prefix, estimate, *, in_parent=False) -> np.nd
     Fewer than two replicates leave no spread to summarize and raise
     :class:`InvalidParameter`.
 
-    The blocks, in (cell, replicate) order, are dealt round-robin to ``W``
+    The blocks, numbered in (cell, replicate) order, are dealt to ``W``
     shares, one per CPU in the affinity mask and at most one per block
-    (:func:`_fork_workers`, :func:`_fork_map`), which balances cells of
-    mixed sizes without a cost model. Each share runs in a forked worker,
-    or with ``in_parent=True`` share 0 (blocks ``0, W, 2W, ...``) runs in
-    the calling process and ``W - 1`` workers run the rest; where ``W`` is
-    1 the calling process runs the only share, through the same code.
+    (:func:`_fork_workers`): block ``b`` of cell ``c`` goes to share
+    ``(c + b) % W`` (:func:`_deal`), which balances cells of mixed sizes
+    without a cost model, and no share takes every short block. A share
+    left empty is dropped. Each share runs in a forked worker
+    (:func:`_fork_map`), or with ``in_parent=True`` share 0 runs in the
+    calling process and forked workers run the rest; where there is one
+    share the calling process runs it, through the same code.
     Blocks are independent and collected in that order, so the result is
     the same for every ``W``, bit for bit, and a failure raises the error of
     the first failing block in that order. ``estimate`` must then be a pure
@@ -415,6 +431,6 @@ def _run_cells(specs, n_rep, seed_prefix, estimate, *, in_parent=False) -> np.nd
         seeds = [[*seed_prefix, c, r] for r in reps]
         return np.asarray(estimate(specs[c], seeds), dtype=float).reshape(len(seeds), -1)
 
-    workers = _fork_workers(len(tasks))
-    blocks = _fork_map(block, len(tasks), workers, in_parent=in_parent or workers == 1)
+    shares = _deal(n_blocks, _fork_workers(len(tasks)))
+    blocks = _fork_map(block, shares, in_parent=in_parent or len(shares) == 1)
     return np.concatenate(blocks).reshape(len(specs), n_rep, -1)

@@ -79,9 +79,13 @@ def gaussian_estimator_study(
     run on the fork pool of :func:`_run_cells`, with the one-CPU result bit
     for bit, and the calling process runs one share of them itself:
     perfbench's spans time the ``simulate`` and ``pair_ticks`` calls of that
-    share. Each block's replicates are simulated and paired one seed at a
-    time (:func:`_replicates`), so the calling process holds one sample at
-    a time, as it did when it ran every replicate.
+    share. The deal rotates each cell's blocks across the shares, so a
+    5000-tick cell's blocks of 2 and 3 replicates (``n_rep=5``) fall on
+    different shares, and on two CPUs the calling process and its worker
+    each run 30 of the 60 replicates. Each block's replicates are simulated
+    and paired one seed at a time (:func:`_replicates`), so the calling
+    process holds one sample at a time, as it did when it ran every
+    replicate.
     """
     ests = _run_cells([_at_rate(CopulaModel("gaussian", rho), STANDARD_NORMAL, n) for rho, n in cells],
                       n_rep, [seed], _replicates, in_parent=True)

@@ -18,6 +18,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tickcopula import (
@@ -47,6 +49,7 @@ from tickcopula import (
 from tickcopula.calibration import _paired_rows, _uncorrected_taus
 from tickcopula.synthesis import (
     _block_reps,
+    _deal,
     _fork_map,
     _fork_workers,
     _NormalMargin,
@@ -502,13 +505,13 @@ class TestForkPool:
     @pytest.mark.parametrize("later", ["same-share", "other-share"])
     def test_earliest_failing_block_raises_in_shares(self, monkeypatch, later):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        # cell 0 runs in 2 blocks and cell 1 in 3, dealt to two workers: blocks 0, 2 and 4
-        # to the first and 1 and 3 to the second. Block 1, (0, BLOCK), fails late in the
-        # second share; block 3 fails in the same share, block 2 at once in the first
+        # cell 0 runs in 2 blocks and cell 1 in 3, dealt to two workers: blocks 0 and 3 to
+        # the first and 1, 2 and 4 to the second. Block 1, (0, BLOCK), fails late in the
+        # second share; block 2 fails in the same share, block 3 at once in the first
         n_rep = 2 * self.BLOCK
         k1 = -(-n_rep // _block_reps(self.CELLS[1].n1 + self.CELLS[1].n2))
-        assert k1 == 3
-        failing = {"same-share": (1, n_rep // k1), "other-share": (1, 0)}[later]
+        assert k1 == 3 and _deal([2, k1], 2) == [[0, 3], [1, 2, 4]]
+        failing = {"same-share": (1, 0), "other-share": (1, n_rep // k1)}[later]
 
         def estimate(spec, seeds):
             c, r = seeds[0][-2:]
@@ -558,18 +561,34 @@ class TestForkPool:
     def test_gaussian_estimator_study_matches_one_cpu(self, monkeypatch):
         calls, fork_map = [], synthesis._fork_map
 
-        def recorded(block, n_tasks, workers, **kwargs):
-            calls.append((n_tasks, workers, kwargs))
-            return fork_map(block, n_tasks, workers, **kwargs)
+        def recorded(block, shares, **kwargs):
+            calls.append((shares, kwargs))
+            return fork_map(block, shares, **kwargs)
 
         monkeypatch.setattr(synthesis, "_fork_map", recorded)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         pooled = gaussian_estimator_study(n_rep=5)
-        # 12 cells of 5 replicates are 16 blocks: each 5000-tick cell runs in two
-        assert calls == [(16, 2, {"in_parent": True})]
+        # 12 cells of 5 replicates are 16 blocks: each 5000-tick cell runs in two, 12 and 13,
+        # 14 and 15 and so on, which fall on different shares
+        assert calls == [([[0, 2, 4, 6, 8, 11, 12, 15], [1, 3, 5, 7, 9, 10, 13, 14]], {"in_parent": True})]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert json.dumps(gaussian_estimator_study(n_rep=5)) == json.dumps(pooled)
-        assert calls[1:] == [(16, 1, {"in_parent": True})]  # one CPU runs the only share in-process
+        assert calls[1:] == [([list(range(16))], {"in_parent": True})]  # one CPU runs the only share in-process
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_every_share_count_matches_one_cpu(self, monkeypatch, cpus):
+        # Table 1's 16 blocks of 1 to 5 replicates, and 5 curve cells of 70 replicates at 600 ticks in
+        # blocks of 23, 23 and 24. Three or four shares fork more workers than a 2-CPU host has:
+        # slower, not wrong
+        def outputs():
+            curve = build_curve("clayton", PoissonPair(1, 1), STANDARD_NORMAL, grid=np.linspace(0.02, 0.75, 5),
+                                n_rep=70, n_ticks=600, seed=7)
+            return json.dumps(gaussian_estimator_study(n_rep=5)), curve.estimates.tobytes()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_cpu = outputs()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert outputs() == one_cpu
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or len(os.sched_getaffinity(0)) < 2,
                         reason="the allocator settings are glibc's, and one CPU runs the blocks in-process")
@@ -592,25 +611,56 @@ class TestForkPool:
 
 
 class TestShares:
-    """The fork pool's deal of the tasks into one share per worker."""
+    """The deal of a cell's replicate blocks into one share per process, and the fork pool that runs the shares."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_blocks=st.lists(st.integers(1, 6), max_size=12), workers=st.integers(1, 5))
+    def test_deal_covers_every_task_once(self, n_blocks, workers):
+        shares = _deal(n_blocks, workers)
+        assert sorted(i for share in shares for i in share) == list(range(sum(n_blocks)))
+        assert all(share == sorted(share) for share in shares)
+        assert all(shares) and len(shares) <= workers
+        # block b of cell c goes to share (c + b) % workers, so each share holds one residue
+        owner = [(c + b) % workers for c, k in enumerate(n_blocks) for b in range(k)]
+        assert all(len({owner[i] for i in share}) == 1 for share in shares)
+
+    def test_table1_shares_carry_equal_work(self, monkeypatch):
+        # at n_rep 5 each 5000-tick cell runs in blocks of 2 and 3 replicates. Dealt round-robin, the
+        # first share took every 2-block and the second every 3-block: 28 and 32 replicates, 136k and
+        # 176k events
+        loads, fork_map = [], synthesis._fork_map
+
+        def recorded(block, shares, **kwargs):
+            for share in shares:
+                rows = np.concatenate([block(i) for i in share])  # one row per replicate: its events first
+                loads.append([len(rows), rows[:, 0].sum()])
+            return fork_map(block, shares, **kwargs)
+
+        monkeypatch.setattr(synthesis, "_fork_map", recorded)
+        monkeypatch.setattr(tables, "_replicates", lambda spec, seeds: [[spec.n_events, 0.0, 0.0]] * len(seeds))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        gaussian_estimator_study(n_rep=5)
+        assert loads == [[30, 156_000], [30, 156_000]]
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_equal_costs_split_evenly(self, workers):
-        # a cell's blocks differ by at most one replicate, so they cost about the same;
-        # a deal gives each worker a share whose length is within one of the others'
-        for n_tasks in (24, 25):
-            out = _fork_map(lambda i: (i, os.getpid()), n_tasks, workers)
+        # a cell's blocks differ by at most one replicate, so they cost about the same; cells of
+        # equally many blocks give each worker a share whose length is within one of the others'
+        for n_blocks in ([3] * 8, [3] * 8 + [1]):
+            shares = _deal(n_blocks, workers)
+            n_tasks = sum(n_blocks)
+            out = _fork_map(lambda i: (i, os.getpid()), shares)
             assert multiprocessing.active_children() == []
             assert [i for i, _ in out] == list(range(n_tasks))  # every task once, in task order
             pids = [pid for _, pid in out]
-            shares = [[i for i in range(n_tasks) if pids[i] == pid] for pid in dict.fromkeys(pids)]
-            assert shares == [list(range(w, n_tasks, workers)) for w in range(workers)]
+            ran = {pid: [i for i in range(n_tasks) if pids[i] == pid] for pid in dict.fromkeys(pids)}
+            assert sorted(ran.values()) == sorted(shares) and len(shares) == workers
             assert os.getpid() not in pids
             assert max(map(len, shares)) - min(map(len, shares)) <= 1
 
 
 class TestParentShare:
-    """``in_parent=True``: the calling process runs share 0 and forked workers run the others."""
+    """``in_parent=True``: the calling process runs the first share and forked workers run the others."""
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_parent_runs_share_zero(self, monkeypatch, workers):
@@ -622,21 +672,26 @@ class TestParentShare:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", recorded_start)
-        for n_tasks in (7, 8):
-            out = _fork_map(lambda i: (i, os.getpid()), n_tasks, workers, in_parent=True)
+        # 7 and 8 tasks; in the second the first share does not hold task 0
+        deals = {2: ([[0, 2, 5, 6], [1, 3, 4]], [[1, 2, 5, 6], [0, 3, 4, 7]]),
+                 3: ([[0, 4, 5], [1, 3, 6], [2]], [[3, 4, 7], [0, 5], [1, 2, 6]])}[workers]
+        for shares in deals:
+            n_tasks = sum(map(len, shares))
+            out = _fork_map(lambda i: (i, os.getpid()), shares, in_parent=True)
             assert multiprocessing.active_children() == []
             assert [i for i, _ in out] == list(range(n_tasks))
             pids = [pid for _, pid in out]
-            shares = {pid: [i for i in range(n_tasks) if pids[i] == pid] for pid in dict.fromkeys(pids)}
-            assert list(shares.values()) == [list(range(w, n_tasks, workers)) for w in range(workers)]
-            assert shares[os.getpid()] == list(range(0, n_tasks, workers))
+            ran = {pid: [i for i in range(n_tasks) if pids[i] == pid] for pid in dict.fromkeys(pids)}
+            assert sorted(ran.values()) == sorted(shares)
+            assert ran[os.getpid()] == shares[0]
         assert started == []
 
     @pytest.mark.parametrize("late", ["in-parent", "in-worker"])
     def test_lowest_failing_task_raises(self, late):
-        # the parent runs tasks 0, 3 and 6, the workers 1, 4, 7 and 2, 5, 8. The failure at the
-        # lower index comes late, after another share has failed at a higher one
-        low, high = {"in-parent": (3, 4), "in-worker": (2, 3)}[late]
+        # the parent runs tasks 0, 3 and 4, the workers 1, 5, 7 and 2, 6, 8. The failure at the
+        # lower index comes late, after another share has failed at a higher one, and is its
+        # share's third or second task
+        low, high = {"in-parent": (4, 5), "in-worker": (6, 7)}[late]
 
         def block(i):
             if i == low:
@@ -647,7 +702,7 @@ class TestParentShare:
             return i
 
         with pytest.raises(InsufficientData, match=f"^task {low}$"):
-            _fork_map(block, 9, 3, in_parent=True)
+            _fork_map(block, [[0, 3, 4], [1, 5, 7], [2, 6, 8]], in_parent=True)
         assert multiprocessing.active_children() == []
 
     def test_keyboard_interrupt_in_the_parents_share(self):
@@ -659,7 +714,7 @@ class TestParentShare:
 
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
-            _fork_map(block, 6, 3, in_parent=True)
+            _fork_map(block, [[0, 3], [1, 4], [2, 5]], in_parent=True)
         assert multiprocessing.active_children() == []
         assert time.perf_counter() - start < 10  # the workers were killed, not waited for
 
