@@ -270,15 +270,15 @@ def _gather(pairs, n_pairs, a, b) -> np.ndarray:
 
 
 def _block_taus(xy: np.ndarray, n_pairs: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Each row's Kendall tau of the returns of the paired prices ``xy``, NaN on a row that must replay alone.
+    """Each row's Kendall tau of the returns of the paired prices ``xy``, NaN on a row the block cannot count.
 
     ``xy`` is :func:`_gather`'s ``(2, k, width)`` array of prices: row ``r``
     holds ``n_pairs[r]`` pairs, then padding. This differences them into
-    returns, which :func:`_kendall_rows` counts. A row replays where ``ok``
-    rejects it, where a return is infinite, or where no two returns are
-    comparable.
+    returns, which :func:`_kendall_rows` counts. A row is left NaN where
+    ``ok`` rejects it, where a return is infinite, or where no two returns
+    are comparable.
     """
-    with np.errstate(invalid="ignore"):  # inf - inf; such rows replay alone
+    with np.errstate(invalid="ignore"):  # inf - inf; such rows are left NaN
         d = np.diff(xy, axis=2)
     ok = ok & ~np.isinf(d).any(axis=(0, 2))
     cmd, untied = _kendall_rows(d[:, ok], n_pairs[ok] - 1)
@@ -291,19 +291,17 @@ def _block_taus(xy: np.ndarray, n_pairs: np.ndarray, ok: np.ndarray) -> np.ndarr
 def _uncorrected_taus(spec, seeds) -> np.ndarray:
     """The all-pairs Kendall tau of each seed's ``pair_ticks``, the block simulated, paired and counted at once.
 
-    The events come from one ``_simulate(spec, seeds)``, the pairs from
-    :func:`_pair_rows`, and :func:`_block_taus` counts the returns of the
-    prices :func:`_gather` reads at them. A row the count leaves NaN is
-    replayed alone. Rows replay in seed order, so the first failing
+    :func:`_block_taus` counts the block :func:`_paired_rows` hands back.
+    Where it leaves a row's tau NaN, ``kendall_tau`` counts that row's own
+    pairs. The rows are reached in seed order, so the first failing
     replicate raises its own error, as in a loop over the seeds.
     """
-    ev = _simulate(spec, seeds)
-    pairs, n_pairs, ok = _pair_rows(ev)
-    xy = _gather(pairs, n_pairs, ev.log_x, ev.log_y)
-    del ev, pairs  # the Kendall count needs only the paired prices
-    taus = _block_taus(xy, n_pairs, ok)
-    for r in np.flatnonzero(np.isnan(taus)):
-        taus[r] = kendall_tau(_replay(spec, seeds[r])).tau_hat
+    rows, returns = _paired_rows(spec, seeds)
+    taus = _block_taus(*returns)
+    if np.isnan(taus).any():
+        for r, paired in enumerate(rows):
+            if np.isnan(taus[r]):
+                taus[r] = kendall_tau(paired).tau_hat
     return taus
 
 

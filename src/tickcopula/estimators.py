@@ -184,15 +184,13 @@ def kendall_tau(p: PairedSeries, basis: str = "all-pairs") -> TauEstimate:
     pass gives every group's tied pairs, and scipy's compiled discordance
     count the rest, all as exact integers. More than
     ``MAX_KENDALL_RETURNS`` (10^7) returns raise ``InvalidParameter``, as
-    do non-finite returns.
+    do non-finite returns (:meth:`PairedSeries.returns`).
     """
     if basis not in ("all-pairs", "same-config"):
         raise InvalidParameter(f"unknown basis {basis!r}")
     rx, ry = p.returns()
     if rx.size > MAX_KENDALL_RETURNS:
         raise InvalidParameter(f"Kendall tau counts up to {MAX_KENDALL_RETURNS} returns, got {rx.size}")
-    if not (np.isfinite(rx).all() and np.isfinite(ry).all()):
-        raise InvalidParameter("Kendall tau needs finite returns")
     if basis == "all-pairs":
         groups = [np.ones(rx.size, dtype=bool)]
     else:

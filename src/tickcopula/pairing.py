@@ -92,8 +92,16 @@ class PairedSeries:
         return self.t1.size
 
     def returns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-asset log-returns between consecutive pairs (length n-1)."""
-        return np.diff(self.x), np.diff(self.y)
+        """Per-asset log-returns between consecutive pairs (length n-1).
+
+        Finite log prices may still step by more than float64 holds; such a
+        return raises :class:`InvalidParameter`.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            rx, ry = np.diff(self.x), np.diff(self.y)
+        if not (np.isfinite(rx).all() and np.isfinite(ry).all()):
+            raise InvalidParameter("paired returns must be finite; a log-price step overflows float64")
+        return rx, ry
 
 
 @dataclass(frozen=True)
@@ -338,17 +346,24 @@ def diagnostics(p: PairedSeries) -> PairDiagnostics:
         with repeated ticks).
     InsufficientData
         If fewer than two pairs are available.
+    InvalidParameter
+        If an interarrival or overlap mean, or the product of the two
+        interarrival means, is past float64: the pairs span too much time.
     """
     if len(p) < 2:
         raise InsufficientData("diagnostics need at least 2 pairs")
-    overlaps = overlap_intervals(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlaps = overlap_intervals(p)
+        m1 = float(np.diff(p.t1).mean())
+        m2 = float(np.diff(p.t2).mean())
+        m_overlap = float(overlaps.mean())
     if (overlaps <= 0).any():
         bad = int(np.argmax(overlaps <= 0)) + 1
         raise DegeneratePairing(f"non-positive overlap at pair {bad}")
+    if not (math.isfinite(m1 * m2) and math.isfinite(m_overlap)):  # w = sqrt(m1 * m2) / m_overlap
+        raise InvalidParameter(f"interarrival means m1={m1}, m2={m2} and m_overlap={m_overlap} must be finite, "
+                               f"and so must m1 * m2")
     configs = configuration_labels(p)
-    m1 = float(np.diff(p.t1).mean())
-    m2 = float(np.diff(p.t2).mean())
-    m_overlap = float(overlaps.mean())
     loss1 = 1.0 - _n_distinct(p.t1) / p.n_raw1
     loss2 = 1.0 - _n_distinct(p.t2) / p.n_raw2
     return PairDiagnostics(

@@ -15,6 +15,7 @@ from tickcopula import (
     TickCopulaError,
     TickSeries,
     build_curve,
+    calibration,
     interval_misspecified,
     interval_quad,
     interval_quantile,
@@ -32,7 +33,7 @@ from tickcopula.calibration import (
     _uncorrected_taus,
 )
 from tickcopula.copulas import _sample_block
-from tickcopula.synthesis import _events, _Events, _streams
+from tickcopula.synthesis import _events, _Events, _simulate, _streams
 
 from conftest import HugeTails, InfiniteTail, gaussian_tau_oracle, rows_apart_in_se, uncorrected_tau
 
@@ -398,6 +399,26 @@ def test_block_taus_fail_as_a_loop_over_seeds(margins, n, family, prefixes, expe
         if seeds:
             assert _uncorrected_taus(spec, seeds).tolist() == taus
     assert expected <= seen
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_block_tau_left_nan_is_counted_on_the_rows_own_pairs(monkeypatch):
+    """A row the block accepts but cannot count is counted on the pairs it holds, not simulated and paired again."""
+    spec = SimSpec(model=param_of_tau("gumbel", 0.4), margins=(stats.norm(), HugeTails()), lambda1=1.0,
+                   lambda2=3.0, n1=30, n2=31)
+    seeds = [[5, 0], [5, 1]]  # row 1 is accepted, and one of its returns is infinite
+    replayed = []
+    replay = calibration._replay
+
+    def counted(spec, seed):
+        replayed.append(seed)
+        return replay(spec, seed)
+
+    monkeypatch.setattr(calibration, "_replay", counted)
+    assert _pair_rows(_simulate(spec, seeds))[2].all()
+    with pytest.raises(InvalidParameter, match="finite"):
+        _uncorrected_taus(spec, seeds)
+    assert replayed == []
 
 
 def test_gaussian_bias_map_matches_its_conditional_mean():

@@ -466,6 +466,57 @@ class TestErrorContract:
         err = self.json_error(capsys, [*argv, "--paired", paired])
         assert err["error"] == "InsufficientData"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--method", "corrected-corr"],
+        ["estimate", "--method", "kendall"],
+        ["intervals", "--method", "elliptical"],
+        ["plugin-eval", "--family", "gaussian", "--param", "0.3"],
+        ["select-copula"],
+    ], ids=["corrected-corr", "kendall", "elliptical", "plugin-eval", "select-copula"])
+    def test_overflowing_returns(self, tmp_path, capsys, argv):
+        # finite log prices, but the step from 1.7e308 to -1.7e308 overflows
+        x = 0.01 * np.arange(40.0)
+        x[6], x[7] = 1.7e308, -1.7e308
+        paired = tmp_path / "paired.csv"
+        paired.write_text("t1,x,t2,y\n" + "".join(f"{t},{xt!r},{t},{0.01 * (t % 5)!r}\n"
+                                                    for t, xt in enumerate(x.tolist())))
+        err = self.json_error(capsys, [*argv, "--paired", paired])
+        assert err["error"] == "InvalidParameter" and "finite" in err["message"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, edge", [
+        (["estimate", "--method", "corrected-corr"], 1.7e308),
+        (["estimate", "--method", "kendall", "--same-config"], 1.7e308),
+        (["intervals", "--method", "elliptical"], 1.7e308),
+        # each interarrival mean is finite, their product is not
+        (["estimate", "--method", "corrected-corr"], 1e306),
+        (["intervals", "--method", "elliptical"], 1e306),
+    ], ids=["corrected-corr", "kendall-same-config", "elliptical", "corrected-corr-product",
+            "elliptical-product"])
+    def test_time_span_past_float64(self, tmp_path, capsys, argv, edge):
+        # each file's first and last ticks are stamped at -edge and edge
+        for name, offset in (("a", 0.0), ("b", 0.5)):
+            times = [-edge, *(np.arange(38.0) + offset).tolist(), edge]
+            (tmp_path / f"{name}.csv").write_text(
+                "time,price\n" + "".join(f"{t!r},{1 + 0.01 * (i % 7)!r}\n" for i, t in enumerate(times)))
+        paired = tmp_path / "paired.csv"
+        assert run(["pair", tmp_path / "a.csv", tmp_path / "b.csv", "--out", paired]) == 0
+        capsys.readouterr()
+        err = self.json_error(capsys, [*argv, "--paired", paired])
+        assert err["error"] == "InvalidParameter" and "m_overlap" in err["message"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--family", "gumbel", "--tau", "0.99", "--n1", "2000", "--n2", "2000", "--seed", "3"],
+        ["calibrate", "--family", "gumbel", "--n-rep", "50", "--k", "5", "--grid-hi", "0.99"],
+    ], ids=["simulate", "calibrate"])
+    def test_gumbel_near_tau_one(self, tmp_path, capsys, argv):
+        # some Gumbel draws at tau 0.99 are exactly 0 or 1, so a price turns infinite
+        err = self.json_error(capsys, [*argv, "--out", tmp_path / "x"])
+        assert err["error"] == "MalformedInput"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("level", ["nan", "0", "1.5"])
     @pytest.mark.parametrize("method", ["corrected-corr", "kendall"])
     def test_level_outside_unit_interval(self, sim_prefix, tmp_path, capsys, method, level):
