@@ -274,18 +274,15 @@ def _block_taus(xy: np.ndarray, n_pairs: np.ndarray, ok: np.ndarray) -> np.ndarr
 
     ``xy`` is :func:`_gather`'s ``(2, k, width)`` array of prices: row ``r``
     holds ``n_pairs[r]`` pairs, then padding. This differences them into
-    returns, which :func:`_kendall_rows` counts. A row is left NaN where
-    ``ok`` rejects it, where a return is infinite, or where no two returns
-    are comparable.
+    returns, which :func:`_kendall_rows` counts in place. A row that ``ok``
+    rejects, or that holds an infinite return, is given length 0, so it
+    counts no pair; the rows with no untied pair are left NaN.
     """
-    with np.errstate(invalid="ignore"):  # inf - inf; such rows are left NaN
+    with np.errstate(invalid="ignore"):  # inf - inf; such rows count nothing
         d = np.diff(xy, axis=2)
-    ok = ok & ~np.isinf(d).any(axis=(0, 2))
-    cmd, untied = _kendall_rows(d[:, ok], n_pairs[ok] - 1)
-    ok[ok] = untied > 0
-    taus = np.full(ok.size, np.nan)
-    taus[ok] = cmd[untied > 0] / untied[untied > 0]
-    return taus
+    n = np.where(ok & ~np.isinf(d).any(axis=(0, 2)), n_pairs - 1, 0)
+    cmd, untied = _kendall_rows(d, n)
+    return np.divide(cmd, untied, out=np.full(n.size, np.nan), where=untied > 0)
 
 
 def _uncorrected_taus(spec, seeds) -> np.ndarray:
@@ -382,7 +379,11 @@ def build_curve(
 
 
 def _invert_fit(curve: CorrectionCurve, value: float) -> float:
-    """Solve a + b*tau + c*tau^2 = value for tau inside the grid span."""
+    """Solve a + b*tau + c*tau^2 = value for tau on the curve's increasing branch, clipped to the grid span.
+
+    :class:`CorrectionCurve` admits only fits that increase over the span,
+    so the vertex, and the root on the decreasing branch, lie outside it.
+    """
     a, b, c = curve.quad_coeffs
     lo, hi = curve.span
     if abs(c) < 1e-12:
@@ -390,14 +391,9 @@ def _invert_fit(curve: CorrectionCurve, value: float) -> float:
     else:
         disc = b * b - 4.0 * c * (a - value)
         if disc < 0:
-            # monotone fit guarantees a real root within the span; a negative
-            # discriminant can only occur past the vertex, i.e. outside it
+            # a negative discriminant can only occur past the vertex, i.e. outside the span
             return hi if c < 0 else lo
-        sq = float(np.sqrt(disc))
-        r1 = (-b + sq) / (2.0 * c)
-        r2 = (-b - sq) / (2.0 * c)
-        # the increasing branch holds the root nearest the span
-        root = min((r1, r2), key=lambda r: max(lo - r, r - hi, 0.0))
+        root = (-b + float(np.sqrt(disc))) / (2.0 * c)  # the slope there, b + 2c * root, is sqrt(disc)
     return float(np.clip(root, lo, hi))
 
 

@@ -126,6 +126,7 @@ def _parse_numbers(values: str, where: str) -> list[float]:
 
 def _model_from_args(args) -> CopulaModel:
     if args.tau is not None:
+        _refuse_ignored(args, "--tau", "--param")
         return param_of_tau(args.family, args.tau, df=args.df)
     if args.param is None:
         raise InvalidParameter("one of --param or --tau is required")
@@ -133,8 +134,9 @@ def _model_from_args(args) -> CopulaModel:
 
 
 def _refuse_ignored(args, chosen: str, *options: str) -> None:
-    """Refuse the ``options`` given on the command line, which the ``chosen`` scheme, method or family ignores.
+    """Refuse the ``options`` given on the command line, which ``chosen`` ignores.
 
+    ``chosen`` names the scheme, method, family or option that ignores them.
     Commands call this before they read a file, so a refusal comes first.
     """
     values = {o: getattr(args, o[2:].replace("-", "_")) for o in options}

@@ -121,7 +121,8 @@ def _kendall_rows(xy: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray
     returns, then padding of any value up to the common width. The caller's
     padding is first overwritten with +inf, which sorts after every return,
     and ``_runs`` counts no tie past a row's first ``n[r]`` entries, so a
-    row of fewer than two returns counts nothing. One stacked argsort puts
+    row of fewer than two returns counts nothing; a caller leaves a row out
+    by giving it length 0, whatever it holds. One stacked argsort puts
     every row in x order and gives each return's min-rank in x and in y,
     and so ``tx`` and ``ty``, the row's pairs tied in x and in y. Pairs tied
     in both (``txy``) can exist only in a row tied in both; such a row is

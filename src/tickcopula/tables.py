@@ -22,7 +22,6 @@ from .calibration import (
     interval_quantile,
 )
 from .copulas import CopulaModel, param_of_tau
-from .errors import InsufficientData
 from .estimators import corrected_correlation, kendall_tau
 from .pairing import _refresh_stamped, pair_previous_tick, pair_ticks
 from .synthesis import SimSpec, _NormalMargin, _TMargin, _check_n_rep, _run_cells, simulate
@@ -55,13 +54,8 @@ def _replicates(spec, seeds):
     for seed in seeds:
         sim = simulate(replace(spec, seed=seed))
         refresh, corrected = _uncorrected_and_corrected(pair_ticks(sim.a, sim.b))
-        try:
-            prev = pair_previous_tick(sim.a, sim.b, PREV_TICK_DELTA_FACTOR / _RATE)
-            px, py = prev.returns()
-            prev_est = float(np.corrcoef(px, py)[0, 1])
-        except InsufficientData:
-            prev_est = np.nan
-        out.append((prev_est, refresh, corrected))
+        px, py = pair_previous_tick(sim.a, sim.b, PREV_TICK_DELTA_FACTOR / _RATE).returns()
+        out.append((float(np.corrcoef(px, py)[0, 1]), refresh, corrected))
     return out
 
 

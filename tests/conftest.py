@@ -77,6 +77,26 @@ def gaussian_tau_oracle(rho, t1, t2) -> float:
     return float(np.mean(2.0 / np.pi * np.arcsin(corr[np.triu_indices(l1.size, k=1)])))
 
 
+def invert_fit_two_roots(curve, value) -> float:
+    """Solve the curve's fitted quadratic for ``value``: both roots, keeping the one nearest the span.
+
+    The root is clipped to the span. A linear fit is solved directly; a
+    negative discriminant gives the span end the curve approaches.
+    """
+    a, b, c = curve.quad_coeffs
+    lo, hi = curve.span
+    if abs(c) < 1e-12:
+        root = (value - a) / b
+    else:
+        disc = b * b - 4.0 * c * (a - value)
+        if disc < 0:
+            return hi if c < 0 else lo
+        sq = float(np.sqrt(disc))
+        roots = ((-b + sq) / (2.0 * c), (-b - sq) / (2.0 * c))
+        root = min(roots, key=lambda r: max(lo - r, r - hi, 0.0))
+    return float(np.clip(root, lo, hi))
+
+
 def make_series(times, log_prices=None):
     times = np.asarray(times, dtype=float)
     if log_prices is None:

@@ -27,15 +27,24 @@ from tickcopula import (
     simulate,
 )
 from tickcopula.calibration import (
+    IntervalEstimate,
     _block_taus,
     _invert_fit,
     _pair_rows,
+    _paired_rows,
     _uncorrected_taus,
 )
 from tickcopula.copulas import _sample_block
 from tickcopula.synthesis import _events, _Events, _simulate, _streams
 
-from conftest import HugeTails, InfiniteTail, gaussian_tau_oracle, rows_apart_in_se, uncorrected_tau
+from conftest import (
+    HugeTails,
+    InfiniteTail,
+    gaussian_tau_oracle,
+    invert_fit_two_roots,
+    rows_apart_in_se,
+    uncorrected_tau,
+)
 
 STD_MARGINS = (stats.norm(), stats.norm())
 
@@ -122,12 +131,49 @@ class TestCorrectTau:
             obs = curve.predict(tau_true)
             assert _invert_fit(curve, float(obs)) == pytest.approx(tau_true, abs=1e-9)
 
+    def test_increasing_root_is_the_root_nearest_the_span(self):
+        # on every curve the monotonicity check admits, the one root solved is the one of both nearest the span
+        rng = np.random.default_rng(40)
+        curves = n_negative = 0
+        while curves < 300:
+            lo, hi = np.sort(rng.uniform(-0.9, 0.9, 2))
+            if hi - lo < 0.1:
+                continue
+            try:
+                curve = make_curve((rng.normal(0, 0.1), rng.uniform(0.05, 1.5), rng.normal(0, 1.5)),
+                                   grid=np.linspace(lo, hi, int(rng.integers(5, 13))), noise=0.01,
+                                   n_rep=50, seed=curves)
+            except CalibrationFailure:
+                continue
+            curves += 1
+            f_lo, f_hi = curve.fitted_range
+            beyond = (f_hi - f_lo) * np.array([1e-9, 1e-3, 0.1, 1.0, 10.0, 1e4])
+            values = [*np.linspace(f_lo, f_hi, 9), np.nextafter(f_lo, -1), np.nextafter(f_hi, 1),
+                      *(f_lo - beyond), *(f_hi + beyond)]
+            a, b, c = curve.quad_coeffs
+            for value in map(float, values):
+                n_negative += b * b - 4.0 * c * (a - value) < 0
+                assert _invert_fit(curve, value) == invert_fit_two_roots(curve, value)
+        assert n_negative > 100
+
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("invert", [interval_quad, interval_quantile])
 def test_non_finite_observation_rejected(invert, tau):
     with pytest.raises(InvalidParameter, match="finite"):
         invert(make_curve((0.0, 1.0, 0.0)), tau)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, np.nan])
+@pytest.mark.parametrize("invert", [interval_quad, interval_quantile])
+def test_level_outside_the_unit_interval_rejected(invert, level):
+    with pytest.raises(InvalidParameter, match=re.escape(f"level must lie in (0, 1), got {level}")):
+        invert(make_curve((0.0, 1.0, 0.0)), 0.4, level=level)
+
+
+def test_interval_estimate_level_one_rejected():
+    with pytest.raises(InvalidParameter, match="level must lie in"):
+        IntervalEstimate(point=0.4, lo=0.3, hi=0.5, level=1.0, method="quad-prediction")
 
 
 class TestIntervalQuad:
@@ -324,6 +370,14 @@ class TestBuildCurve:
         with pytest.raises(InvalidParameter, match=message):
             build_curve("clayton", PoissonPair(1.0, 1.0), STD_MARGINS, grid=grid, n_rep=50)
 
+    def test_too_few_replicates_rejected_before_simulating(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a curve of 49 replicates was simulated")
+
+        monkeypatch.setattr("tickcopula.calibration._run_cells", unreachable)
+        with pytest.raises(InvalidParameter, match="n_rep must be at least 50, got 49"):
+            build_curve("clayton", PoissonPair(1.0, 1.0), STD_MARGINS, grid=np.linspace(0.1, 0.5, 5), n_rep=49)
+
     def test_underestimation_law_at_clt_scale(self):
         # positive true tau: mean uncorrected estimate below truth and the
         # estimate's sign agrees with the truth in >= 99% of replicates
@@ -419,6 +473,25 @@ def test_block_tau_left_nan_is_counted_on_the_rows_own_pairs(monkeypatch):
     with pytest.raises(InvalidParameter, match="finite"):
         _uncorrected_taus(spec, seeds)
     assert replayed == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_block_taus_are_each_rows_own_kendall_tau():
+    """NaN exactly on the rows rejected, holding an infinite return or with no untied pair; else each row's tau."""
+    spec = SimSpec(model=param_of_tau("clayton", 0.4), margins=STD_MARGINS, lambda1=1.0, lambda2=1.0,
+                   n1=350, n2=350)
+    rows, (xy, n_pairs, ok) = _paired_rows(spec, [[40, r] for r in range(50)])
+    rows = list(rows)  # views of the block's prices, which the changes below leave as they are
+    assert ok.all()
+    xy, ok = xy.copy(), ok.copy()
+    ok[[3, 17, 41]] = False
+    xy[0, 8, 5], xy[0, 8, 6] = 1.2e308, -1.2e308  # finite prices, an infinite return
+    xy[1, 29, : n_pairs[29]] = 0.0  # every pair of row 29 is tied in y
+    taus = _block_taus(xy, n_pairs, ok)
+    assert np.flatnonzero(np.isnan(taus)).tolist() == [3, 8, 17, 29, 41]
+    for r, paired in enumerate(rows):
+        if not np.isnan(taus[r]):
+            assert taus[r] == kendall_tau(paired).tau_hat
 
 
 def test_gaussian_bias_map_matches_its_conditional_mean():

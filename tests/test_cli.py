@@ -576,6 +576,20 @@ class TestErrorContract:
         assert err == {"error": "InvalidParameter", "message": f"--family {argv[2]} ignores --df"}
         assert not list(tmp_path.glob("refused*"))
 
+    def test_param_refused_with_tau(self, tmp_path, capsys, monkeypatch):
+        # --tau sets the parameter: it runs without --param, and with it is refused before simulating
+        argv = ["simulate", "--family", "gaussian", "--tau", "0.3", "--n1", "50", "--n2", "50"]
+        assert run([*argv, "--out", tmp_path / "out"]) == 0
+        capsys.readouterr()
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate was called")
+
+        monkeypatch.setattr(cli, "simulate", no_simulation)
+        err = self.json_error(capsys, [*argv, "--param", "0.9", "--out", tmp_path / "refused"])
+        assert err == {"error": "InvalidParameter", "message": "--tau ignores --param"}
+        assert not list(tmp_path.glob("refused*"))
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"], ids=["bare", "blank-lines", "crlf"])
     @pytest.mark.parametrize("command", ["pair", "estimate"])

@@ -311,6 +311,12 @@ class TestSampling:
             for col in uv.T:
                 assert stats.kstest(col, "uniform").pvalue > 0.01
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_gumbel_theta_one_draws_independent_uniforms(self, seed):
+        # theta = 1 is the independence copula: its draws are the generator's own uniforms
+        uv = sample_uniform(CopulaModel("gumbel", 1.0), 1000, np.random.default_rng(seed))
+        assert uv.tobytes() == np.random.default_rng(seed).random((1000, 2)).tobytes()
+
     @pytest.mark.filterwarnings("error")
     def test_gumbel_frailty_overflow_is_quiet(self):
         # at tau = 0.999999 some frailties overflow or vanish: the draws hold

@@ -46,7 +46,7 @@ from tickcopula import (
     synthesis,
     tables,
 )
-from tickcopula.calibration import _paired_rows, _uncorrected_taus
+from tickcopula.calibration import _block_taus, _paired_rows, _uncorrected_taus
 from tickcopula.synthesis import (
     _block_reps,
     _deal,
@@ -364,6 +364,16 @@ class TestBoundedMemory:
         # it traces about 49.2 B/event, at pricing; a pricing step that allocated where it now
         # works in place would add a float64 array of the block's shape, 8 B/event, and fail
         assert traced_peak(_uncorrected_taus, spec, seeds) <= 52 * len(seeds) * 2 * n
+
+    def test_block_taus_peak_per_event(self):
+        # the counting step of the calibration default block: 350 ticks per asset, 50 replicates
+        n, seeds = 350, [[0, 0, r] for r in range(_block_reps(700))]
+        spec = SimSpec(model=copula("clayton"), margins=STANDARD_NORMAL, lambda1=1.0, lambda2=1.0,
+                       n1=n, n2=n)
+        returns = _paired_rows(spec, seeds)[1]
+        # it traces about 25 B/event, counting the differenced block in place; a copy of the
+        # block's returns through a row mask adds about 11 B/event and fails
+        assert traced_peak(_block_taus, *returns) <= 32 * len(seeds) * 2 * n
 
     @pytest.mark.parametrize("n", [350, 2000])
     def test_paired_rows_peak_per_event(self, n):
