@@ -278,7 +278,7 @@ def _block_taus(xy: np.ndarray, n_pairs: np.ndarray, ok: np.ndarray) -> np.ndarr
     rejects, or that holds an infinite return, is given length 0, so it
     counts no pair; the rows with no untied pair are left NaN.
     """
-    with np.errstate(invalid="ignore"):  # inf - inf; such rows count nothing
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a step past 1.8e308: not counted
         d = np.diff(xy, axis=2)
     n = np.where(ok & ~np.isinf(d).any(axis=(0, 2)), n_pairs - 1, 0)
     cmd, untied = _kendall_rows(d, n)

@@ -137,7 +137,8 @@ def _refuse_ignored(args, chosen: str, *options: str) -> None:
     """Refuse the ``options`` given on the command line, which ``chosen`` ignores.
 
     ``chosen`` names the scheme, method, family or option that ignores them.
-    Commands call this before they read a file, so a refusal comes first.
+    Commands, and :func:`main` for ``--df``, call this before any file is
+    read, so a refusal comes first.
     """
     values = {o: getattr(args, o[2:].replace("-", "_")) for o in options}
     given = [o for o, v in values.items() if v is not None and v is not False]  # unset: None, or False for a flag
@@ -191,8 +192,6 @@ def read_paired_csv(path) -> PairedSeries:
 
 
 def _cmd_simulate(args) -> int:
-    if args.family != "student_t":
-        _refuse_ignored(args, f"--family {args.family}", "--df")
     model = _model_from_args(args)
     margins = (parse_margin(args.margin1), parse_margin(args.margin2))
     spec = SimSpec(
@@ -305,19 +304,14 @@ def _cmd_select_copula(args) -> int:
 
 
 def _cmd_plugin_eval(args) -> int:
-    if args.family != "student_t":
-        _refuse_ignored(args, f"--family {args.family}", "--df")
     paired = read_paired_csv(args.paired)
     plugin = plugin_copula(paired, args.param, args.family, df=args.df)
     rx, ry = paired.returns()
-    if args.r1 is not None:
-        grid1 = np.array(_parse_numbers(args.r1, f"--r1 {args.r1!r}"))
-    else:
-        grid1 = np.quantile(rx, np.linspace(0.1, 0.9, 9))
-    if args.r2 is not None:
-        grid2 = np.array(_parse_numbers(args.r2, f"--r2 {args.r2!r}"))
-    else:
-        grid2 = np.quantile(ry, np.linspace(0.1, 0.9, 9))
+    grid1, grid2 = (  # each leg's deciles unless given
+        np.quantile(r, np.linspace(0.1, 0.9, 9)) if text is None
+        else np.array(_parse_numbers(text, f"--{name} {text!r}"))
+        for name, text, r in (("r1", args.r1, rx), ("r2", args.r2, ry))
+    )
     rows = []
     for r1 in grid1:
         vals = plugin.evaluate(np.full_like(grid2, r1), grid2)
@@ -329,8 +323,6 @@ def _cmd_plugin_eval(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.family != "student_t":
-        _refuse_ignored(args, f"--family {args.family}", "--df")
     if args.k < 5:  # np.linspace raises a bare ValueError on a negative count
         raise InvalidParameter("calibration grid needs at least 5 tau values")
     arrival = PoissonPair(args.lambda1, args.lambda2)
@@ -381,22 +373,30 @@ def _cmd_reproduce(args) -> int:
         else:
             fields = ["rho", "n", "prev_tick_mse", "refresh_mse", "corrected_mse"]
         out_rows = [{k: row[k] for k in fields} for row in rows]
-    elif args.table == "table3":
-        rows = t_copula_margin_study(n_rep=args.n_rep, seed=args.seed)
-        fields = list(rows[0].keys())
-        out_rows = rows
-    elif args.table == "coverage":
-        rows = coverage_study(n_rep=args.n_rep, seed=args.seed)
-        fields = list(rows[0].keys())
-        out_rows = rows
-    else:  # pragma: no cover - argparse blocks this
-        raise InvalidParameter(f"unknown table {args.table!r}")
+    else:  # argparse leaves table3 and coverage
+        study = t_copula_margin_study if args.table == "table3" else coverage_study
+        out_rows = study(n_rep=args.n_rep, seed=args.seed)
+        fields = list(out_rows[0].keys())
     _write_csv(args.out, fields, out_rows, _meta(args, table=args.table, n_rep=args.n_rep))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _add_family(p) -> None:
+    """``--family`` and its ``--df``, which :func:`main` refuses for a family other than ``student_t``."""
+    p.add_argument("--family", choices=FAMILIES, required=True)
+    p.add_argument("--df", type=int, help="degrees of freedom (student_t only)")
+
+
+def _add_streams(p) -> None:
+    """The two simulated streams' arrival rates and return margins (``normal[:mu,sigma]`` or ``t:df``)."""
+    p.add_argument("--lambda1", type=float, default=1.0)
+    p.add_argument("--lambda2", type=float, default=1.0)
+    p.add_argument("--margin1", default="normal")
+    p.add_argument("--margin2", default="normal")
 
 
 @functools.cache
@@ -415,17 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a nonsynchronous two-asset sample")
-    p.add_argument("--family", choices=FAMILIES, required=True)
+    _add_family(p)
     p.add_argument("--param", type=float, help="copula parameter (rho or theta)")
     p.add_argument("--tau", type=float, help="alternatively, Kendall's tau")
-    p.add_argument("--df", type=int, help="degrees of freedom (student_t only)")
-    p.add_argument("--lambda1", type=float, default=1.0)
-    p.add_argument("--lambda2", type=float, default=1.0)
+    _add_streams(p)
     p.add_argument("--n1", type=int, help="target tick count, asset 1")
     p.add_argument("--n2", type=int, help="target tick count, asset 2")
     p.add_argument("--horizon", type=float, help="session length in seconds")
-    p.add_argument("--margin1", default="normal")
-    p.add_argument("--margin2", default="normal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=_cmd_simulate)
@@ -462,26 +458,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plugin-eval", help="evaluate the plug-in copula on a grid")
     p.add_argument("--paired", required=True)
-    p.add_argument("--family", choices=FAMILIES, required=True)
+    _add_family(p)
     p.add_argument("--param", type=float, required=True)
-    p.add_argument("--df", type=int)
     p.add_argument("--r1", help="comma-separated return grid, asset 1")
     p.add_argument("--r2", help="comma-separated return grid, asset 2")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_plugin_eval)
 
     p = sub.add_parser("calibrate", help="build a tau correction curve by simulation")
-    p.add_argument("--family", choices=["clayton", "gumbel", "gaussian", "student_t"], required=True)
-    p.add_argument("--df", type=int)
+    _add_family(p)
     p.add_argument("--k", type=int, default=12, help="grid size")
     p.add_argument("--grid-lo", type=float, default=0.02)
     p.add_argument("--grid-hi", type=float, default=0.75)
     p.add_argument("--n-rep", type=int, default=100)
-    p.add_argument("--lambda1", type=float, default=1.0)
-    p.add_argument("--lambda2", type=float, default=1.0)
+    _add_streams(p)
     p.add_argument("--n-ticks", type=int, default=350)
-    p.add_argument("--margin1", default="normal")
-    p.add_argument("--margin2", default="normal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_calibrate)
@@ -510,6 +501,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's seed coercion would raise a bare ValueError
             raise InvalidParameter(f"--seed must be a non-negative integer, got {args.seed}")
+        if getattr(args, "family", "student_t") != "student_t":
+            _refuse_ignored(args, f"--family {args.family}", "--df")
         return args.func(args)
     except (TickCopulaError, OSError, MemoryError) as exc:
         # numpy raises a private subclass of MemoryError; report the public name

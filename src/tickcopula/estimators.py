@@ -66,6 +66,9 @@ def corrected_correlation(p: PairedSeries, level: float = 0.95) -> CorrectedCorr
     diag = diagnostics(p)
     rx, ry = p.returns()
     n = rx.size
+    with np.errstate(over="ignore", invalid="ignore"):  # finite returns whose squares pass 1.8e308
+        if not (np.isfinite(np.var(rx)) and np.isfinite(np.var(ry))):
+            raise InvalidParameter("a return leg's sample variance overflows float64; its correlation is undefined")
     if np.ptp(rx) == 0.0 or np.ptp(ry) == 0.0:
         raise InvalidParameter("a return leg has zero variance; its correlation is undefined")
     rho_hat = float(np.corrcoef(rx, ry)[0, 1])

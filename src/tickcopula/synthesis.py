@@ -162,8 +162,9 @@ def _lattice(margin, draws: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """
     # margins see 1-d draws, as their ppf contract promises
     log_p = np.asarray(margin.ppf(draws.ravel()), dtype=float).reshape(scale.shape)
-    log_p *= scale
-    with np.errstate(invalid="ignore"):  # inf + -inf; the caller refuses a non-finite price
+    # a product or sum past 1.8e308 is inf, and inf + -inf NaN; the caller refuses a non-finite price
+    with np.errstate(invalid="ignore", over="ignore"):
+        log_p *= scale
         np.cumsum(log_p, axis=1, out=log_p)
     log_p += _LOG_P0
     return log_p

@@ -433,7 +433,7 @@ class TestBuildCurve:
      {("MalformedInput", 3), ("MalformedInput", 0), ("MalformedInput", 2)}),
     ((stats.norm(), HugeTails()), 30, "gumbel", range(12), {("InvalidParameter", 1)}),
 ], ids=["tiny", "infinite-price", "infinite-return"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_block_taus_fail_as_a_loop_over_seeds(margins, n, family, prefixes, expected):
     """The block estimator returns, or raises, what the per-seed loop does, at the same replicate."""
     spec = SimSpec(model=param_of_tau(family, 0.4), margins=margins, lambda1=1.0, lambda2=3.0, n1=n, n2=n + 1)
@@ -455,7 +455,7 @@ def test_block_taus_fail_as_a_loop_over_seeds(margins, n, family, prefixes, expe
     assert expected <= seen
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_block_tau_left_nan_is_counted_on_the_rows_own_pairs(monkeypatch):
     """A row the block accepts but cannot count is counted on the pairs it holds, not simulated and paired again."""
     spec = SimSpec(model=param_of_tau("gumbel", 0.4), margins=(stats.norm(), HugeTails()), lambda1=1.0,
@@ -475,7 +475,7 @@ def test_block_tau_left_nan_is_counted_on_the_rows_own_pairs(monkeypatch):
     assert replayed == []
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_block_taus_are_each_rows_own_kendall_tau():
     """NaN exactly on the rows rejected, holding an infinite return or with no untied pair; else each row's tau."""
     spec = SimSpec(model=param_of_tau("clayton", 0.4), margins=STD_MARGINS, lambda1=1.0, lambda2=1.0,

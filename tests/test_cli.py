@@ -6,6 +6,8 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -37,8 +39,18 @@ from tickcopula.synthesis import _fork_workers
 from conftest import poisson_ticks, rows_apart_in_se, seeded_day, traced_peak, uncorrected_tau
 
 
+VARIANCE_OVERFLOWS = "a return leg's sample variance overflows float64; its correlation is undefined"
+
+
 def run(args):
     return main([str(a) for a in args])
+
+
+def alternating_paired(tmp_path, big):
+    """A paired CSV whose ``x`` alternates 0 and ``big``: finite returns of +-``big``."""
+    path = tmp_path / f"alternating_{big:g}.csv"
+    path.write_text("t1,x,t2,y\n" + "".join(f"{t},{big * (t % 2)!r},{t},{0.01 * (t % 5)!r}\n" for t in range(40)))
+    return path
 
 
 @pytest.fixture
@@ -485,6 +497,45 @@ class TestErrorContract:
         assert err["error"] == "InvalidParameter" and "finite" in err["message"]
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [1e308, 1e200])
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--method", "corrected-corr"],
+        ["intervals", "--method", "elliptical"],
+    ], ids=["corrected-corr", "elliptical"])
+    def test_return_variance_past_float64(self, tmp_path, capsys, argv, big):
+        # every return is finite, but their squares are not; at 1e200 the estimate once read -0.0
+        err = self.json_error(capsys, [*argv, "--paired", alternating_paired(tmp_path, big)])
+        assert err == {"error": "InvalidParameter", "message": VARIANCE_OVERFLOWS}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--method", "kendall"],
+        ["plugin-eval", "--family", "gaussian", "--param", "0.3"],
+        ["select-copula"],
+    ], ids=["kendall", "plugin-eval", "select-copula"])
+    def test_rank_methods_read_returns_whose_variance_overflows(self, tmp_path, capsys, argv):
+        assert run([*argv, "--paired", alternating_paired(tmp_path, 1e308), "--out", tmp_path / "out"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--family", "clayton", "--margin1", "normal:0,1e307", "--k", "5", "--n-rep", "50",
+         "--n-ticks", "50", "--out", "OUT"],
+        ["estimate", "--method", "corrected-corr", "--paired", "P"],
+        ["intervals", "--method", "elliptical", "--paired", "P"],
+    ], ids=["calibrate-log-price-overflow", "corrected-corr-variance", "elliptical-variance"])
+    def test_console_writes_one_json_line(self, tmp_path, argv):
+        # a process of its own, so a warning from numpy or from a forked worker would reach stderr
+        files = {"OUT": tmp_path / "out.json", "P": alternating_paired(tmp_path, 1e308)}
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "tickcopula.cli", *(str(files.get(a, a)) for a in argv)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line)["error"] in ("InvalidParameter", "MalformedInput")
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv, edge", [
         (["estimate", "--method", "corrected-corr"], 1.7e308),
         (["estimate", "--method", "kendall", "--same-config"], 1.7e308),
@@ -542,14 +593,19 @@ class TestErrorContract:
          "--families gaussian clayton ignores --t-df"),
         (["plugin-eval", "--paired", "P", "--family", "gaussian", "--param", "0.3", "--df", "5"],
          "--family gaussian ignores --df"),
+        (["simulate", "--family", "clayton", "--tau", "0.3", "--n1", "50", "--n2", "50", "--out", "O", "--df", "5"],
+         "--family clayton ignores --df"),
+        (["calibrate", "--family", "gumbel", "--k", "5", "--n-rep", "50", "--n-ticks", "50", "--out", "O", "--df", "5"],
+         "--family gumbel ignores --df"),
     ], ids=["pair-a0-delta", "pair-refresh-delta", "estimate-corrected-corr-same-config",
             "intervals-quad-paired", "intervals-quantile-paired", "intervals-elliptical-curve-tau-hat",
-            "select-copula-t-df", "plugin-eval-df"])
+            "select-copula-t-df", "plugin-eval-df", "simulate-df", "calibrate-df"])
     def test_ignored_option_refused(self, sim_prefix, curve_path, tmp_path, capsys, argv, message):
         # the command runs without its last, ignored options; with them it is refused before any file is read
         paired = tmp_path / "paired.csv"
         assert run(["pair", f"{sim_prefix}_a.csv", f"{sim_prefix}_b.csv", "--out", paired]) == 0
-        files = {"A": f"{sim_prefix}_a.csv", "B": f"{sim_prefix}_b.csv", "P": paired, "C": curve_path}
+        files = {"A": f"{sim_prefix}_a.csv", "B": f"{sim_prefix}_b.csv", "P": paired, "C": curve_path,
+                 "O": tmp_path / "refused"}
         full = [files.get(a, a) for a in argv]
         ignored = full.index(message.split(" ignores ")[1].split(" and ")[0])
         assert run([*full[:ignored], "--out", tmp_path / "out"]) == 0

@@ -407,6 +407,16 @@ class TestCorrectedCorrelationDomain:
         with pytest.raises(InvalidParameter, match="zero variance"):
             corrected_correlation(paired_from_returns(rx, ry))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [1e308, 1e200, 1.5e154])
+    @pytest.mark.parametrize("leg", ["x", "y"])
+    def test_variance_past_float64_rejected(self, rng, leg, big):
+        # finite returns of +-big, whose squares are not
+        r, wide = rng.standard_normal(30), np.resize([big, -big], 30)
+        rx, ry = (wide, r) if leg == "x" else (r, wide)
+        with pytest.raises(InvalidParameter, match="^a return leg's sample variance overflows float64"):
+            corrected_correlation(paired_from_returns(rx, ry))
+
 
 def _row_values(draw, rng, n):
     """One side of a row: integer-tied, continuous, signed zeros or constant."""

@@ -305,7 +305,7 @@ class TestStudyBlocks:
         ((STANDARD_NORMAL[0], HugeTails()), 30, {"InvalidParameter"}),
     ], ids=["tiny", "infinite-price", "infinite-return"])
     @pytest.mark.parametrize("study", ["table3", "coverage"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_fails_as_the_loop(self, study, margins, n, expected, curve):
         """The block returns, or raises, what the loop does, at the same replicate."""
         spec = SimSpec(model=param_of_tau("clayton", 0.4), margins=margins, lambda1=1.0, lambda2=1.0, n1=n, n2=n)
