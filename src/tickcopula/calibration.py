@@ -173,17 +173,21 @@ class CorrectionCurve:
         """The curve ``to_dict`` wrote, refitted from its replicates.
 
         The four fit keys are ignored. A missing or mistyped field raises
-        :class:`InvalidParameter`.
+        :class:`InvalidParameter`, and so does a replicate that is no
+        Kendall tau, non-finite or past [-1, 1], before the fits run on it.
         """
         try:
-            return cls(
-                family=d["family"],
-                grid_taus=np.asarray(d["grid_taus"], dtype=float),
-                estimates=np.asarray(d["estimates"], dtype=float),
-                meta=dict(d.get("meta", {})),
-            )
+            family, meta = d["family"], dict(d.get("meta", {}))
+            grid = np.asarray(d["grid_taus"], dtype=float)
+            estimates = np.asarray(d["estimates"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParameter(f"malformed curve: {type(exc).__name__}: {exc}") from None
+        bad = np.argwhere(~(np.abs(estimates) <= 1.0))  # nan fails <=
+        if estimates.ndim == 2 and bad.size:  # other shapes are refused on construction
+            k, r = bad[0]
+            raise InvalidParameter(f"replicate {r} at grid index {k} is {estimates[k, r]}; "
+                                   "estimates must be Kendall taus, finite and in [-1, 1]")
+        return cls(family=family, grid_taus=grid, estimates=estimates, meta=meta)
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -400,6 +404,8 @@ def _invert_fit(curve: CorrectionCurve, value: float) -> float:
 def _check_observation(tau_uncorrected: float) -> None:
     if not np.isfinite(tau_uncorrected):
         raise InvalidParameter(f"observed tau must be finite, got {tau_uncorrected}")
+    if abs(tau_uncorrected) > 1.0:
+        raise InvalidParameter(f"observed tau must lie in [-1, 1], got {tau_uncorrected}")
 
 
 def interval_quad(

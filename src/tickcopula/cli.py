@@ -148,8 +148,6 @@ def _refuse_ignored(args, chosen: str, *options: str) -> None:
 
 def write_paired_csv(path, paired: PairedSeries, meta: dict) -> None:
     """Columns t1,x,t2,y,overlap,config; the first row has no overlap yet."""
-    overlaps = overlap_intervals(paired) if len(paired) >= 2 else np.array([])
-    configs = configuration_labels(paired) if len(paired) >= 2 else np.array([])
     meta = dict(meta)
     meta.update(
         scheme=paired.scheme, n_raw1=paired.n_raw1, n_raw2=paired.n_raw2,
@@ -160,7 +158,7 @@ def write_paired_csv(path, paired: PairedSeries, meta: dict) -> None:
     head += "%.17g,%.17g,%.17g,%.17g,,\n" % tuple(c[0].item() for c in cols)
     with _output(path) as fh:
         _write_rows(fh, head, "%.17g,%.17g,%.17g,%.17g,%.17g,%d\n",
-                    (*(c[1:] for c in cols), overlaps, configs))
+                    (*(c[1:] for c in cols), overlap_intervals(paired), configuration_labels(paired)))
 
 
 def read_paired_csv(path) -> PairedSeries:
@@ -325,6 +323,10 @@ def _cmd_plugin_eval(args) -> int:
 def _cmd_calibrate(args) -> int:
     if args.k < 5:  # np.linspace raises a bare ValueError on a negative count
         raise InvalidParameter("calibration grid needs at least 5 tau values")
+    # np.linspace raises a bare ValueError when its array's bytes pass intp; it counts the values
+    # as float(k), which rounds up to 2**60 from k = 2**60 - 64 on
+    if float(args.k) * 8 > np.iinfo(np.intp).max:
+        raise InvalidParameter(f"--k {args.k} is more tau values than an array can hold")
     arrival = PoissonPair(args.lambda1, args.lambda2)
     margins = (parse_margin(args.margin1), parse_margin(args.margin2))
     grid = np.linspace(args.grid_lo, args.grid_hi, args.k)

@@ -194,56 +194,33 @@ def _student_t_cdf(u, v, rho: float, df: int) -> np.ndarray:
 # densities
 
 
-def _coordinate_terms(family: str, df: int | None, p: np.ndarray) -> tuple:
-    """The parameter-free terms of the log density that depend on one coordinate.
+def _features(family: str, df: int | None, vals: np.ndarray, iu, iv) -> tuple:
+    """The parameter-free per-point terms of the family's log density at ``u = vals[iu]``, ``v = vals[iv]``.
 
-    Each term is elementwise in ``p``, so on pseudo-observations it can be
-    evaluated once per distinct value and gathered per point.
+    Fitting evaluates the density at many parameters on one dataset, so the
+    quantile transforms and logarithms are computed here once, on each entry
+    of ``vals``, and gathered per point: pseudo-observations of both columns
+    share the values ``rank/(n+1)``, so the transform runs over at most n
+    values instead of 2n. Every step is elementwise, so the result equals
+    the per-point one bit for bit.
     """
     if family == "gaussian":
-        return (special.ndtri(p),)
-    if family == "student_t":
-        x = special.stdtrit(df, p)
-        return x, np.log1p(x * x / df)
-    if family == "clayton":
-        return (np.log(p),)
-    # gumbel
-    lp = -np.log(p)
-    return lp, np.log(lp)
-
-
-def _features(family: str, df: int | None, tu: tuple, tv: tuple) -> tuple:
-    """The parameter-free per-point terms of the family's log density.
-
-    ``tu`` and ``tv`` are the :func:`_coordinate_terms` of u and v. Fitting
-    evaluates the density at many parameters on one dataset, so the quantile
-    transforms and logarithms are computed here once.
-    """
-    if family == "gaussian":
-        (x,), (y,) = tu, tv
+        q = special.ndtri(vals)
+        x, y = q[iu], q[iv]
         return x * x + y * y, x * y
     if family == "student_t":
-        (x, log_mx), (y, log_my) = tu, tv
+        q = special.stdtrit(df, vals)
+        log_m = np.log1p(q * q / df)
+        x, y = q[iu], q[iv]
         # minus the two marginal t log densities, up to the constant
-        t_margins = (df + 1.0) / 2.0 * (log_mx + log_my)
-        return x * x + y * y, x * y, t_margins
+        return x * x + y * y, x * y, (df + 1.0) / 2.0 * (log_m[iu] + log_m[iv])
     if family == "clayton":
-        return tu[0], tv[0]
-    # gumbel
-    (lu, log_lu), (lv, log_lv) = tu, tv
-    return lu + lv, log_lu, log_lv
-
-
-def _gathered_features(family: str, df: int | None, vals: np.ndarray, iu: np.ndarray,
-                       iv: np.ndarray) -> tuple:
-    """:func:`_features` at ``u = vals[iu]``, ``v = vals[iv]``, transforming each value once.
-
-    Pseudo-observations of both columns share the values ``rank/(n+1)``, so
-    the quantile transform runs over at most n values instead of 2n. Every
-    step is elementwise, so the result equals the per-point one bit for bit.
-    """
-    terms = _coordinate_terms(family, df, vals)
-    return _features(family, df, tuple(t[iu] for t in terms), tuple(t[iv] for t in terms))
+        log_p = np.log(vals)
+        return log_p[iu], log_p[iv]
+    # gumbel, with lu = -log(u), lv = -log(v)
+    lp = -np.log(vals)
+    log_lp = np.log(lp)
+    return lp[iu] + lp[iv], log_lp[iu], log_lp[iv]
 
 
 def _log_density(family: str, param: float, df: int | None, features: tuple) -> np.ndarray:
@@ -289,9 +266,8 @@ def log_pdf(model: CopulaModel, u, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if not ((u > 0).all() and (u < 1).all() and (v > 0).all() and (v < 1).all()):  # nan fails them
         raise InvalidParameter("density requires arguments strictly inside (0, 1)")
-    tu = _coordinate_terms(model.family, model.df, u)
-    tv = _coordinate_terms(model.family, model.df, v)
-    return _log_density(model.family, model.param, model.df, _features(model.family, model.df, tu, tv))
+    features = _features(model.family, model.df, np.stack(np.broadcast_arrays(u, v)), 0, 1)
+    return _log_density(model.family, model.param, model.df, features)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +478,7 @@ def fit_aic(
     iu, iv = inv.reshape(2, -1)
 
     def fit(family: str, df: int | None) -> tuple[float, float, bool, int | None]:
-        return (*_fit_family_tau(_gathered_features(family, df, vals, iu, iv), family, df), df)
+        return (*_fit_family_tau(_features(family, df, vals, iu, iv), family, df), df)
 
     def profile_t() -> tuple[float, float, bool, int]:
         at = functools.cache(lambda i: fit("student_t", t_grid[i]))  # no df is fitted twice

@@ -21,7 +21,7 @@ from scipy import special
 from scipy.stats._stats import _kendall_dis
 
 from .errors import InsufficientData, InvalidParameter
-from .pairing import PairDiagnostics, PairedSeries, diagnostics
+from .pairing import PairDiagnostics, PairedSeries, configuration_labels, diagnostics
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,9 @@ def kendall_tau(p: PairedSeries, basis: str = "all-pairs") -> TauEstimate:
 
     ``basis="all-pairs"`` compares every pair of return observations.
     ``basis="same-config"`` compares only returns that share an ordering
-    configuration label, within each of the nested configurations 1 and 4.
+    configuration label, within each of the nested configurations 1 and 4,
+    and refuses a pairing that :func:`diagnostics` refuses, such as one
+    with a non-positive overlap.
 
     Each group's returns are copied once, into a row of the ``(2, groups,
     width)`` array that :func:`_kendall_rows` pads in place. Its one rank
@@ -198,7 +200,8 @@ def kendall_tau(p: PairedSeries, basis: str = "all-pairs") -> TauEstimate:
     if basis == "all-pairs":
         groups = [np.ones(rx.size, dtype=bool)]
     else:
-        labels = diagnostics(p).configs
+        diagnostics(p)  # for its refusals
+        labels = configuration_labels(p)
         groups = [labels == 1, labels == 4]
     n = np.array([np.count_nonzero(mask) for mask in groups])
     xy = np.empty((2, n.size, n.max()))

@@ -22,9 +22,11 @@ and merges the ticks into one stream, each scheme picks the stream positions
 that close its pairs, ``_last_ticks`` maps those to each asset's last tick at
 or before them, and ``_paired`` builds the ``PairedSeries``.
 
-``diagnostics`` computes the per-pair overlap intervals, the four-way
-ordering configuration of consecutive pairs, interarrival means and the
-fraction of raw ticks lost to the synchronization.
+``overlap_intervals`` and ``configuration_labels`` give each return pair's
+overlap interval and the four-way ordering configuration of its two pairs.
+``diagnostics`` summarizes a pairing: the interarrival and overlap means
+behind the correction factor ``w``, and the fraction of raw ticks lost to
+the synchronization.
 """
 
 from __future__ import annotations
@@ -106,16 +108,15 @@ class PairedSeries:
 
 @dataclass(frozen=True)
 class PairDiagnostics:
-    """Overlap intervals, configurations and interarrival summaries.
+    """Interarrival, overlap and loss summaries of a pairing.
 
-    ``overlaps[i]`` is the time span common to the two interarrivals behind
-    return pair ``i+1``; ``configs[i]`` labels the ordering of the four
-    timestamps involved (1..4). ``loss1``/``loss2`` are the fractions of raw
-    ticks of each asset that ended up in no pair.
+    ``m1``/``m2`` are the mean interarrivals of each asset's paired ticks
+    and ``m_overlap`` the mean of :func:`overlap_intervals`. ``loss1``/``loss2``
+    are the fractions of raw ticks of each asset that ended up in no pair.
+    The per-pair overlaps and configurations are :func:`overlap_intervals`
+    and :func:`configuration_labels`.
     """
 
-    overlaps: np.ndarray
-    configs: np.ndarray
     m1: float
     m2: float
     m_overlap: float
@@ -337,7 +338,7 @@ def _n_distinct(t: np.ndarray) -> int:
 
 
 def diagnostics(p: PairedSeries) -> PairDiagnostics:
-    """Overlaps, configurations, interarrival means and loss fractions.
+    """Interarrival and overlap means and loss fractions.
 
     Raises
     ------
@@ -363,12 +364,9 @@ def diagnostics(p: PairedSeries) -> PairDiagnostics:
     if not (math.isfinite(m1 * m2) and math.isfinite(m_overlap)):  # w = sqrt(m1 * m2) / m_overlap
         raise InvalidParameter(f"interarrival means m1={m1}, m2={m2} and m_overlap={m_overlap} must be finite, "
                                f"and so must m1 * m2")
-    configs = configuration_labels(p)
     loss1 = 1.0 - _n_distinct(p.t1) / p.n_raw1
     loss2 = 1.0 - _n_distinct(p.t2) / p.n_raw2
     return PairDiagnostics(
-        overlaps=overlaps,
-        configs=configs,
         m1=m1,
         m2=m2,
         m_overlap=m_overlap,

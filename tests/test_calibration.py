@@ -164,6 +164,15 @@ def test_non_finite_observation_rejected(invert, tau):
         invert(make_curve((0.0, 1.0, 0.0)), tau)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [2.0, -1.0000000000000002, 1e308, -1e308])
+@pytest.mark.parametrize("invert", [interval_quad, interval_quantile])
+def test_observation_past_one_rejected(invert, tau):
+    # no Kendall tau lies past [-1, 1]; -1e308 overflowed the quadratic before it was refused
+    with pytest.raises(InvalidParameter, match=re.escape(f"observed tau must lie in [-1, 1], got {tau}")):
+        invert(make_curve((0.0, 1.0, 0.0)), tau)
+
+
 @pytest.mark.parametrize("level", [0.0, 1.0, np.nan])
 @pytest.mark.parametrize("invert", [interval_quad, interval_quantile])
 def test_level_outside_the_unit_interval_rejected(invert, level):
@@ -196,7 +205,7 @@ class TestIntervalQuad:
     def test_far_outside_band_fails(self):
         curve = make_curve((0.0, 1.0, 0.0), noise=0.01)
         with pytest.raises(CalibrationFailure):
-            interval_quad(curve, 2.0)
+            interval_quad(curve, 0.99)
 
     def test_interval_clipped_to_grid_span(self):
         curve = make_curve((0.0, 1.0, 0.0), noise=0.05)

@@ -522,10 +522,15 @@ class TestErrorContract:
          "--n-ticks", "50", "--out", "OUT"],
         ["estimate", "--method", "corrected-corr", "--paired", "P"],
         ["intervals", "--method", "elliptical", "--paired", "P"],
-    ], ids=["calibrate-log-price-overflow", "corrected-corr-variance", "elliptical-variance"])
-    def test_console_writes_one_json_line(self, tmp_path, argv):
-        # a process of its own, so a warning from numpy or from a forked worker would reach stderr
-        files = {"OUT": tmp_path / "out.json", "P": alternating_paired(tmp_path, 1e308)}
+        ["intervals", "--method", "quad", "--curve", "C", "--tau-hat", "0.2"],
+    ], ids=["calibrate-log-price-overflow", "corrected-corr-variance", "elliptical-variance", "curve-past-one"])
+    def test_console_writes_one_json_line(self, tmp_path, curve_path, argv):
+        # a process of its own, so a warning from numpy or from a forked worker would reach stderr,
+        # and what LAPACK prints would reach stdout
+        curve = json.loads(curve_path.read_text())
+        curve["estimates"] = [[1e306 * e for e in row] for row in curve["estimates"]]
+        (tmp_path / "curve.json").write_text(json.dumps(curve))
+        files = {"OUT": tmp_path / "out.json", "P": alternating_paired(tmp_path, 1e308), "C": tmp_path / "curve.json"}
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "tickcopula.cli", *(str(files.get(a, a)) for a in argv)],
@@ -744,6 +749,30 @@ class TestErrorContract:
         err = self.json_error(capsys, ["intervals", "--method", method, "--curve", bad, "--tau-hat", "0.2"])
         assert err["error"] == "InvalidParameter" and "replicate 3 at grid index 2" in err["message"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["quad", "quantile"])
+    @pytest.mark.parametrize("scale", [1.0, 1e306])
+    def test_replicate_past_one(self, curve_path, tmp_path, capsys, method, scale):
+        # at 1e306 the fits overflowed, and LAPACK wrote to stdout, before the error
+        curve = json.loads(curve_path.read_text())
+        curve["estimates"] = [[scale * e for e in row] for row in curve["estimates"]]
+        curve["estimates"][2][3] = -1.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(curve))
+        err = self.json_error(capsys, ["intervals", "--method", method, "--curve", bad, "--tau-hat", "0.2"])
+        assert err["error"] == "InvalidParameter" and err["message"].startswith("replicate ")
+        assert err["message"].endswith("; estimates must be Kendall taus, finite and in [-1, 1]")
+        if scale == 1.0:
+            assert err["message"].startswith("replicate 3 at grid index 2 is -1.5;")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["quad", "quantile"])
+    @pytest.mark.parametrize("tau", ["2", "-1e308", "1e308"])
+    def test_observation_past_one(self, curve_path, capsys, method, tau):
+        # at -1e308 the quadratic overflowed and the message printed all 309 digits
+        err = self.json_error(capsys, ["intervals", "--method", method, "--curve", curve_path, f"--tau-hat={tau}"])
+        assert err == {"error": "InvalidParameter", "message": f"observed tau must lie in [-1, 1], got {float(tau)}"}
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--family", "gaussian", "--param", "0.3", "--n1", "50", "--n2", "50", "--seed", "-1"],
         ["calibrate", "--family", "clayton", "--seed", "-3"],
@@ -759,6 +788,13 @@ class TestErrorContract:
         # np.linspace raised a bare ValueError on a negative count
         err = self.json_error(capsys, ["calibrate", "--family", "clayton", "--k", k, "--out", tmp_path / "x"])
         assert err == {"error": "InvalidParameter", "message": "calibration grid needs at least 5 tau values"}
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("k", [str(10**20), str(2**60 - 64)])
+    def test_calibration_grid_past_any_array(self, tmp_path, capsys, k):
+        # np.linspace raised a bare ValueError; it sizes the grid from float(k), 2**60 from 2**60 - 64 on
+        err = self.json_error(capsys, ["calibrate", "--family", "clayton", "--k", k, "--out", tmp_path / "x"])
+        assert err == {"error": "InvalidParameter", "message": f"--k {k} is more tau values than an array can hold"}
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.filterwarnings("error")

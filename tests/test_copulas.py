@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,6 +262,40 @@ class TestDensity:
         c = (np.exp(-w ** (1 / theta)) / (u * v) * (s * t) ** (theta - 1)
              * w ** (1 / theta - 2) * (w ** (1 / theta) + theta - 1))
         assert np.allclose(log_pdf(CopulaModel("gumbel", theta), u, v), np.log(c), rtol=1e-10, atol=1e-10)
+
+    # SHA-256 of log_pdf's bytes on a vector, a (50, 1) x (1, 50) broadcast and a scalar input:
+    # a rewrite of the density's terms must not move a bit
+    _U, _V = np.random.default_rng(7).uniform(0.001, 0.999, (2, 50))
+    PINNED_BYTES = [
+        (CopulaModel("gaussian", -0.6), [
+            "d71347ac508662996438863b81e8e55d78414c7e2487683c7101d7b7f9a09d0a",
+            "3288e9488f36646b6015ffe1a047ab3ca9c77ec6be6457f42d5c31153915ecd2",
+            "43785fadf4dcdbea04c640b16fb130a97b2775b5d873cb23688d019d0dc25ced",
+        ]),
+        (CopulaModel("student_t", 0.5, df=5), [
+            "7ca700470b7c63af652d6b799c7b28da5ce328d7132246865c74dc43027f044b",
+            "33a104f0da30042ba80f82c25eddd92425f41e1ffebe19aceaebd9d7cac4514e",
+            "aebba35852afda1cd335d31a7713dbcd51be6a1d61ca0c89c7d0d0105b33a372",
+        ]),
+        (CopulaModel("clayton", 2.5), [
+            "cccbba5b3545d14b74c1fa7f2cf013ceeb3d90ee08afe45f18f14fdfd2068ad1",
+            "510c053b3a49daf6efce36760ddeb125697d932885a52cbe782d695f3a2751dc",
+            "3a24f1a80e912dce0e5c1f55e5822157208d1fdcadf8eb4c860b5f79235a92ab",
+        ]),
+        (CopulaModel("gumbel", 1.7), [
+            "c3a98d4e0bb7eb5264e6f992d2dc78b812decaf9cfa2c2a7cf3843e51a0d6cf2",
+            "320cb7ea093f684a34ab2c46d667fccf73b5948089bbb81c6f28beedbec2c366",
+            "72b78707135656cc5e33041e8ab4f39e55fac8cf2f07190c4a0115d62e88dfd0",
+        ]),
+    ]
+
+    @pytest.mark.parametrize("model, digests", PINNED_BYTES, ids=[m.family for m, _ in PINNED_BYTES])
+    def test_pinned_bytes(self, model, digests):
+        outs = [log_pdf(model, u, v) for u, v in
+                [(self._U, self._V), (self._U[:, None], self._V[None, :]), (0.3, 0.8)]]
+        assert [np.shape(o) for o in outs] == [(50,), (50, 50), ()]
+        assert type(outs[2]) is np.float64
+        assert [hashlib.sha256(np.asarray(o).tobytes()).hexdigest() for o in outs] == digests
 
 
 class TestSampling:

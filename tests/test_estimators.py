@@ -24,7 +24,7 @@ from tickcopula import (
 )
 from tickcopula import estimators
 
-from conftest import dependence_checks, kendall_tau_brute, poisson_ticks
+from conftest import dependence_checks, kendall_tau_brute, make_series, poisson_ticks
 
 
 def paired_from_returns(rx, ry, times=None):
@@ -197,13 +197,11 @@ class TestKendallTau:
         assert est.n_pairs_compared + est.n_tied < allp.n_pairs_compared
 
     def test_same_config_equals_groupwise_brute_force(self, rng):
-        from tickcopula import diagnostics
-
         a = poisson_ticks(rng, 1.0, 120)
         b = poisson_ticks(rng, 1.3, 150)
         p = pair_ticks(a, b)
         rx, ry = p.returns()
-        labels = diagnostics(p).configs
+        labels = configuration_labels(p)
         num = 0
         den = 0
         for c in (1, 4):
@@ -229,6 +227,14 @@ class TestKendallTau:
         est = kendall_tau(p, basis="same-config")
         assert est == dataclasses.replace(kendall_tau(p), basis="same-config")
         assert est.tau_hat == pytest.approx(stats.kendalltau(rx, ry).statistic, abs=1e-12)
+
+    def test_same_config_refuses_a_repeated_tick(self):
+        # previous-tick pairs keep asset 1's tick while asset 2 moves: a zero overlap, so no
+        # ordering configuration
+        pt = pair_previous_tick(make_series([1.0, 6.0, 20.0]), make_series([0.5, 1.5, 2.5, 3.5, 19.0]), delta=1.0)
+        assert (np.diff(pt.t1) == 0).any()
+        with pytest.raises(DegeneratePairing, match="non-positive overlap"):
+            kendall_tau(pt, basis="same-config")
 
     def test_insufficient(self):
         p = paired_from_returns([1.0], [2.0])

@@ -30,8 +30,8 @@ class TestPairTicks:
         assert len(p) == 4
         assert np.array_equal(p.t1, a.times)
         assert np.array_equal(p.t2, b.times)
+        assert np.allclose(overlap_intervals(p), 1.0)
         d = diagnostics(p)
-        assert np.allclose(d.overlaps, 1.0)
         assert d.loss1 == d.loss2 == 0.0
 
     def test_hand_trace_four_ticks(self):
@@ -178,9 +178,8 @@ class TestOverlapAndConfigs:
     def test_figure_ordering_config1(self):
         # t1_prev < t2_prev < t2_cur < t1_cur: overlap is asset 2's interarrival
         p = pair_ticks(make_series([1, 4]), make_series([2, 3]))
-        d = diagnostics(p)
-        assert d.configs.tolist() == [1]
-        assert np.allclose(d.overlaps, [3 - 2])
+        assert configuration_labels(p).tolist() == [1]
+        assert np.allclose(overlap_intervals(p), [3 - 2])
 
     def test_all_four_configurations_by_construction(self):
         cases = {
@@ -191,8 +190,7 @@ class TestOverlapAndConfigs:
         }
         for label, (t1, t2) in cases.items():
             p = pair_ticks(make_series(t1), make_series(t2))
-            d = diagnostics(p)
-            assert d.configs.tolist() == [label], f"config {label}"
+            assert configuration_labels(p).tolist() == [label], f"config {label}"
 
     def test_minmax_formula_equals_four_case_definition(self, rng):
         # brute-force the case analysis on random strictly valid orderings
@@ -209,16 +207,16 @@ class TestOverlapAndConfigs:
             p = pair_ticks(
                 make_series([t1_prev, t1_cur]), make_series([t2_prev, t2_cur])
             )
-            d = diagnostics(p)
-            label = d.configs[0]
+            label = configuration_labels(p)[0]
+            overlap = overlap_intervals(p)[0]
             four_case = {
                 1: t2_cur - t2_prev,
                 2: t2_cur - t1_prev,
                 3: t1_cur - t2_prev,
                 4: t1_cur - t1_prev,
             }[label]
-            assert d.overlaps[0] == pytest.approx(four_case)
-            assert d.overlaps[0] == pytest.approx(
+            assert overlap == pytest.approx(four_case)
+            assert overlap == pytest.approx(
                 min(t1_cur, t2_cur) - max(t1_prev, t2_prev)
             )
 
@@ -357,9 +355,8 @@ def test_pairing_invariants(streams):
     except NoOverlap:  # no grid point saw a tick of both assets
         prev = None
     if len(a0) >= 2:
-        d = diagnostics(a0)
-        assert (d.overlaps > 0).all()
-        assert d.w >= 1.0
+        assert (overlap_intervals(a0) > 0).all()
+        assert diagnostics(a0).w >= 1.0
         assert diagnostics(refresh).w == 1.0
     for p in (a0, refresh, prev):
         if p is None or len(p) < 2:
