@@ -232,6 +232,8 @@ def simulate(spec: SimSpec) -> SimResult:
 def _check_n_rep(n_rep: int) -> None:
     if n_rep < 2:
         raise InvalidParameter(f"n_rep must be at least 2, got {n_rep}")
+    if n_rep > _MAX_EVENTS:
+        raise InvalidParameter(f"{n_rep} replicates are more than an array can hold")
 
 
 # A block simulates at most this many events (``SimSpec.n_events`` each) in

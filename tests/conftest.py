@@ -5,16 +5,40 @@ underestimation of concordance on nonsynchronous pairs: conditioning the
 common-interval sign product on a disagreeing contamination sign leaves its
 expectation unchanged, while adding the contamination shrinks the absolute
 expectation without flipping its sign.
+
+``PINNED`` maps the name of every seeded output frozen bit for bit to the
+SHA-256 that :func:`digest` gives it. A change that moves an output edits
+its key in ``digests.json``, and the JSON diff is the list of what moved.
 """
 
+import hashlib
+import json
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from tickcopula import CopulaModel, InvalidParameter, TickSeries, kendall_tau, pair_ticks, sample_uniform
+
+PINNED = json.loads(Path(__file__).with_name("digests.json").read_text())
+
+
+def digest(*parts) -> str:
+    """SHA-256 of ``parts`` in order: bytes as they are, str as UTF-8, arrays and numpy scalars by their
+    C-order bytes, anything else as sorted-key JSON."""
+    h = hashlib.sha256()
+    for p in parts:
+        if isinstance(p, str):
+            p = p.encode()
+        elif isinstance(p, (np.ndarray, np.generic)):
+            p = np.ascontiguousarray(p).tobytes()
+        elif not isinstance(p, bytes):
+            p = json.dumps(p, sort_keys=True).encode()
+        h.update(p)
+    return h.hexdigest()
 
 
 def traced_peak(fn, *args):

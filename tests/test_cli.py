@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import multiprocessing
@@ -36,7 +35,7 @@ from tickcopula.cli import _write_json, main, parse_margin, read_paired_csv, wri
 from tickcopula.market_data import _CHUNK_ROWS, _read_columns, _tick_checks, load_ticks
 from tickcopula.synthesis import _fork_workers
 
-from conftest import poisson_ticks, rows_apart_in_se, seeded_day, traced_peak, uncorrected_tau
+from conftest import PINNED, digest, poisson_ticks, rows_apart_in_se, seeded_day, traced_peak, uncorrected_tau
 
 
 VARIANCE_OVERFLOWS = "a return leg's sample variance overflows float64; its correlation is undefined"
@@ -92,35 +91,24 @@ class TestSimulateCommand:
         assert (tmp_path / "r1_a.csv").read_bytes() == (tmp_path / "r2_a.csv").read_bytes()
         assert (tmp_path / "r1_b.csv").read_bytes() == (tmp_path / "r2_b.csv").read_bytes()
 
-    # SHA-256 of the _a.csv, _b.csv and _truth.json files, recorded before the truth
-    # file was written from the command's model; tau and df are pinned only here
-    @pytest.mark.parametrize("argv, digests", [
-        (["--family", "clayton", "--tau", "0.4"],
-         ("dec9f8b8f278907563e087fdae7d51ec9c7e04b85606eb5fda8fad7d153167a7",
-          "cd40a3b37328e7332da8a03f0fa6714dc5c51fbf29a62c85858e112c477791c0",
-          "de1d7fcda85ecc59e578dff362f8c687c18411669c1de2fecc0585a4b30c22e9")),
-        (["--family", "gumbel", "--tau", "0.4"],
-         ("490ae90a6ee88baab2f0216d68a88c8aee776c7b2cbbfdd7d8757c5cc96bde72",
-          "9216ae59775de313805415fb5262163dfd88976dce605a8e10b096f29e8fb6bb",
-          "041e3648436e720cd87058755138774263f6e191d54e6908a536792687cfe315")),
-        (["--family", "gaussian", "--tau", "0.4"],
-         ("97bd68f8028cd205a8ce66bd9563c22ade2193cfe0c1dba6b53132d7b09becfa",
-          "fce27405b2027f6dc4aac3d03aaf6658ea39218838173e3e53a6703ab85f40f1",
-          "a5cf0d0ef97eb9f25c65ab282c4ddf34b46e0724f4b805c3415f551d805b1774")),
-        (["--family", "student_t", "--tau", "0.4", "--df", "5"],
-         ("790230ae28f904fcefa940be46c974a3c3123358135ebba8f6ec0f4a5c32ff40",
-          "a93fc01ce6321cc03dbb0f53aeae6c7764b341d4ed169a5afde714cea0ce37d8",
-          "72b5389bf265ceccc08117b633b5f6e44736bb69b40f1f5fd9a192fb9b86db40")),
-        (["--family", "clayton", "--tau", "0.4", "--horizon", "300", "--lambda2", "1.5"],
-         ("ee831c8afb58186a927f3a7e168baa162fbd7824f3f1929c2ebb887c602ef46f",
-          "7b322a94039706bd2723be5532dbbbb1dc1c10fbcc1e076a6c224d05bbe420ac",
-          "42a151d98658d275c19d849e666bb6daace0b3cd2fef2d61fddb19ae72074bb0")),
-    ], ids=["clayton", "gumbel", "gaussian", "student_t", "horizon"])
-    def test_frozen_digests(self, tmp_path, argv, digests):
+    # the _a.csv, _b.csv and _truth.json files, pinned before the truth file was
+    # written from the command's model; tau and df are pinned only here
+    FROZEN_ARGV = {
+        "clayton": ["--family", "clayton", "--tau", "0.4"],
+        "gumbel": ["--family", "gumbel", "--tau", "0.4"],
+        "gaussian": ["--family", "gaussian", "--tau", "0.4"],
+        "student_t": ["--family", "student_t", "--tau", "0.4", "--df", "5"],
+        "horizon": ["--family", "clayton", "--tau", "0.4", "--horizon", "300", "--lambda2", "1.5"],
+    }
+
+    @pytest.mark.parametrize("case", FROZEN_ARGV)
+    def test_frozen_digests(self, tmp_path, case):
+        argv = self.FROZEN_ARGV[case]
         size = [] if "--horizon" in argv else ["--n1", "300", "--n2", "300"]
         assert run(["simulate", *argv, *size, "--out", tmp_path / "sim"]) == 0
-        files = [tmp_path / f"sim_{part}" for part in ("a.csv", "b.csv", "truth.json")]
-        assert tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in files) == digests
+        for part in ("a.csv", "b.csv", "truth.json"):
+            key = f"cli/simulate/{case}/{part}"
+            assert digest((tmp_path / f"sim_{part}").read_bytes()) == PINNED[key], key
 
     def test_tau_param_exclusivity_error(self, tmp_path, capsys):
         rc = run(["simulate", "--family", "gaussian", "--n1", "50", "--n2", "50",
@@ -452,6 +440,19 @@ class TestErrorContract:
     def test_too_few_replicates(self, tmp_path, capsys, table, n_rep):
         err = self.json_error(capsys, ["reproduce", table, "--n-rep", n_rep, "--out", tmp_path / "t.csv"])
         assert err["error"] == "InvalidParameter" and "n_rep" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--family", "clayton"],
+        ["reproduce", "table1"],
+        ["reproduce", "table3"],
+        ["reproduce", "coverage"],
+    ], ids=["calibrate", "table1", "table3", "coverage"])
+    def test_replicates_past_any_array(self, tmp_path, capsys, argv):
+        # _run_cells lists every block before it runs one, and past any array that list alone outgrows memory
+        n_rep = str(10**20)
+        err = self.json_error(capsys, [*argv, "--n-rep", n_rep, "--out", tmp_path / "x"])
+        assert err == {"error": "InvalidParameter", "message": f"{n_rep} replicates are more than an array can hold"}
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("t_df", [0, 2, -5])
     def test_bad_student_t_df(self, sim_prefix, tmp_path, capsys, t_df):
@@ -1031,15 +1032,6 @@ def paired_series(draw):
     )
 
 
-# SHA-256 of write_paired_csv output: the first n pairs of the seeded day's a0 pairing.
-# One chunk is 4096 rows, so 4096-4098 pairs straddle it.
-PAIRED_SHA256 = {
-    1: "58ca6365810c022e576d511c11e67ee4dc24b1680bf73a2251a90ec24f610782",
-    4096: "853e31865bf4dc0461bb1972b48ea2ed4ce3751856bb4469846c484472ef68bc",
-    4097: "87fb9eb8b47187bbd83521d3951cb71c5ab8563d82a89b342c6958445d7a2496",
-    4098: "5497759a3d05472b46a65f23541d82c43aa78f827338206c0771bc8e0a554bd0",
-}
-
 
 class TestPairedCsvFormat:
     @settings(max_examples=80, deadline=None)
@@ -1064,14 +1056,17 @@ class TestPairedCsvFormat:
 
     @pytest.mark.parametrize("n", [1, _CHUNK_ROWS, _CHUNK_ROWS + 1, _CHUNK_ROWS + 2])
     def test_frozen_digest(self, tmp_path, capsys, n):
-        # the first pair is written with the header, so n pairs make n - 1 chunked rows
+        # the first n pairs of the seeded day's a0 pairing; one chunk is 4096 rows, so
+        # 4096-4098 pairs straddle it, and the first pair is written with the header,
+        # so n pairs make n - 1 chunked rows
         p = pair_ticks(*seeded_day())
         head = PairedSeries(t1=p.t1[:n], x=p.x[:n], t2=p.t2[:n], y=p.y[:n], scheme=p.scheme,
                             n_raw1=p.n_raw1, n_raw2=p.n_raw2)
         write_paired_csv(tmp_path / "p.csv", head, {"tool": "tickcopula", "seed": 3})
         write_paired_csv("-", head, {"tool": "tickcopula", "seed": 3})
-        assert hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest() == PAIRED_SHA256[n]
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PAIRED_SHA256[n]
+        key = f"cli/write_paired_csv/{n}"
+        assert digest((tmp_path / "p.csv").read_bytes()) == PINNED[key], key
+        assert digest(capsys.readouterr().out) == PINNED[key], key
 
     def test_stdout_matches_file(self, tmp_path, rng, capsys):
         paired = pair_ticks(poisson_ticks(rng, 1.0, 60), poisson_ticks(rng, 1.0, 60))

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import tempfile
 from pathlib import Path
@@ -19,7 +18,7 @@ from tickcopula import (
 from tickcopula.cli import read_paired_csv
 from tickcopula.market_data import _CHUNK_ROWS
 
-from conftest import seeded_day
+from conftest import PINNED, digest, seeded_day
 
 
 def write_csv(path, rows, header="time,price"):
@@ -297,16 +296,6 @@ class TestStreamingReader:
                 assert np.array_equal(getattr(got, name), column)
 
 
-# SHA-256 of save_ticks output: the first n ticks of a seeded Poisson series.
-# The counts straddle one writer chunk of 4096 rows; 2 is the shortest series.
-TICKS_SHA256 = {
-    2: "e4afd6fc4abe0440e9f6317085cfe63cd4eb544efc86228ff948306c633b35c5",
-    4095: "61ead6c3ddfb6d0d16c76dab30c3d2c52da65f1ac9f06bccd16561ebbb9fece5",
-    4096: "6905f9a1b4ccfcfc8c7d38f4cff6c62318ae9104b76c4dbb16d2e8deb193ae9a",
-    4097: "df921da08cb46d52a26ad547b056e48f224d2e73c921f9a57cb66d82ec141fdf",
-}
-
-
 class TestSaveTicksBytes:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("log_price, row", [(800.0, 3), (-800.0, 2)], ids=["inf", "zero"])
@@ -321,6 +310,9 @@ class TestSaveTicksBytes:
 
     @pytest.mark.parametrize("n", [2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
     def test_frozen_digest(self, tmp_path, n):
+        # the first n ticks of a seeded Poisson series; the counts straddle one
+        # writer chunk of 4096 rows, and 2 is the shortest series
         a, _ = seeded_day()
         save_ticks(TickSeries(a.times[:n], a.log_prices[:n]), tmp_path / "t.csv")
-        assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == TICKS_SHA256[n]
+        key = f"market_data/save_ticks/{n}"
+        assert digest((tmp_path / "t.csv").read_bytes()) == PINNED[key], key

@@ -1,11 +1,10 @@
 """The replicate engine behind every Monte Carlo loop, and the seeded outputs it must keep.
 
-The SHA-256 digests pin each study's output bit for bit, so they pin its
-seed tree too: a replicate that drew from another seed, or a summary folded
+The SHA-256 digests in ``digests.json`` pin each study's output bit for bit,
+so they pin its seed tree too: a replicate that drew from another seed, or a summary folded
 in another order, changes a digest.
 """
 
-import hashlib
 import json
 import multiprocessing
 import os
@@ -64,21 +63,11 @@ from tickcopula.tables import (
     t_copula_margin_study,
 )
 
-from conftest import HugeTails, InfiniteTail, traced_peak
+from conftest import PINNED, HugeTails, InfiniteTail, digest, traced_peak
 
 FAMILIES = ("gaussian", "student_t", "clayton", "gumbel")
 COVERAGE_KEYS = ("family", "tau", "n_rep", "cp_quad", "len_quad", "cp_quantile",
                  "len_quantile", "cp_elliptical", "len_elliptical")
-
-
-def sha256(payload) -> str:
-    if isinstance(payload, bytes):
-        return hashlib.sha256(payload).hexdigest()
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-def arrays_sha256(*arrays) -> str:
-    return sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
 
 
 def _per_sample(estimate):
@@ -94,36 +83,30 @@ class TestFrozenOutputs:
     def test_build_curve(self):
         curve = build_curve("clayton", PoissonPair(1, 1), STANDARD_NORMAL,
                             grid=np.linspace(0.02, 0.75, 5), n_rep=50, seed=7)
-        assert sha256(curve.estimates.tobytes()) == (
-            "bc88fcd4fdd65984c1b6e9ffb1cad794b84cf72168967c9d15acb135c015f35d"
-        )
+        key = "calibration/build_curve/clayton/n350"
+        assert digest(curve.estimates) == PINNED[key], key
 
-    @pytest.mark.parametrize("family, digest", [
-        ("clayton", "f31f2fa55c5882c30e4633a6dd1c827d7f26eae691f668f8d99943c24808e053"),
-        ("gumbel", "509b2216515894bcf63502930da23a82b55d206199c372f55bbb1ca0f3fc2990"),
-    ])
-    def test_build_curve_straddling_the_dense_kendall_limit(self, family, digest):
+    @pytest.mark.parametrize("family", ["clayton", "gumbel"])
+    def test_build_curve_straddling_the_dense_kendall_limit(self, family):
         # 600 ticks a side leave rows of about 400 returns within one replicate block,
         # on both sides of the 400-return limit of a former direct Kendall count
         curve = build_curve(family, PoissonPair(1, 1), STANDARD_NORMAL,
                             grid=np.linspace(0.02, 0.75, 5), n_rep=50, n_ticks=600, seed=7)
-        assert sha256(curve.estimates.tobytes()) == digest
+        key = f"calibration/build_curve/{family}/n600"
+        assert digest(curve.estimates) == PINNED[key], key
 
     def test_gaussian_estimator_study(self):
-        assert sha256(gaussian_estimator_study(n_rep=3)) == (
-            "f66a33db3a3144a1b3dda8f9d9e158bb395207551634fe9a4aea63171ecb1607"
-        )
+        key = "tables/gaussian_estimator_study"
+        assert digest(gaussian_estimator_study(n_rep=3)) == PINNED[key], key
 
     def test_t_copula_margin_study(self):
-        assert sha256(t_copula_margin_study(n_rep=3)) == (
-            "2b2b133917d26c902519b7d22604830fab8e711034d5ffc96f8511af9213c617"
-        )
+        key = "tables/t_copula_margin_study"
+        assert digest(t_copula_margin_study(n_rep=3)) == PINNED[key], key
 
     def test_coverage_study(self):
         rows = coverage_study(families=("clayton",), taus=(0.3,), n_rep=3, curve_n_rep=50)
-        assert sha256([{k: row[k] for k in COVERAGE_KEYS} for row in rows]) == (
-            "aac0c9c428c9ef78ba193c89d16bc88bcc48e87a1c2b0b4855470a55df686b92"
-        )
+        key = "tables/coverage_study"
+        assert digest([{k: row[k] for k in COVERAGE_KEYS} for row in rows]) == PINNED[key], key
 
 
 class TestFrozenSimulator:
@@ -135,49 +118,45 @@ class TestFrozenSimulator:
 
     MARGINS = (_NormalMargin(0.1, 2.0), _TMargin(5.0))
 
-    @pytest.mark.parametrize("family, tau, mode, digest", [
-        ("gaussian", 0.4, "count", "543760c0e48b5fdcc4c7d96a101897c0ecf44826b62be28a04d2cc49541ad938"),
-        ("gaussian", 0.4, "horizon", "8d5149b8e03877f9f952c6ae24ccb277a85e88c0bf891c344fb0bc4437014b30"),
-        ("student_t", 0.4, "count", "4cd3995c140f3899762688287d45f29a2e606fda466c3b63ab70a836c197e12c"),
-        ("student_t", 0.4, "horizon", "055de238fca4654a4cf1cea9560637a89beb6290d24e1d57d16bd8da51944e69"),
-        ("clayton", 0.4, "count", "35693bccd8ab7e38609c1ceac7799a5a922dfdc4312829bf4f439a3026b2d79f"),
-        ("clayton", 0.4, "horizon", "96ba9eb464734399f008ca72d71c785a3ae6897f31eb1045317b218b11ed9e8b"),
-        ("clayton", 0.5, "count", "25c84eb99b083db26534c673ead953d3a4c2cd6e2c6b5843e5ef120b9df00d31"),
-        ("clayton", 0.5, "horizon", "ace4dfe2e85aa22447b7a2f33c74c2b0243d3bc34c96d004261c9d606e0b8aff"),
-        ("gumbel", 0.4, "count", "e4ef0fac0e78099c9dfb5cf9304660c96d2a12245540fdbc5dd373f5dca95cdb"),
-        ("gumbel", 0.4, "horizon", "659778d77d28449a0e494bba26a21f9fd665feeab81ae5dbaf9954c7c204ac70"),
-        ("gumbel", 0.5, "count", "6e3b5a39fd70a97bf500e70a120b4b603b3dbcae527720385e09678a3e848ecd"),
-        ("gumbel", 0.5, "horizon", "12ac5b69f86592f7ef2466b64e37742535b0d0944b4ce6c71ffc6b156452d834"),
+    @pytest.mark.parametrize("family, tau, mode", [
+        ("gaussian", 0.4, "count"),
+        ("gaussian", 0.4, "horizon"),
+        ("student_t", 0.4, "count"),
+        ("student_t", 0.4, "horizon"),
+        ("clayton", 0.4, "count"),
+        ("clayton", 0.4, "horizon"),
+        ("clayton", 0.5, "count"),
+        ("clayton", 0.5, "horizon"),
+        ("gumbel", 0.4, "count"),
+        ("gumbel", 0.4, "horizon"),
+        ("gumbel", 0.5, "count"),
+        ("gumbel", 0.5, "horizon"),
     ])
-    def test_simulate(self, family, tau, mode, digest):
+    def test_simulate(self, family, tau, mode):
         size = {"count": {"n1": 300, "n2": 200}, "horizon": {"horizon": 250.0}}[mode]
         sim = simulate(SimSpec(model=copula(family, tau), margins=self.MARGINS, lambda1=1.0, lambda2=2.0,
                                seed=11, **size))
-        assert arrays_sha256(sim.a.times, sim.a.log_prices, sim.b.times, sim.b.log_prices) == digest
+        key = f"synthesis/simulate/{family}/{tau}/{mode}"
+        assert digest(sim.a.times, sim.a.log_prices, sim.b.times, sim.b.log_prices) == PINNED[key], key
 
-    @pytest.mark.parametrize("pairing, digest", [
-        (pair_ticks, "61e78df9f4f806b0afd1c376dc258b2892d0ae6749c4a28b10c99f3844aca706"),
-        (lambda a, b: pair_previous_tick(a, b, 0.7),
-         "b7a6f9d238984c1c3d6af4349d25154049183759cee2963ee100ff5899eaa570"),
-    ], ids=["pair_ticks", "pair_previous_tick"])
-    def test_pairings(self, pairing, digest):
+    PAIRINGS = {"pair_ticks": pair_ticks, "pair_previous_tick": lambda a, b: pair_previous_tick(a, b, 0.7)}
+
+    @pytest.mark.parametrize("name", PAIRINGS)
+    def test_pairings(self, name):
         sim = simulate(SimSpec(model=param_of_tau("clayton", 0.4), margins=self.MARGINS, lambda1=1.0,
                                lambda2=2.0, n1=2000, n2=3000, seed=5))
-        p = pairing(sim.a, sim.b)
-        assert arrays_sha256(p.t1, p.x, p.t2, p.y) == digest
+        p = self.PAIRINGS[name](sim.a, sim.b)
+        key = f"pairing/{name}"
+        assert digest(p.t1, p.x, p.t2, p.y) == PINNED[key], key
 
     BLOCK_SPEC = dict(margins=MARGINS, lambda1=1.0, lambda2=2.0, n1=300, n2=200)
     BLOCK_SEEDS = [[11, r] for r in range(8)]
 
-    @pytest.mark.parametrize("family, digest", [
-        ("gaussian", "12f7f797cea1288d683170b2f8d6c8f18883f45a4bd48acc674daafbe10d6461"),
-        ("student_t", "903cf5abbf04a25d3253d0e5b3314b4f220b1fd44b8ae937308296d4bc3ec8e1"),
-        ("clayton", "10b4b260aedb9eb7d1e4d3290e81eb4933510069b4f12ee9506bdd5395ab8578"),
-        ("gumbel", "2c645eda05c59d32f79ffe3b13abc3d64b087a255e14c47178a2a3dfc96ade66"),
-    ])
-    def test_replicate_block(self, family, digest):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_replicate_block(self, family):
         ev = _simulate(SimSpec(model=copula(family), **self.BLOCK_SPEC), self.BLOCK_SEEDS)
-        assert arrays_sha256(ev.times, ev.to_b, ev.log_x, ev.log_y) == digest
+        key = f"synthesis/replicate_block/{family}"
+        assert digest(ev.times, ev.to_b, ev.log_x, ev.log_y) == PINNED[key], key
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_block_rows_are_one_row_blocks(self, family):
@@ -188,15 +167,11 @@ class TestFrozenSimulator:
             for name in ("times", "to_b", "log_x", "log_y"):
                 assert getattr(block, name)[r].tobytes() == getattr(one, name)[0].tobytes()
 
-    @pytest.mark.parametrize("family, digest", [
-        ("gaussian", "f5c5fd2bd6dba58d496ef2c2a5f31998b2d38840882a77c507ef09418290a8eb"),
-        ("student_t", "1421bd2da1f144c81ede8ec2e995a86f669961a40eedf3f28464eb65669f621b"),
-        ("clayton", "d64dd35fea5ed9fca517d6ec4a287fcc395f55fca1aef907908a59eb828253e3"),
-        ("gumbel", "ef1a4056f439dedf490c045b76a7eab0b063ec91e24c53f972712a69f04cdc01"),
-    ])
-    def test_sample_uniform(self, family, digest):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sample_uniform(self, family):
         uv = sample_uniform(copula(family), 1000, np.random.default_rng(3))
-        assert uv.shape == (1000, 2) and arrays_sha256(uv) == digest
+        key = f"copulas/sample_uniform/{family}"
+        assert uv.shape == (1000, 2) and digest(uv) == PINNED[key], key
 
 
 class TestStudyBlocks:
